@@ -67,28 +67,28 @@ def _subset_sum_max(volumes: Sequence[int], capacity: int) -> int:
     best = cur
     budget = _WORK_CAP if n > EXACT_ITEM_LIMIT else -1
 
-    def dfs(i: int, cur: int) -> bool:
-        nonlocal best, budget
+    # Depth-first, include before exclude. Each visited node is (i, cur):
+    # item i is next, cur is loaded. ``pending`` holds the exclude branches
+    # whose include branch is still being explored.
+    pending: list[tuple[int, int]] = []
+    i = cur = 0
+    while True:
         if cur > best:
             best = cur
         if budget > 0:
             budget -= 1
             if budget == 0:
-                return False
-        if i == n or best == capacity:
-            return True
-        if min(cur + suffix[i], capacity) <= best:
-            return True
-        if cur + vols[i] <= capacity:
-            if not dfs(i + 1, cur + vols[i]):
-                return False
-            if best == capacity:
-                return True
-        return dfs(i + 1, cur)
-
-    if dfs(0, 0):
-        return best
-    return min(total, capacity)
+                return min(total, capacity)
+        if i == n or best == capacity or min(cur + suffix[i], capacity) <= best:
+            if not pending or best == capacity:
+                return best
+            i, cur = pending.pop()
+        elif cur + vols[i] <= capacity:
+            pending.append((i + 1, cur))
+            cur += vols[i]
+            i += 1
+        else:
+            i += 1
 
 
 def knapsack_upper_bound(ctx: BoundContext, mode: str = "exact_knapsack") -> int:

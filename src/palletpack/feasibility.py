@@ -125,9 +125,12 @@ def horizontal_support(
 
 
 @lru_cache(maxsize=64)
-def _threshold(value: float) -> Fraction:
-    # Exact decimal reading of the float, so 0.8 means 8/10 and an exactly
-    # 80%-supported face passes an inclusive comparison.
+def support_threshold(value: float) -> Fraction:
+    """A support minimum as an exact fraction.
+
+    The float is read as its decimal text, so 0.8 means 8/10 and an exactly
+    80%-supported face passes the inclusive comparison.
+    """
     return Fraction(str(value))
 
 
@@ -141,8 +144,8 @@ def check_placement(
     vf = vertical_support(state, pos, dims, gap)
     fx, fy = horizontal_support(state, pos, dims, gap)
     ok = (
-        vf >= _threshold(params.vertical_support_min)
-        and fx >= _threshold(params.horizontal_support_min_x)
-        and fy >= _threshold(params.horizontal_support_min_y)
+        vf >= support_threshold(params.vertical_support_min)
+        and fx >= support_threshold(params.horizontal_support_min_x)
+        and fy >= support_threshold(params.horizontal_support_min_y)
     )
     return SupportReport(vf, fx, fy, ok)

@@ -29,18 +29,21 @@ from .model import (
     volume,
 )
 
-PARAM_FIELDS = (
-    "vertical_support_min",
-    "horizontal_support_min_x",
-    "horizontal_support_min_y",
-    "gap_tolerance",
-    "p_x",
-    "p_y",
-    "p_z",
-    "max_branches",
-    "time_limit_ms",
-    "bound_mode",
-)
+_NUMBER = ((int, float), "a number")
+_INTEGER = (int, "an integer")
+# Every params field with the JSON type it must have.
+PARAM_TYPES = {
+    "vertical_support_min": _NUMBER,
+    "horizontal_support_min_x": _NUMBER,
+    "horizontal_support_min_y": _NUMBER,
+    "gap_tolerance": _INTEGER,
+    "p_x": _INTEGER,
+    "p_y": _INTEGER,
+    "p_z": _INTEGER,
+    "max_branches": _INTEGER,
+    "time_limit_ms": _INTEGER,
+    "bound_mode": (str, "a string"),
+}
 
 
 class InstanceFormatError(ValueError):
@@ -79,6 +82,17 @@ def _need(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _typed(value: Any, types: type | tuple[type, ...], what: str, field: str, where: str) -> Any:
+    # bool is a subclass of int, so true/false pass only where a bool is asked for
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+        raise InstanceFormatError(f"{where}: field {field!r} must be {what}, got {value!r}")
+    return value
+
+
+def _int(value: Any, field: str, where: str) -> int:
+    return _typed(value, int, "an integer", field, where)
+
+
 def _pos_int(value: Any, field: str, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InstanceFormatError(f"{where}: field {field!r} must be an integer, got {value!r}")
@@ -88,9 +102,11 @@ def _pos_int(value: Any, field: str, where: str) -> int:
 
 
 def parse_params(obj: dict, where: str = "params") -> SolverParams:
-    unknown = set(obj) - set(PARAM_FIELDS)
+    unknown = set(obj) - set(PARAM_TYPES)
     if unknown:
         raise InstanceFormatError(f"{where}: unknown field(s) {sorted(unknown)}")
+    for name, value in obj.items():
+        _typed(value, *PARAM_TYPES[name], name, where)
     try:
         return SolverParams(**obj)
     except (TypeError, ValueError) as exc:
@@ -208,27 +224,40 @@ def solution_to_json(sf: SolutionFile) -> str:
 
 
 def parse_solution(text: str) -> SolutionFile:
+    """Parse a solution document, checking the type of every field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"solution is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("solution: top level must be an object")
-    try:
-        placements = tuple(
-            SolutionPlacement(p["id"], p["x"], p["y"], p["z"], p["rotated"])
-            for p in doc["placements"]
-        )
-        return SolutionFile(
-            placements=placements,
-            placed_volume=doc["placed_volume"],
-            utilization=doc["utilization"],
-            stats=doc["stats"],
-            params_echo=parse_params(doc["params_echo"], "params_echo"),
-            instance_digest=doc["instance_digest"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise InstanceFormatError(f"solution: malformed document ({exc})") from exc
+    where = "solution"
+    raw = _typed(_need(doc, "placements", where), list, "a list", "placements", where)
+    placements = []
+    for i, rp in enumerate(raw):
+        at = f"placements[{i}]"
+        if not isinstance(rp, dict):
+            raise InstanceFormatError(f"{at}: must be an object")
+        placements.append(SolutionPlacement(
+            _typed(_need(rp, "id", at), str, "a string", "id", at),
+            _int(_need(rp, "x", at), "x", at),
+            _int(_need(rp, "y", at), "y", at),
+            _int(_need(rp, "z", at), "z", at),
+            _typed(_need(rp, "rotated", at), bool, "true or false", "rotated", at),
+        ))
+    return SolutionFile(
+        placements=tuple(placements),
+        placed_volume=_int(_need(doc, "placed_volume", where), "placed_volume", where),
+        utilization=_typed(_need(doc, "utilization", where), (int, float), "a number",
+                           "utilization", where),
+        stats=_typed(_need(doc, "stats", where), dict, "an object", "stats", where),
+        params_echo=parse_params(
+            _typed(_need(doc, "params_echo", where), dict, "an object", "params_echo", where),
+            "params_echo",
+        ),
+        instance_digest=_typed(_need(doc, "instance_digest", where), str, "a string",
+                               "instance_digest", where),
+    )
 
 
 def solution_from_file(sf: SolutionFile, instance: InstanceFile) -> Solution:

@@ -1,0 +1,294 @@
+"""Incremental packing state owned by the search.
+
+The search only ever pushes one box onto its state and pops it again, so
+this state keeps what the parent already knew instead of rebuilding it at
+every node. Placed boxes are flat ``(x, y, z, x2, y2, z2)`` int tuples.
+Each box also keeps the six projection maxima of its extreme points; a
+push updates every box's maxima against the new box and logs each change,
+a pop undoes exactly those changes (the insertion update of Crainic,
+Perboli & Tadei, INFORMS J. Computing 20(3), 2008).
+
+Every answer is the same as the reference functions give on the
+equivalent ``PackingState``: ``candidates`` as ``extreme_points.generate``,
+``fits`` as ``feasibility.check_placement(...).feasible`` and ``score`` as
+``scoring.evaluate``, float for float. Those functions stay the reference
+that the replay checker and the oracle use.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_left
+from typing import Optional
+
+from .feasibility import rect_union_area, support_threshold
+from .model import Pallet, SolverParams
+from .scoring import DISTANCE_CLAMP
+
+Box = tuple[int, int, int, int, int, int]  # x, y, z, x2, y2, z2
+
+
+def _ratio(value: float) -> tuple[int, int]:
+    t = support_threshold(value)
+    return t.numerator, t.denominator
+
+
+class FlatState:
+    """Boxes on the pallet in loading order, with their extreme points."""
+
+    def __init__(self, pallet: Pallet, params: SolverParams):
+        self.pallet = pallet
+        self.boxes: list[Box] = []
+        self.volume = 0
+        # Volume under the height envelope (the top of the tallest box over
+        # each point of the floor), before each push and now.
+        self._envelope: list[int] = []
+        self._envelope_volume = 0
+        # Per box, the maxima of the projections xy, xz, yx, yz, zx, zy
+        # (extreme_points.KINDS): the coordinate each corner slides back to.
+        self._maxima: list[list[int]] = []
+        self._undo: list[tuple[list[int], int, int]] = []  # (maxima, kind, old value)
+        self._marks: list[int] = []  # undo-log length before each push
+        self._candidates: Optional[list[tuple[int, int, int]]] = None
+        # fits() memo of _layers() for one (z, height), cleared by push/pop
+        self._slab_key: Optional[tuple[int, int]] = None
+        self._slab: list[Box] = []
+        self._below: list[tuple[int, int, int, int]] = []
+        self._gap = params.gap_tolerance
+        self._p = (params.p_x, params.p_y, params.p_z)
+        # A support minimum as an exact ratio num/den; num 0 means no test.
+        self._vertical = _ratio(params.vertical_support_min)
+        self._horiz_x = _ratio(params.horizontal_support_min_x)
+        self._horiz_y = _ratio(params.horizontal_support_min_y)
+
+    def push(self, x: int, y: int, z: int, w: int, d: int, h: int) -> None:
+        """Place a w×d×h box at (x, y, z); it must lie inside the pallet and
+        overlap no placed box."""
+        x2, y2, z2 = x + w, y + d, z + h
+        undo = self._undo
+        self._marks.append(len(undo))
+        mxy = mxz = myx = myz = mzx = mzy = 0
+        for (bx, by, bz, bx2, by2, bz2), m in zip(self.boxes, self._maxima):
+            # The new box's corners slide back against this box ...
+            if x2 < bx2:
+                if y >= by2 and by2 > mxy:
+                    mxy = by2
+                if z >= bz2 and bz2 > mxz:
+                    mxz = bz2
+            if y2 < by2:
+                if x >= bx2 and bx2 > myx:
+                    myx = bx2
+                if z >= bz2 and bz2 > myz:
+                    myz = bz2
+            if z2 < bz2:
+                if x >= bx2 and bx2 > mzx:
+                    mzx = bx2
+                if y >= by2 and by2 > mzy:
+                    mzy = by2
+            # ... and this box's corners against the new box.
+            if bx2 < x2:
+                if by >= y2 and y2 > m[0]:
+                    undo.append((m, 0, m[0]))
+                    m[0] = y2
+                if bz >= z2 and z2 > m[1]:
+                    undo.append((m, 1, m[1]))
+                    m[1] = z2
+            if by2 < y2:
+                if bx >= x2 and x2 > m[2]:
+                    undo.append((m, 2, m[2]))
+                    m[2] = x2
+                if bz >= z2 and z2 > m[3]:
+                    undo.append((m, 3, m[3]))
+                    m[3] = z2
+            if bz2 < z2:
+                if bx >= x2 and x2 > m[4]:
+                    undo.append((m, 4, m[4]))
+                    m[4] = x2
+                if by >= y2 and y2 > m[5]:
+                    undo.append((m, 5, m[5]))
+                    m[5] = y2
+        self._envelope.append(self._envelope_volume)
+        self._envelope_volume += self._envelope_rise(x, y, x2, y2, z2)
+        self.boxes.append((x, y, z, x2, y2, z2))
+        self._maxima.append([mxy, mxz, myx, myz, mzx, mzy])
+        self.volume += w * d * h
+        self._candidates = self._slab_key = None
+
+    def pop(self) -> None:
+        """Remove the last pushed box and restore the state before it."""
+        x, y, z, x2, y2, z2 = self.boxes.pop()
+        self._maxima.pop()
+        self.volume -= (x2 - x) * (y2 - y) * (z2 - z)
+        self._envelope_volume = self._envelope.pop()
+        undo = self._undo
+        mark = self._marks.pop()
+        while len(undo) > mark:
+            m, kind, old = undo.pop()
+            m[kind] = old
+        self._candidates = self._slab_key = None
+
+    def candidates(self) -> list[tuple[int, int, int]]:
+        """Extreme points inside the pallet, deduplicated, ascending by
+        (z, y, x); the origin alone on an empty pallet."""
+        if self._candidates is None:
+            if not self.boxes:
+                self._candidates = [(0, 0, 0)]
+            else:
+                p = self.pallet
+                w, d, h = p.width, p.depth, p.max_height
+                pts = set()
+                for (x, y, z, x2, y2, z2), (mxy, mxz, myx, myz, mzx, mzy) in zip(
+                    self.boxes, self._maxima
+                ):
+                    # (z, y, x) so that the set sorts in candidate order
+                    if x2 < w:
+                        pts.add((z, mxy, x2))
+                        pts.add((mxz, y, x2))
+                    if y2 < d:
+                        pts.add((z, y2, myx))
+                        pts.add((myz, y2, x))
+                    if z2 < h:
+                        pts.add((z2, y, mzx))
+                        pts.add((z2, mzy, x))
+                self._candidates = [(x, y, z) for z, y, x in sorted(pts)]
+        return self._candidates
+
+    def fits(self, x: int, y: int, z: int, w: int, d: int, h: int) -> bool:
+        """Whether a w×d×h box at (x, y, z) meets every placement rule:
+        bounds, overlap, vertical support, then horizontal support, stopping
+        at the first that fails."""
+        p = self.pallet
+        x2, y2, z2 = x + w, y + d, z + h
+        if x2 > p.width or y2 > p.depth or z2 > p.max_height:
+            return False
+        if self._slab_key != (z, h):
+            self._slab_key = (z, h)
+            self._slab, self._below = self._layers(z, z2)
+        # Only boxes in the slab z..z2 can overlap the box or back its sides.
+        slab = self._slab
+        for bx, by, _, bx2, by2, _ in slab:
+            if x < bx2 and bx < x2 and y < by2 and by < y2:
+                return False
+        gap = self._gap
+        num, den = self._vertical
+        if num and z > gap:
+            rects = [
+                (max(x, bx), max(y, by), min(x2, bx2), min(y2, by2))
+                for bx, by, bx2, by2 in self._below
+                if x < bx2 and bx < x2 and y < by2 and by < y2
+            ]
+            if not _covers(rects, w * d, num, den):
+                return False
+        num, den = self._horiz_x
+        if num and x > gap:
+            rects = [
+                (max(y, by), max(z, bz), min(y2, by2), min(z2, bz2))
+                for bx, by, bz, bx2, by2, bz2 in slab
+                if 0 <= x - bx2 <= gap and y < by2 and by < y2
+            ]
+            if not _covers(rects, d * h, num, den):
+                return False
+        num, den = self._horiz_y
+        if num and y > gap:
+            rects = [
+                (max(x, bx), max(z, bz), min(x2, bx2), min(z2, bz2))
+                for bx, by, bz, bx2, by2, bz2 in slab
+                if 0 <= y - by2 <= gap and x < bx2 and bx < x2
+            ]
+            if not _covers(rects, w * h, num, den):
+                return False
+        return True
+
+    def _layers(self, z: int, z2: int) -> tuple[list[Box], list[tuple[int, int, int, int]]]:
+        """Boxes that share height with z..z2, and the footprints (x, y, x2,
+        y2) of boxes whose tops lie within the gap below z."""
+        gap = self._gap
+        slab = []
+        below = []
+        for b in self.boxes:
+            bz, bz2 = b[2], b[5]
+            if bz < z2 and z < bz2:
+                slab.append(b)
+            elif 0 <= z - bz2 <= gap:
+                below.append((b[0], b[1], b[3], b[4]))
+        return slab, below
+
+    def score(self, x: int, y: int, z: int, w: int, d: int, h: int) -> float:
+        """Coplanarity score of a box at (x, y, z), bit-identical to
+        ``scoring.evaluate``: the same index sets, filled in the same
+        order, summed in the same order."""
+        p_x, p_y, p_z = self._p
+        top, fx, fy = z + h, x + w, y + d
+        s_z: set[int] = set()
+        s_x: set[int] = set()
+        s_y: set[int] = set()
+        boxes = self.boxes
+        for j, (_, _, _, bx2, by2, bz2) in enumerate(boxes):
+            if top - p_z <= bz2 <= top + p_z:
+                s_z.add(j)
+            if fx - p_x <= bx2 <= fx + p_x:
+                s_x.add(j)
+            if fy - p_y <= by2 <= fy + p_y:
+                s_y.add(j)
+        cx = x + w / 2
+        cy = y + d / 2
+        cz = z + h / 2
+        score = 0.0
+        for j in s_z:
+            bx, by, _, bx2, by2, _ = boxes[j]
+            bw, bd = bx2 - bx, by2 - by
+            dist = math.hypot(cx - (bx + bw / 2), cy - (by + bd / 2))
+            score += bw * bd / max(dist, DISTANCE_CLAMP)
+        for j in s_x:
+            _, by, bz, _, by2, bz2 = boxes[j]
+            bd, bh = by2 - by, bz2 - bz
+            dist = math.hypot(cy - (by + bd / 2), cz - (bz + bh / 2))
+            score += bd * bh / max(dist, DISTANCE_CLAMP)
+        for j in s_y:
+            bx, _, bz, bx2, _, bz2 = boxes[j]
+            bw, bh = bx2 - bx, bz2 - bz
+            dist = math.hypot(cx - (bx + bw / 2), cz - (bz + bh / 2))
+            score += bw * bh / max(dist, DISTANCE_CLAMP)
+        return score
+
+    def unused_volume(self) -> int:
+        """Pallet volume above the height envelope, as ``grid.unused_volume``."""
+        return self.pallet.volume() - self._envelope_volume
+
+    def _envelope_rise(self, x: int, y: int, x2: int, y2: int, top: int) -> int:
+        """Volume the envelope gains from a box with footprint x..x2, y..y2
+        and top ``top``: over each part of the footprint, how far ``top``
+        rises above the tallest box already there."""
+        rects = [
+            (max(x, bx), max(y, by), min(x2, bx2), min(y2, by2), min(bz2, top))
+            for bx, by, _, bx2, by2, bz2 in self.boxes
+            if x < bx2 and bx < x2 and y < by2 and by < y2
+        ]
+        if not rects:
+            return (x2 - x) * (y2 - y) * top
+        xs = sorted({x, x2}.union(*((r[0], r[2]) for r in rects)))
+        ys = sorted({y, y2}.union(*((r[1], r[3]) for r in rects)))
+        heights = [[0] * (len(ys) - 1) for _ in range(len(xs) - 1)]
+        for u1, v1, u2, v2, h in rects:
+            b0, b1 = bisect_left(ys, v1), bisect_left(ys, v2)
+            for a in range(bisect_left(xs, u1), bisect_left(xs, u2)):
+                row = heights[a]
+                for b in range(b0, b1):
+                    if h > row[b]:
+                        row[b] = h
+        rise = 0
+        for a, row in enumerate(heights):
+            wa = xs[a + 1] - xs[a]
+            for b, h in enumerate(row):
+                rise += (top - h) * wa * (ys[b + 1] - ys[b])
+        return rise
+
+
+def _covers(rects: list[tuple[int, int, int, int]], face: int, num: int, den: int) -> bool:
+    """Whether the union of ``rects`` covers at least num/den of ``face``."""
+    if len(rects) == 1:  # the common case, without the sweep
+        u1, v1, u2, v2 = rects[0]
+        area = (u2 - u1) * (v2 - v1)
+    else:
+        area = rect_union_area(rects)
+    return area * den >= num * face

@@ -9,6 +9,12 @@ same state is retried with the next unit. A skipped unit stays skipped for
 the rest of its branch. Exhausted branches backtrack; at the root the
 first-placed unit itself advances through the picking order. The search is
 fully deterministic; a wall-clock limit makes it an anytime solver.
+
+The searcher owns one incremental state (``flatstate.FlatState``): a
+descent pushes a box onto it and a backtrack pops it, so no node rebuilds
+its candidates or re-checks its parent's placements. Branching nodes are
+kept on an explicit stack, so the depth of the tree is not bounded by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -17,11 +23,9 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import extreme_points
-from .bounds import node_upper_bound
-from .feasibility import check_placement
+from .bounds import BoundContext, knapsack_upper_bound
+from .flatstate import FlatState
 from .model import (
-    PackingState,
     Pallet,
     Placement,
     SearchStats,
@@ -29,8 +33,12 @@ from .model import (
     SolverParams,
     TransportUnit,
     oriented,
+    volume,
 )
-from .scoring import ScoredCandidate, evaluate, rank_and_cut
+
+# A ranked candidate: (-score, z, y, x, rotated). Sorting these orders
+# candidates as scoring.rank_and_cut does.
+_Ranked = tuple[float, int, int, int, bool]
 
 
 @dataclass(frozen=True)
@@ -89,10 +97,13 @@ class _Searcher:
         trace: Optional[list[TraceEvent]],
     ):
         self.units = list(units)
+        self.volumes = [volume(u.dims) for u in self.units]
         self.pallet = pallet
         self.params = params
         self.trace = trace
-        self.incumbent = PackingState.empty(pallet)
+        self.state = FlatState(pallet, params)
+        self.placed: list[Placement] = []  # the state's boxes as placements
+        self.incumbent: tuple[Placement, ...] = ()
         self.incumbent_volume = 0
         self.nodes_expanded = 0
         self.nodes_pruned = 0
@@ -104,92 +115,126 @@ class _Searcher:
         if time.monotonic() >= self.deadline:
             raise _Deadline
 
-    def _log(self, event: TraceEvent) -> None:
+    def _log(self, kind: str, **fields) -> None:
         if self.trace is not None:
-            self.trace.append(event)
+            self.trace.append(TraceEvent(kind, **fields))
 
-    def _ranked_candidates(
-        self, state: PackingState, unit: TransportUnit
-    ) -> list[ScoredCandidate]:
-        scored: list[ScoredCandidate] = []
-        for cand in extreme_points.generate(state):
+    def _ranked_candidates(self, unit: TransportUnit) -> list[_Ranked]:
+        """Feasible (position, orientation) pairs for ``unit``, best first,
+        cut to max_branches; ordered as ``scoring.rank_and_cut`` orders."""
+        state = self.state
+        w, d, h = unit.dims.w, unit.dims.d, unit.dims.h
+        scored: list[_Ranked] = []
+        for x, y, z in state.candidates():
             self._tick()
-            for rotated in (False, True):
-                dims = oriented(unit, rotated)
-                report = check_placement(state, cand.coords, dims, self.params)
-                if report.feasible:
-                    score = evaluate(state, cand.coords, dims, self.params)
-                    scored.append(ScoredCandidate(cand.coords, rotated, score, report))
+            if state.fits(x, y, z, w, d, h):
+                scored.append((-state.score(x, y, z, w, d, h), z, y, x, False))
+            if state.fits(x, y, z, d, w, h):
+                scored.append((-state.score(x, y, z, d, w, h), z, y, x, True))
         self.candidates_evaluated += len(scored)
-        return rank_and_cut(scored, self.params.max_branches)
+        scored.sort()
+        return scored[:self.params.max_branches]
 
-    def _placement(self, unit: TransportUnit, cand: ScoredCandidate) -> Placement:
-        return Placement(unit.id, cand.position, oriented(unit, cand.rotated), cand.rotated)
+    def _push(self, unit: TransportUnit, cand: _Ranked) -> None:
+        _, z, y, x, rotated = cand
+        dims = oriented(unit, rotated)
+        self.state.push(x, y, z, dims.w, dims.d, dims.h)
+        self.placed.append(Placement(unit.id, (x, y, z), dims, rotated))
 
-    def _expand(self, state: PackingState, idx: int, depth: int, skippable: bool) -> None:
+    def _pop(self) -> None:
+        self.state.pop()
+        self.placed.pop()
+
+    def _open(self, idx: int, depth: int, skippable: bool) -> Optional[list]:
+        """Expand the node for unit ``idx``, skipping forward while units
+        fit nowhere. Returns the frame ``[idx, depth, ranked, next child]``
+        of a node that branches, with its best candidate left on the state,
+        or None when the node is done: a leaf, pruned, or out of units."""
         n = len(self.units)
         while idx < n:
             self._tick()
             unit = self.units[idx]
-            ranked = self._ranked_candidates(state, unit)
+            ranked = self._ranked_candidates(unit)
             self.nodes_expanded += 1
-            self._log(TraceEvent(
-                "expand", unit_id=unit.id, order_index=idx,
-                candidates=len(ranked), depth=depth,
-            ))
+            self._log("expand", unit_id=unit.id, order_index=idx,
+                      candidates=len(ranked), depth=depth)
 
             if not ranked:
                 if not skippable:
-                    return
-                self._log(TraceEvent("skip", unit_id=unit.id, order_index=idx, depth=depth))
+                    return None
+                self._log("skip", unit_id=unit.id, order_index=idx, depth=depth)
                 idx += 1
                 continue
 
             best = ranked[0]
-            best_state = state.with_placement(self._placement(unit, best))
-            b = best_state.placed_volume()
+            self._push(unit, best)
+            b = self.state.volume
             if b > self.incumbent_volume:
-                self.incumbent = best_state
+                self.incumbent = tuple(self.placed)
                 self.incumbent_volume = b
-                self._log(TraceEvent(
-                    "place", unit_id=unit.id, order_index=idx, position=best.position,
-                    rotated=best.rotated, purpose="incumbent", depth=depth,
-                ))
-                self._log(TraceEvent(
-                    "incumbent", volume=b,
-                    placements=tuple(
-                        (pl.unit_id, pl.position, pl.rotated) for pl in best_state.placements
-                    ),
-                ))
+                self._log("place", unit_id=unit.id, order_index=idx,
+                          position=(best[3], best[2], best[1]), rotated=best[4],
+                          purpose="incumbent", depth=depth)
+                if self.trace is not None:
+                    self._log("incumbent", volume=b, placements=tuple(
+                        (pl.unit_id, pl.position, pl.rotated) for pl in self.incumbent
+                    ))
 
             if idx + 1 < n:
-                ub = node_upper_bound(best_state, self.units[idx + 1:], self.params.bound_mode)
+                ub = b + self._knapsack_bound(idx + 1)
                 self._tick()
                 if ub <= self.incumbent_volume:
                     self.nodes_pruned += 1
-                    self._log(TraceEvent(
-                        "prune", unit_id=unit.id, order_index=idx,
-                        upper_bound=ub, incumbent_volume=self.incumbent_volume, depth=depth,
-                    ))
-                    return
-                for cand in ranked:
-                    child = best_state if cand is best else state.with_placement(
-                        self._placement(unit, cand)
-                    )
-                    self._log(TraceEvent(
-                        "place", unit_id=unit.id, order_index=idx, position=cand.position,
-                        rotated=cand.rotated, purpose="descend", depth=depth,
-                    ))
-                    self._expand(child, idx + 1, depth + 1, True)
-                    self._log(TraceEvent("backtrack", depth=depth))
-            return
+                    self._log("prune", unit_id=unit.id, order_index=idx, upper_bound=ub,
+                              incumbent_volume=self.incumbent_volume, depth=depth)
+                    self._pop()
+                    return None
+                return [idx, depth, ranked, 0]
+            self._pop()
+            return None
         # picking order exhausted: natural leaf, caller backtracks
+        return None
+
+    def _knapsack_bound(self, first: int) -> int:
+        """Best volume units ``first``.. can still add (bounds.node_upper_bound
+        less the loaded volume)."""
+        ctx = BoundContext(tuple(self.volumes[first:]), self.state.unused_volume(),
+                           self.state.volume)
+        return knapsack_upper_bound(ctx, self.params.bound_mode)
+
+    def _search_from(self, root_idx: int) -> None:
+        """Depth-first search of the tree whose first placed unit is
+        ``root_idx``, on an explicit stack of branching nodes."""
+        frames = []
+        frame = self._open(root_idx, 0, skippable=False)
+        if frame is not None:
+            frames.append(frame)
+        while frames:
+            frame = frames[-1]
+            idx, depth, ranked, k = frame
+            if k > 0:  # child k-1 has returned
+                self._log("backtrack", depth=depth)
+                self._pop()
+            if k == len(ranked):
+                frames.pop()
+                continue
+            cand = ranked[k]
+            unit = self.units[idx]
+            if k > 0:  # the best candidate is already on the state
+                self._push(unit, cand)
+            frame[3] = k + 1
+            self._log("place", unit_id=unit.id, order_index=idx,
+                      position=(cand[3], cand[2], cand[1]), rotated=cand[4],
+                      purpose="descend", depth=depth)
+            child = self._open(idx + 1, depth + 1, skippable=True)
+            if child is not None:
+                frames.append(child)
 
     def run(self) -> tuple[Solution, Optional[list[TraceEvent]]]:
         started = time.monotonic()
         try:
             for root_idx in range(len(self.units)):
-                self._expand(PackingState.empty(self.pallet), root_idx, 0, skippable=False)
+                self._search_from(root_idx)
         except _Deadline:
             self.timed_out = True
         elapsed_ms = int((time.monotonic() - started) * 1000)
@@ -201,7 +246,7 @@ class _Searcher:
             timed_out=self.timed_out,
         )
         sol = Solution(
-            placements=self.incumbent.placements,
+            placements=self.incumbent,
             placed_volume=self.incumbent_volume,
             utilization=self.incumbent_volume / self.pallet.volume(),
             stats=stats,

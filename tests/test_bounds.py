@@ -106,3 +106,13 @@ def test_exact_mode_random_against_subset_enumeration():
         assert knapsack_upper_bound(ctx, "exact_knapsack") == exhaustive_best_fill(
             volumes, capacity
         )
+
+
+def test_exact_mode_has_no_recursion_ceiling():
+    # Even volumes and an odd capacity: no subset fills it exactly, so the
+    # search dives through all 1,500 items before the work cap trips.
+    rng = random.Random(1500)
+    volumes = tuple(rng.randint(1, 1000) * 2 for _ in range(1500))
+    capacity = sum(volumes) // 2 | 1
+    bound = knapsack_upper_bound(BoundContext(volumes, capacity, 0), "exact_knapsack")
+    assert dp_knapsack(volumes, capacity) <= bound <= capacity

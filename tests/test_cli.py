@@ -121,3 +121,29 @@ def test_seed_check_passes(instance_path, tmp_path, capsys):
     code = cli_main(["solve", str(instance_path), "--out", str(out), "--seed-check"])
     assert code == 0
     assert "seed-check: ok" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path,value", [
+    (("placements", 0, "x"), "0"),
+    (("placements", 0, "id"), ["u0"]),
+    (("placements",), {}),
+    (("placements", 0, "rotated"), 0),
+    (("params_echo", "vertical_support_min"), True),
+    (("utilization",), "0.03"),
+], ids=["string-coordinate", "list-id", "placements-object", "int-rotated",
+        "bool-threshold", "string-utilization"])
+def test_validate_malformed_solution_exits_2(instance_path, tmp_path, capsys, path, value):
+    out = tmp_path / "solution.json"
+    assert cli_main(["solve", str(instance_path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["validate", str(out), str(instance_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(path[-1]) in captured.err or "placements" in captured.err

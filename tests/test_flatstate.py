@@ -1,0 +1,129 @@
+"""The search's incremental state against the reference functions.
+
+Random push/pop sequences under random parameters; after every step the
+state must agree with ``generate``, ``check_placement``, ``evaluate`` and
+``unused_volume`` run on the equivalent ``PackingState``.
+"""
+
+import random
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from palletpack.extreme_points import generate
+from palletpack.feasibility import check_overlap_bounds, check_placement
+from palletpack.flatstate import FlatState
+from palletpack.grid import unused_volume
+from palletpack.model import Dims, PackingState, Pallet, Placement, SolverParams
+from palletpack.scoring import evaluate
+
+THRESHOLDS = [0.0, 0.2, 0.25, 1 / 3, 0.5, 0.7, 0.75, 1.0]
+
+
+def reference_state(state: FlatState) -> PackingState:
+    return PackingState(tuple(
+        Placement(f"b{i}", (x, y, z), Dims(x2 - x, y2 - y, z2 - z), False)
+        for i, (x, y, z, x2, y2, z2) in enumerate(state.boxes)
+    ), state.pallet)
+
+
+def assert_matches_reference(state: FlatState, params: SolverParams, units) -> None:
+    ref = reference_state(state)
+    assert state.candidates() == [c.coords for c in generate(ref)]
+    assert state.volume == ref.placed_volume()
+    assert state.unused_volume() == unused_volume(ref)
+    for pos in state.candidates():
+        for w, d, h in units:
+            for dims in (Dims(w, d, h), Dims(d, w, h)):
+                expected = check_placement(ref, pos, dims, params).feasible
+                assert state.fits(*pos, dims.w, dims.d, dims.h) == expected
+                if expected:
+                    assert state.score(*pos, dims.w, dims.d, dims.h) == evaluate(
+                        ref, pos, dims, params)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_push_pop_sequences_match_reference(data):
+    pallet = Pallet(*(data.draw(st.integers(3, 12)) for _ in range(3)))
+    params = SolverParams(
+        vertical_support_min=data.draw(st.sampled_from(THRESHOLDS)),
+        horizontal_support_min_x=data.draw(st.sampled_from(THRESHOLDS)),
+        horizontal_support_min_y=data.draw(st.sampled_from(THRESHOLDS)),
+        gap_tolerance=data.draw(st.integers(0, 2)),
+        p_x=data.draw(st.integers(0, 2)),
+        p_y=data.draw(st.integers(0, 2)),
+        p_z=data.draw(st.integers(0, 2)),
+    )
+    side = st.integers(1, 5)
+    units = data.draw(st.lists(st.tuples(side, side, side), min_size=1, max_size=3))
+    state = FlatState(pallet, params)
+    assert_matches_reference(state, params, units)
+    for _ in range(data.draw(st.integers(1, 14))):
+        if state.boxes and data.draw(st.integers(0, 3)) == 0:
+            state.pop()
+        else:
+            # A box at a candidate position (as the search places them) or
+            # anywhere free; support is not required for a push.
+            w, d, h = data.draw(st.tuples(side, side, side))
+            if state.candidates() and data.draw(st.booleans()):
+                pos = data.draw(st.sampled_from(state.candidates()))
+            else:
+                pos = tuple(data.draw(st.integers(0, n - 1)) for n in
+                            (pallet.width, pallet.depth, pallet.max_height))
+            if not check_overlap_bounds(reference_state(state), pos, Dims(w, d, h)):
+                continue
+            x, y, z = pos
+            state.push(x, y, z, w, d, h)
+        assert_matches_reference(state, params, units)
+
+
+BASE = {"vertical_support_min": 0.0, "horizontal_support_min_x": 0.0,
+        "horizontal_support_min_y": 0.0}
+
+
+@pytest.mark.parametrize("field,gap,boxes,pos,dims", [
+    # 7 of 10 columns of the bottom face rest on a top 1 mm below it
+    ("vertical_support_min", 1, [(0, 0, 0, 7, 1, 1)], (0, 0, 2), (10, 1, 1)),
+    # 7 of 10 of the -x face backed by a +x face 2 mm away
+    ("horizontal_support_min_x", 2, [(0, 0, 0, 1, 7, 1)], (3, 0, 0), (1, 10, 1)),
+    # 7 of 10 of the -y face backed by a +y face 1 mm away
+    ("horizontal_support_min_y", 1, [(0, 0, 0, 7, 1, 1)], (0, 2, 0), (10, 1, 1)),
+])
+@pytest.mark.parametrize("threshold,feasible", [(0.7, True), (0.71, False), (0.69, True)])
+def test_support_exactly_on_threshold(field, gap, boxes, pos, dims, threshold, feasible):
+    params = SolverParams(**{**BASE, field: threshold}, gap_tolerance=gap)
+    state = FlatState(Pallet(12, 12, 12), params)
+    for box in boxes:
+        state.push(*box)
+    ref = reference_state(state)
+    assert check_placement(ref, pos, Dims(*dims), params).feasible is feasible
+    assert state.fits(*pos, *dims) is feasible
+
+
+def test_pop_restores_candidates_after_deep_pushes():
+    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
+    seen = []
+    for x in range(0, 10, 2):
+        seen.append(list(state.candidates()))
+        state.push(x, 0, 0, 2, 3, 2)
+    for expected in reversed(seen):
+        state.pop()
+        assert state.candidates() == expected
+    assert state.unused_volume() == 1000 and state.volume == 0
+
+
+def test_score_sums_in_reference_set_order():
+    # Thirty boxes: an index set with few members spread over 0..29 iterates
+    # out of index order, and some float sums then differ in their last bit
+    # from the same terms added in index order.
+    rng = random.Random(0)
+    params = SolverParams(vertical_support_min=0.0)
+    state = FlatState(Pallet(40, 40, 8), params)
+    while len(state.boxes) < 30:
+        x, y, z = rng.choice(state.candidates())
+        w, d, h = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 4)
+        if check_overlap_bounds(reference_state(state), (x, y, z), Dims(w, d, h)):
+            state.push(x, y, z, w, d, h)
+    assert_matches_reference(state, params, [(3, 5, 2), (7, 2, 1), (2, 2, 3)])

@@ -1,0 +1,95 @@
+"""Golden outputs: solution bytes and trace events pinned across commits.
+
+Each case generates a seeded instance with ``scripts/generate_instance.py``,
+overrides its params, and runs a complete search. The sha256 of the
+canonical solution file and of the ordered trace event dicts must match the
+recorded values, so any change to the search tree, the tie-breaks or the
+statistics shows up here even when every other test still passes.
+Re-record only for a change that is meant to alter solver output, and say
+so in the change log.
+"""
+
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from palletpack.files import build_solution_file, parse_instance, solution_to_json
+from palletpack.search import solve_with_trace
+
+GENERATOR = Path(__file__).resolve().parent.parent / "scripts" / "generate_instance.py"
+PALLET = (600, 400, 600)
+
+# (units, seed, params, solution sha256, trace sha256)
+CASES = [
+    (8, 1, {"vertical_support_min": 0.7},
+     "17ff7461ad06e53428e1bb88b1688fe63ee01d1446add43d2f970a44211d72ae",
+     "782debdea8380e8dc9e03d3b681693e2be0ad81aa5acda8cdfb8606f76a2b3f1"),
+    (8, 2, {"vertical_support_min": 0.7, "bound_mode": "lp_relaxation"},
+     "b34d8e1a55f3057364a2a7d361d779ae78b277ff8c337354957b82e84fe49f45",
+     "f4c711aad1052471bac198bbe5846071c4a7b4a6b5a6130fc0a1e9a758ba3669"),
+    (7, 3, {"vertical_support_min": 0.5, "horizontal_support_min_x": 0.3,
+            "horizontal_support_min_y": 0.3},
+     "01f9285f1b86f4e712764417106825ea84ef153454fa7994c3c4b189245d8560",
+     "8da1356286d65fc3317f1e010f81325e07cb100a2ce2d8410d87ce66bab749ee"),
+    (8, 4, {"vertical_support_min": 0.8, "gap_tolerance": 10},
+     "17f9473967aaf09a79411d636c08c054dceb6318307bdcabf38faf8fa9167c67",
+     "339640ff771fbaf1256d422b7012ea9a7851bd8b22bc914b9d7806aaf1db31da"),
+    (8, 5, {"vertical_support_min": 0.7, "p_x": 20, "p_y": 20, "p_z": 30},
+     "b1b8c90b4b4c632f0e47beae15a82f9967b0a5fd42e7e9724a08345a3a11e46c",
+     "88b66b2000feaf1a3ce58f10139af86dd5f6623a6e70ab76c574e828ef7cf40a"),
+    (10, 6, {"vertical_support_min": 0.7, "max_branches": 1},
+     "6fb5d1959ef7b02dfe397e9f9f0a6e85f1a5c59c213f6d78b37ad5a9e7fb4c2a",
+     "bd228dcbe2ddb1ed57e212238b5210bb9e80fe8613343e4ace973a95ab4e6cc2"),
+    (6, 7, {"vertical_support_min": 0.0, "gap_tolerance": 5, "horizontal_support_min_x": 0.5},
+     "4a7ba6e3bb22b7743bc2ff75505eaa5b37c004b99ec0e4dda62fd417c99bf01d",
+     "1f44e6649608545af1a217763fabd8a1114f328c593702f7bd2d70ca975db3b2"),
+    (9, 8, {"vertical_support_min": 1.0, "bound_mode": "lp_relaxation", "p_z": 15,
+            "max_branches": 2},
+     "ce8801d9be1eea584b63f39c19add667fb2f5e8f36b4ece46c3678dac0e5d230",
+     "4021c18ced5d5a04cfb170c19ace5406e6bf79dbcc0c7d6672bf812a55cf9c5e"),
+]
+
+
+def _instance_text(units: int, seed: int, params: dict) -> str:
+    out = subprocess.run(
+        [sys.executable, str(GENERATOR), "--units", str(units), "--seed", str(seed),
+         "--pallet", *map(str, PALLET), "--min-side", "100", "--max-side", "300"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    doc = json.loads(out)
+    doc["params"] = params
+    return json.dumps(doc, sort_keys=True)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run(units: int, seed: int, params: dict):
+    text = _instance_text(units, seed, params)
+    inst = parse_instance(text)
+    sol, trace = solve_with_trace(inst.units, inst.pallet, inst.params)
+    solution = solution_to_json(build_solution_file(sol, inst.params, text))
+    events = json.dumps([e.as_dict() for e in trace], sort_keys=True)
+    return sol, trace, _sha(solution), _sha(events)
+
+
+@pytest.mark.parametrize("units,seed,params,solution_sha,trace_sha", CASES,
+                         ids=[f"seed{c[1]}" for c in CASES])
+def test_golden_output(units, seed, params, solution_sha, trace_sha):
+    sol, _, got_solution, got_trace = _run(units, seed, params)
+    assert not sol.stats.timed_out
+    assert got_solution == solution_sha
+    assert got_trace == trace_sha
+
+
+def test_golden_batch_covers_skip_and_prune():
+    kinds = set()
+    for units, seed, params, _, _ in CASES:
+        _, trace, _, _ = _run(units, seed, params)
+        kinds.update(e.kind for e in trace)
+    assert {"skip", "prune"} <= kinds

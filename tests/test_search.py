@@ -1,10 +1,14 @@
 import dataclasses
+import inspect
+import json
 import random
+import sys
 import time
 
 import pytest
 
 from palletpack.feasibility import check_placement
+from palletpack.files import build_solution_file, parse_instance, validate_solution
 from palletpack.model import (
     Dims,
     PackingState,
@@ -164,20 +168,44 @@ def test_trace_replays_to_the_solution():
 
 
 def test_time_limit_returns_incumbent_quickly():
+    # 150 small units, shaped like the anytime benchmark workload: the
+    # first dive alone outlasts the 150 ms budget.
     rng = random.Random(8)
     units = [
-        TransportUnit(f"u{i}", Dims(rng.randint(50, 300), rng.randint(50, 300),
-                                    rng.randint(50, 300)), i)
-        for i in range(30)
+        TransportUnit(f"u{i}", Dims(rng.randint(50, 200), rng.randint(50, 200),
+                                    rng.randint(50, 200)), i)
+        for i in range(150)
     ]
-    pallet = Pallet(1200, 800, 1000)
-    params = SolverParams(vertical_support_min=0.7, time_limit_ms=150, max_branches=4)
+    pallet = Pallet(1200, 800, 1500)
+    params = SolverParams(vertical_support_min=0.7, gap_tolerance=5, time_limit_ms=150,
+                          max_branches=4)
     start = time.monotonic()
     sol = solve(units, pallet, params)
     wall = (time.monotonic() - start) * 1000
     assert sol.stats.timed_out
     assert wall < 1000
     assert sol.stats.elapsed_ms <= 1000
+
+
+def test_deep_search_needs_no_call_stack():
+    # One placed unit per search level; the limit leaves room for far fewer
+    # levels than units placed, so a recursive search would fail here.
+    units = [_unit(i, 10, 10, 10) for i in range(150)]
+    pallet = Pallet(100, 100, 200)
+    params = SolverParams(vertical_support_min=1.0, max_branches=1, time_limit_ms=60_000)
+    text = json.dumps({
+        "pallet": {"width": 100, "depth": 100, "max_height": 200},
+        "units": [{"id": u.id, "w": 10, "d": 10, "h": 10} for u in units],
+    })
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        sol = solve(units, pallet, params)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(sol.placements) > 100
+    sf = build_solution_file(sol, params, text)
+    assert validate_solution(sf, parse_instance(text), text) == []
 
 
 def test_invalid_instances_rejected(pallet_4x3x10):
