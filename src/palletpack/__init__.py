@@ -2,7 +2,7 @@
 bound with extreme-point candidates, stability constraints, and a knapsack
 upper bound."""
 
-from .bounds import BoundContext, knapsack_upper_bound, lower_bound, node_upper_bound
+from .bounds import BoundContext, knapsack_upper_bound, node_upper_bound
 from .extreme_points import CandidatePosition, generate
 from .feasibility import (
     SupportReport,
@@ -12,7 +12,7 @@ from .feasibility import (
     rect_union_area,
     vertical_support,
 )
-from .grid import GridAxes, HeightEnvelope, build_axes, cell_units, height_envelope, unused_volume
+from .grid import GridAxes, build_axes, unused_volume
 from .model import (
     Dims,
     PackingState,
@@ -33,7 +33,6 @@ __all__ = [
     "CandidatePosition",
     "Dims",
     "GridAxes",
-    "HeightEnvelope",
     "PackingState",
     "Pallet",
     "Placement",
@@ -45,16 +44,13 @@ __all__ = [
     "TraceEvent",
     "TransportUnit",
     "build_axes",
-    "cell_units",
     "check_overlap_bounds",
     "check_placement",
     "coplanar_sets",
     "evaluate",
     "generate",
-    "height_envelope",
     "horizontal_support",
     "knapsack_upper_bound",
-    "lower_bound",
     "node_upper_bound",
     "oriented",
     "rank_and_cut",

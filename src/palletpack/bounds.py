@@ -60,35 +60,43 @@ def _subset_sum_max(volumes: Sequence[int], capacity: int) -> int:
         suffix[i] = suffix[i + 1] + vols[i]
 
     # Greedy fill seeds the incumbent so the relaxation bound bites early.
-    cur = 0
+    best = 0
     for v in vols:
-        if cur + v <= capacity:
-            cur += v
-    best = cur
+        if best + v <= capacity:
+            best += v
+    if best == capacity:
+        return best
+    # One step per visited node; in exact mode the countdown starts below
+    # zero and never reaches it.
     budget = _WORK_CAP if n > EXACT_ITEM_LIMIT else -1
 
     # Depth-first, include before exclude. Each visited node is (i, cur):
     # item i is next, cur is loaded. ``pending`` holds the exclude branches
-    # whose include branch is still being explored.
+    # whose include branch is still being explored. Past this point
+    # best < capacity, so the relaxation bound min(cur + suffix[i], capacity)
+    # beats best exactly when cur + suffix[i] does, and only an include can
+    # raise best.
     pending: list[tuple[int, int]] = []
+    push, pop = pending.append, pending.pop
     i = cur = 0
     while True:
-        if cur > best:
-            best = cur
-        if budget > 0:
-            budget -= 1
-            if budget == 0:
-                return min(total, capacity)
-        if i == n or best == capacity or min(cur + suffix[i], capacity) <= best:
-            if not pending or best == capacity:
+        budget -= 1
+        if budget == 0:
+            return capacity  # the relaxation value: total > capacity here
+        if cur + suffix[i] <= best:
+            if not pending:
                 return best
-            i, cur = pending.pop()
-        elif cur + vols[i] <= capacity:
-            pending.append((i + 1, cur))
-            cur += vols[i]
-            i += 1
-        else:
-            i += 1
+            i, cur = pop()
+            continue
+        v = vols[i]
+        i += 1
+        if cur + v <= capacity:
+            push((i, cur))
+            cur += v
+            if cur > best:
+                if cur == capacity:
+                    return cur
+                best = cur
 
 
 def knapsack_upper_bound(ctx: BoundContext, mode: str = "exact_knapsack") -> int:
@@ -101,16 +109,11 @@ def knapsack_upper_bound(ctx: BoundContext, mode: str = "exact_knapsack") -> int
     raise ValueError(f"unknown bound mode {mode!r}")
 
 
-def lower_bound(state: PackingState) -> int:
-    """Volume occupied by the loaded units."""
-    return state.placed_volume()
-
-
 def node_upper_bound(
     state: PackingState, remaining: Sequence[TransportUnit], mode: str = "exact_knapsack"
 ) -> int:
     """Upper bound for any completion of ``state`` using ``remaining``."""
-    loaded = lower_bound(state)
+    loaded = state.placed_volume()
     vols = tuple(volume(u.dims) for u in remaining)
     if not vols:
         return loaded

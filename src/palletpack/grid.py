@@ -4,8 +4,11 @@ Corner points of the placed units are projected onto the horizontal axes,
 giving cut arrays along x and y. The cells of the resulting mesh carry the
 height envelope: the top of the tallest unit whose footprint covers the
 cell. The unused volume is everything between that envelope and the pallet
-ceiling; later units can only land at or above the envelope because of the
-fixed loading order, so this is the capacity available to them.
+ceiling, and the knapsack bound takes it as the capacity left for later
+units. That assumes later units land at or above the envelope. The fixed
+loading order suggests it, but no feasibility rule enforces it yet: a unit
+may be placed in the space under an overhang, where the bound does not count
+it (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -28,18 +31,6 @@ class GridAxes:
     dy: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HeightEnvelope:
-    """Per-cell maximum unit top over the mesh grid.
-
-    ``cell_height[a][b]`` covers the cell between dx[a]..dx[a+1] and
-    dy[b]..dy[b+1].
-    """
-
-    axes: GridAxes
-    cell_height: tuple[tuple[int, ...], ...]
-
-
 def build_axes(state: PackingState) -> GridAxes:
     """Deduplicated ascending cut arrays including the pallet boundaries."""
     xs = {0, state.pallet.width}
@@ -50,25 +41,6 @@ def build_axes(state: PackingState) -> GridAxes:
         ys.add(pl.y)
         ys.add(pl.y2)
     return GridAxes(tuple(sorted(xs)), tuple(sorted(ys)))
-
-
-def cell_units(state: PackingState, axes: GridAxes, j: int, k: int) -> set[int]:
-    """Indices of placements whose footprint covers the cell anchored at
-    (dx[j-1], dy[k-1]).
-
-    Indices j, k are 1-based with 2 <= j <= len(dx) and 2 <= k <= len(dy);
-    footprints are half-open, so a face coordinate belongs to the cell on
-    its right/upper side only.
-    """
-    if not (2 <= j <= len(axes.dx)) or not (2 <= k <= len(axes.dy)):
-        raise IndexError(f"cell index ({j}, {k}) out of range")
-    ax = axes.dx[j - 2]
-    ay = axes.dy[k - 2]
-    out = set()
-    for i, pl in enumerate(state.placements):
-        if pl.x <= ax < pl.x2 and pl.y <= ay < pl.y2:
-            out.add(i)
-    return out
 
 
 def _cell_heights(state: PackingState, axes: GridAxes) -> list[list[int]]:
@@ -86,12 +58,6 @@ def _cell_heights(state: PackingState, axes: GridAxes) -> list[list[int]]:
                 if top > row[b]:
                     row[b] = top
     return heights
-
-
-def height_envelope(state: PackingState) -> HeightEnvelope:
-    """Envelope over the mesh grid of ``build_axes(state)``."""
-    axes = build_axes(state)
-    return HeightEnvelope(axes, tuple(tuple(r) for r in _cell_heights(state, axes)))
 
 
 def unused_volume(state: PackingState) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .bounds import BoundContext, knapsack_upper_bound
@@ -98,6 +99,11 @@ class _Searcher:
     ):
         self.units = list(units)
         self.volumes = [volume(u.dims) for u in self.units]
+        # rest[i]: the volume of units i.. together.
+        self.rest = list(accumulate(reversed(self.volumes), initial=0))[::-1]
+        # Knapsack bounds by (first remaining unit, capacity): the bound
+        # reads nothing else, so each is computed once per solve.
+        self.knapsack_bounds: dict[tuple[int, int], int] = {}
         self.pallet = pallet
         self.params = params
         self.trace = trace
@@ -198,9 +204,16 @@ class _Searcher:
     def _knapsack_bound(self, first: int) -> int:
         """Best volume units ``first``.. can still add (bounds.node_upper_bound
         less the loaded volume)."""
-        ctx = BoundContext(tuple(self.volumes[first:]), self.state.unused_volume(),
-                           self.state.volume)
-        return knapsack_upper_bound(ctx, self.params.bound_mode)
+        capacity = self.state.unused_volume()
+        rest = self.rest[first]
+        if rest <= capacity:  # all of them fit: exact in either bound mode
+            return rest
+        key = (first, capacity)
+        bound = self.knapsack_bounds.get(key)
+        if bound is None:
+            ctx = BoundContext(tuple(self.volumes[first:]), capacity, self.state.volume)
+            bound = self.knapsack_bounds[key] = knapsack_upper_bound(ctx, self.params.bound_mode)
+        return bound
 
     def _search_from(self, root_idx: int) -> None:
         """Depth-first search of the tree whose first placed unit is

@@ -3,12 +3,12 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
+from palletpack import bounds
 from palletpack.bounds import (
     BoundContext,
     knapsack_upper_bound,
-    lower_bound,
     node_upper_bound,
 )
 from palletpack.model import Dims, PackingState, TransportUnit
@@ -45,13 +45,6 @@ def test_bound_context_validation():
         BoundContext((0,), 10, 0)
     with pytest.raises(ValueError):
         BoundContext((1,), -1, 0)
-
-
-def test_lower_bound_examples(pallet_4x3x10):
-    assert lower_bound(PackingState.empty(pallet_4x3x10)) == 0
-    assert lower_bound(make_state(pallet_4x3x10, [(0, 0, 0, 2, 2, 1)])) == 4
-    two = make_state(pallet_4x3x10, [(0, 0, 0, 2, 2, 1), (2, 0, 0, 1, 1, 1)])
-    assert lower_bound(two) == 5
 
 
 def _unit(i, w, d, h):
@@ -116,3 +109,108 @@ def test_exact_mode_has_no_recursion_ceiling():
     capacity = sum(volumes) // 2 | 1
     bound = knapsack_upper_bound(BoundContext(volumes, capacity, 0), "exact_knapsack")
     assert dp_knapsack(volumes, capacity) <= bound <= capacity
+
+
+def reference_subset_sum_max(volumes, capacity):
+    """The subset-sum search as first written with an explicit stack, kept
+    verbatim but for reading the cap and the item limit from ``bounds``.
+    It spends one unit of the work cap per visited node, so a kernel that
+    trips the cap one node early or late returns a different value."""
+    vols = sorted((v for v in volumes if v <= capacity), reverse=True)
+    total = sum(vols)
+    if total <= capacity:
+        return total
+
+    n = len(vols)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + vols[i]
+
+    # Greedy fill seeds the incumbent so the relaxation bound bites early.
+    cur = 0
+    for v in vols:
+        if cur + v <= capacity:
+            cur += v
+    best = cur
+    budget = bounds._WORK_CAP if n > bounds.EXACT_ITEM_LIMIT else -1
+
+    # Depth-first, include before exclude. Each visited node is (i, cur):
+    # item i is next, cur is loaded. ``pending`` holds the exclude branches
+    # whose include branch is still being explored.
+    pending: list[tuple[int, int]] = []
+    i = cur = 0
+    while True:
+        if cur > best:
+            best = cur
+        if budget > 0:
+            budget -= 1
+            if budget == 0:
+                return min(total, capacity)
+        if i == n or best == capacity or min(cur + suffix[i], capacity) <= best:
+            if not pending or best == capacity:
+                return best
+            i, cur = pending.pop()
+        elif cur + vols[i] <= capacity:
+            pending.append((i + 1, cur))
+            cur += vols[i]
+            i += 1
+        else:
+            i += 1
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 7, 50, 1000, None],
+                         ids=lambda c: "default" if c is None else f"cap{c}")
+@given(st.lists(st.integers(1, 1000), max_size=30), st.integers(0, 16000))
+@example([2] * 20, 21)  # no subset fills the capacity: the cap decides
+@example([5] * 16, 79)
+def test_kernel_matches_the_reference_search(cap, volumes, capacity):
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(bounds, "_WORK_CAP", cap)
+        assert bounds._subset_sum_max(volumes, capacity) == reference_subset_sum_max(
+            volumes, capacity
+        )
+
+
+class SpendingCap(int):
+    """A work cap that records each unit the search spends of it."""
+
+    spent = 0
+
+    def __sub__(self, other):
+        SpendingCap.spent += 1
+        return SpendingCap(int(self) - other)
+
+
+@st.composite
+def capped_inputs(draw):
+    """More than EXACT_ITEM_LIMIT volumes, each within a capacity that
+    cannot hold them all: the inputs on which the work cap applies. The
+    volumes share a factor that the capacity lacks, so no subset fills it
+    and a fallback to the relaxation value shows in the result."""
+    factor = draw(st.integers(2, 9))
+    units = draw(st.lists(st.integers(1, 100), min_size=16, max_size=30))
+    capacity = factor * draw(st.integers(max(units), sum(units) - 1))
+    return [factor * u for u in units], capacity + draw(st.integers(1, factor - 1))
+
+
+@given(capped_inputs())
+@example(([2] * 20, 21))
+@example(([5] * 16, 79))
+def test_kernel_trips_the_cap_at_the_reference_step(inputs):
+    # The reference search visits ``steps`` nodes when uncapped. A cap of
+    # ``steps`` trips on the last of them and one more lets it finish, so
+    # the kernel must agree at both to spend the cap node for node.
+    volumes, capacity = inputs
+    limit = 20_000
+    with pytest.MonkeyPatch.context() as mp:
+        SpendingCap.spent = 0
+        mp.setattr(bounds, "_WORK_CAP", SpendingCap(limit))
+        reference_subset_sum_max(volumes, capacity)
+        steps = SpendingCap.spent
+        for cap in (steps - 1, steps, steps + 1):
+            if cap > 0:
+                mp.setattr(bounds, "_WORK_CAP", cap)
+                assert bounds._subset_sum_max(volumes, capacity) == (
+                    reference_subset_sum_max(volumes, capacity)
+                ), cap

@@ -6,17 +6,20 @@ canonical solution file and of the ordered trace event dicts must match the
 recorded values, so any change to the search tree, the tie-breaks or the
 statistics shows up here even when every other test still passes.
 Re-record only for a change that is meant to alter solver output, and say
-so in the change log.
+so in the change log. The work-capped cases at the end run a hand-written
+instance under a lowered knapsack work cap instead.
 """
 
 import hashlib
 import json
 import subprocess
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
 
+from palletpack import bounds, search
 from palletpack.files import build_solution_file, parse_instance, solution_to_json
 from palletpack.search import solve_with_trace
 
@@ -70,7 +73,10 @@ def _sha(text: str) -> str:
 
 
 def _run(units: int, seed: int, params: dict):
-    text = _instance_text(units, seed, params)
+    return _solve(_instance_text(units, seed, params))
+
+
+def _solve(text: str):
     inst = parse_instance(text)
     sol, trace = solve_with_trace(inst.units, inst.pallet, inst.params)
     solution = solution_to_json(build_solution_file(sol, inst.params, text))
@@ -93,3 +99,68 @@ def test_golden_batch_covers_skip_and_prune():
         _, trace, _, _ = _run(units, seed, params)
         kinds.update(e.kind for e in trace)
     assert {"skip", "prune"} <= kinds
+
+
+# Twenty equal cubes and a column 3.5 cubes high. Near the root the bound
+# sees more than EXACT_ITEM_LIMIT equal volumes and a capacity that is no
+# multiple of them, so the subset-sum search runs until the work cap trips
+# and returns the relaxation value. Under a cap of 151 one such fallback
+# keeps a node that the exact bound would prune; a cap of 152 lets that
+# search finish. The pair pins the step at which the cap trips.
+CAPPED_INSTANCE = {
+    "pallet": {"width": 100, "depth": 100, "max_height": 350},
+    "units": [{"id": f"u{i:03d}", "w": 100, "d": 100, "h": 100} for i in range(20)],
+    "params": {"vertical_support_min": 1.0, "max_branches": 2},
+}
+
+# (work cap, solution sha256, trace sha256)
+CAPPED_CASES = [
+    (151,
+     "f3977f44971f07f72702abdb9c7c6066c109f37c6595f71601e52fd6c008263b",
+     "cb05ba3a07012c46d56d99e7bd7209f314c68892fa593cd64d2b65fb77a8472c"),
+    (152,
+     "b5ca885faf9a2ede9169fbd3be402a46cbbafe4bb93179266457577b2e130ff2",
+     "0279bdb7477bfa873323b3df698a39f871c045a9bf3e197df87d08d00512bb89"),
+]
+
+
+def _best_fill(volumes, capacity):
+    """Largest subset sum of ``volumes`` not above ``capacity``, by meeting
+    in the middle: exact, and independent of the search being tested."""
+    def sums(items):
+        out = [0]
+        for v in items:
+            out += [s + v for s in out]
+        return out
+
+    half = len(volumes) // 2
+    right = sorted(sums(volumes[half:]))
+    best = 0
+    for s in sums(volumes[:half]):
+        if s <= capacity:
+            best = max(best, s + right[bisect_right(right, capacity - s) - 1])
+    return best
+
+
+@pytest.mark.parametrize("cap,solution_sha,trace_sha", CAPPED_CASES,
+                         ids=[f"cap{c[0]}" for c in CAPPED_CASES])
+def test_golden_output_on_the_work_capped_path(monkeypatch, cap, solution_sha, trace_sha):
+    calls = []
+
+    def recorded(ctx, mode):
+        value = bounds.knapsack_upper_bound(ctx, mode)
+        calls.append((ctx, value))
+        return value
+
+    monkeypatch.setattr(bounds, "_WORK_CAP", cap)
+    monkeypatch.setattr(search, "knapsack_upper_bound", recorded)
+    sol, _, got_solution, got_trace = _solve(json.dumps(CAPPED_INSTANCE, sort_keys=True))
+    assert not sol.stats.timed_out
+    fallbacks = [
+        ctx for ctx, value in calls
+        if len(ctx.remaining_volumes) > bounds.EXACT_ITEM_LIMIT
+        and value > _best_fill(ctx.remaining_volumes, ctx.capacity)
+    ]
+    assert fallbacks
+    assert got_solution == solution_sha
+    assert got_trace == trace_sha

@@ -1,9 +1,8 @@
 import random
 
-import pytest
 from hypothesis import given
 
-from palletpack.grid import build_axes, cell_units, height_envelope, unused_volume
+from palletpack.grid import build_axes, unused_volume
 from palletpack.model import PackingState, Pallet
 from palletpack.oracle import voxel_unused_volume
 
@@ -43,45 +42,12 @@ def test_axes_contain_all_faces_sorted(state):
         assert pl.y in axes.dy and pl.y2 in axes.dy
 
 
-def test_cell_units_empty():
-    state = PackingState.empty(Pallet(4, 3, 10))
-    axes = build_axes(state)
-    assert cell_units(state, axes, 2, 2) == set()
-
-
-def test_cell_units_single_unit():
-    state = make_state(Pallet(4, 3, 10), [(0, 0, 0, 2, 2, 1)])
-    axes = build_axes(state)
-    assert cell_units(state, axes, 2, 2) == {0}
-    # footprint is half-open, so the cell anchored at x=2 is outside
-    assert cell_units(state, axes, 3, 2) == set()
-
-
-def test_cell_units_index_range():
-    state = make_state(Pallet(4, 3, 10), [(0, 0, 0, 2, 2, 1)])
-    axes = build_axes(state)
-    for j, k in [(1, 2), (2, 1), (4, 2), (2, 4), (0, 0)]:
-        with pytest.raises(IndexError):
-            cell_units(state, axes, j, k)
-
-
 def test_unused_volume_examples():
     pal = Pallet(4, 3, 10)
     assert unused_volume(PackingState.empty(pal)) == 120
     assert unused_volume(make_state(pal, [(0, 0, 0, 2, 2, 1)])) == 116
     stacked = make_state(pal, [(0, 0, 0, 2, 2, 1), (0, 0, 1, 2, 2, 2)])
     assert unused_volume(stacked) == 108
-
-
-def test_envelope_heights():
-    pal = Pallet(4, 3, 10)
-    env = height_envelope(PackingState.empty(pal))
-    assert all(h == 0 for row in env.cell_height for h in row)
-    env = height_envelope(make_state(pal, [(0, 0, 0, 2, 2, 1), (0, 0, 1, 2, 2, 2)]))
-    assert env.cell_height[0][0] == 3
-    assert all(
-        0 <= h <= pal.max_height for row in env.cell_height for h in row
-    )
 
 
 @given(loose_states())

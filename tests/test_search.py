@@ -7,6 +7,8 @@ import time
 
 import pytest
 
+from palletpack import search
+from palletpack.bounds import BoundContext, knapsack_upper_bound
 from palletpack.feasibility import check_placement
 from palletpack.files import build_solution_file, parse_instance, validate_solution
 from palletpack.model import (
@@ -234,3 +236,50 @@ def test_branch_cap_limits_children():
     b = solve(units, pallet, narrow)
     assert b.stats.nodes_expanded <= a.stats.nodes_expanded
     assert b.placed_volume <= a.placed_volume
+
+
+@pytest.mark.parametrize("mode", ["exact_knapsack", "lp_relaxation"])
+def test_searcher_bound_equals_the_reference_bound(monkeypatch, mode):
+    # Shaped like the tight-bound benchmark workload: many units left that
+    # cannot all fit, so nodes take the all-fit shortcut, the memo and the
+    # reference computation alike.
+    rng = random.Random(40)
+    units = [
+        TransportUnit(f"u{i}", Dims(rng.randint(60, 200), rng.randint(60, 200),
+                                    rng.randint(60, 200)), i)
+        for i in range(40)
+    ]
+    params = SolverParams(vertical_support_min=1.0, bound_mode=mode, time_limit_ms=400)
+    fast = search._Searcher._knapsack_bound
+    seen = set()
+    paths = {"all fit": 0, "computed": 0, "memo": 0}
+
+    def checked(self, first):
+        got = fast(self, first)
+        unused = self.state.unused_volume()
+        ctx = BoundContext(tuple(self.volumes[first:]), unused, self.state.volume)
+        assert got == knapsack_upper_bound(ctx, mode)
+        if sum(ctx.remaining_volumes) <= unused:
+            paths["all fit"] += 1
+        else:
+            paths["memo" if (first, unused) in seen else "computed"] += 1
+            seen.add((first, unused))
+        return got
+
+    monkeypatch.setattr(search._Searcher, "_knapsack_bound", checked)
+    solve(units, Pallet(400, 300, 400), params)
+    assert all(paths.values()), paths
+
+
+@pytest.mark.xfail(strict=True, reason="pruning is unsafe under an overhang (ROADMAP item 1)")
+@pytest.mark.parametrize("mode", ["exact_knapsack", "lp_relaxation"])
+def test_unit_under_an_overhang_is_not_pruned_away(mode):
+    # The oracle stands A and B at both ends, spans them with the bridge and
+    # fits C in the gap underneath. The bound counts only the space above
+    # the envelope, so the search prunes that branch and returns 6, not 8.
+    units = [_unit(0, 1, 1, 1), _unit(1, 1, 1, 1), _unit(2, 4, 1, 1), _unit(3, 2, 1, 1)]
+    pallet = Pallet(4, 1, 2)
+    params = dataclasses.replace(P0, vertical_support_min=0.5, bound_mode=mode)
+    assert solve(units, pallet, params).placed_volume == (
+        exhaustive_solve(units, pallet, params).placed_volume
+    )
