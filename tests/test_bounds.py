@@ -47,6 +47,17 @@ def test_bound_context_validation():
         BoundContext((1,), -1, 0)
 
 
+def test_lower_bound_examples(pallet_4x3x10):
+    # The lower bound at a node is the volume already loaded; with nothing
+    # left to place, the node's upper bound closes on it.
+    empty = PackingState.empty(pallet_4x3x10)
+    one = make_state(pallet_4x3x10, [(0, 0, 0, 2, 2, 1)])
+    two = make_state(pallet_4x3x10, [(0, 0, 0, 2, 2, 1), (2, 0, 0, 1, 1, 1)])
+    for state, loaded in [(empty, 0), (one, 4), (two, 5)]:
+        assert state.placed_volume() == loaded
+        assert node_upper_bound(state, ()) == loaded
+
+
 def _unit(i, w, d, h):
     return TransportUnit(f"u{i}", Dims(w, d, h), i)
 

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given
 
-from palletpack.grid import build_axes, unused_volume
+from palletpack.grid import _cell_heights, build_axes, unused_volume
 from palletpack.model import PackingState, Pallet
 from palletpack.oracle import voxel_unused_volume
 
@@ -48,6 +48,17 @@ def test_unused_volume_examples():
     assert unused_volume(make_state(pal, [(0, 0, 0, 2, 2, 1)])) == 116
     stacked = make_state(pal, [(0, 0, 0, 2, 2, 1), (0, 0, 1, 2, 2, 2)])
     assert unused_volume(stacked) == 108
+
+
+def test_envelope_heights():
+    pal = Pallet(4, 3, 10)
+    empty = PackingState.empty(pal)
+    heights = _cell_heights(empty, build_axes(empty))
+    assert all(h == 0 for row in heights for h in row)
+    stacked = make_state(pal, [(0, 0, 0, 2, 2, 1), (0, 0, 1, 2, 2, 2)])
+    heights = _cell_heights(stacked, build_axes(stacked))
+    assert heights[0][0] == 3
+    assert all(0 <= h <= pal.max_height for row in heights for h in row)
 
 
 @given(loose_states())
