@@ -2,63 +2,32 @@
 bound with extreme-point candidates, stability constraints, and a knapsack
 upper bound."""
 
-from .bounds import BoundContext, knapsack_upper_bound, node_upper_bound
-from .extreme_points import CandidatePosition, generate
-from .feasibility import (
-    SupportReport,
-    check_overlap_bounds,
-    check_placement,
-    horizontal_support,
-    rect_union_area,
-    vertical_support,
+from .files import (
+    InstanceFormatError,
+    build_solution_file,
+    parse_instance,
+    parse_solution,
+    solution_to_json,
+    validate_solution,
 )
-from .grid import GridAxes, build_axes, unused_volume
-from .model import (
-    Dims,
-    PackingState,
-    Pallet,
-    Placement,
-    SearchStats,
-    Solution,
-    SolverParams,
-    TransportUnit,
-    oriented,
-    volume,
-)
-from .scoring import ScoredCandidate, coplanar_sets, evaluate, rank_and_cut, scored_candidates
+from .model import Dims, Pallet, Placement, SearchStats, Solution, SolverParams, TransportUnit
 from .search import TraceEvent, solve, solve_with_trace
 
 __all__ = [
-    "BoundContext",
-    "CandidatePosition",
     "Dims",
-    "GridAxes",
-    "PackingState",
+    "InstanceFormatError",
     "Pallet",
     "Placement",
-    "ScoredCandidate",
     "SearchStats",
     "Solution",
     "SolverParams",
-    "SupportReport",
     "TraceEvent",
     "TransportUnit",
-    "build_axes",
-    "check_overlap_bounds",
-    "check_placement",
-    "coplanar_sets",
-    "evaluate",
-    "generate",
-    "horizontal_support",
-    "knapsack_upper_bound",
-    "node_upper_bound",
-    "oriented",
-    "rank_and_cut",
-    "rect_union_area",
-    "scored_candidates",
+    "build_solution_file",
+    "parse_instance",
+    "parse_solution",
+    "solution_to_json",
     "solve",
     "solve_with_trace",
-    "unused_volume",
-    "vertical_support",
-    "volume",
+    "validate_solution",
 ]

@@ -21,7 +21,6 @@ from .model import (
     PackingState,
     Pallet,
     Placement,
-    SearchStats,
     Solution,
     SolverParams,
     TransportUnit,
@@ -119,6 +118,8 @@ def parse_instance(text: str) -> InstanceFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"instance is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceFormatError("instance: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance: top level must be an object")
 
@@ -162,22 +163,6 @@ def parse_instance(text: str) -> InstanceFile:
     if extra:
         raise InstanceFormatError(f"instance: unknown field(s) {sorted(extra)}")
     return InstanceFile(pallet, tuple(units), params)
-
-
-def serialize_instance(instance: InstanceFile) -> str:
-    doc = {
-        "pallet": {
-            "width": instance.pallet.width,
-            "depth": instance.pallet.depth,
-            "max_height": instance.pallet.max_height,
-        },
-        "units": [
-            {"id": u.id, "w": u.dims.w, "d": u.dims.d, "h": u.dims.h}
-            for u in instance.units
-        ],
-        "params": asdict(instance.params),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def instance_digest(text: str) -> str:
@@ -229,6 +214,8 @@ def parse_solution(text: str) -> SolutionFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"solution is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceFormatError("solution: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("solution: top level must be an object")
     where = "solution"
@@ -257,31 +244,6 @@ def parse_solution(text: str) -> SolutionFile:
         ),
         instance_digest=_typed(_need(doc, "instance_digest", where), str, "a string",
                                "instance_digest", where),
-    )
-
-
-def solution_from_file(sf: SolutionFile, instance: InstanceFile) -> Solution:
-    """Rebuild a model Solution (with oriented dims) from a solution file.
-
-    Geometry must be valid; run validate_solution first for untrusted input.
-    """
-    units_by_id = {u.id: u for u in instance.units}
-    placements = tuple(
-        Placement(sp.id, (sp.x, sp.y, sp.z), oriented(units_by_id[sp.id], sp.rotated), sp.rotated)
-        for sp in sf.placements
-    )
-    stats = SearchStats(
-        nodes_expanded=sf.stats.get("nodes_expanded", 0),
-        nodes_pruned_by_bound=sf.stats.get("nodes_pruned_by_bound", 0),
-        candidates_evaluated=sf.stats.get("candidates_evaluated", 0),
-        timed_out=sf.stats.get("timed_out", False),
-    )
-    return Solution(
-        placements=placements,
-        placed_volume=sf.placed_volume,
-        utilization=sf.utilization,
-        stats=stats,
-        pallet=instance.pallet,
     )
 
 

@@ -2,9 +2,10 @@
 
 These exist to validate the production code paths: a millimeter-column
 voxel count for the unused-volume formula, a bitset subset-sum table for
-the knapsack bound, and a full enumeration of the search tree, without
-bound pruning or a branch cap, for end-to-end prune safety. They trade all
-performance for directness and are only meant for desk-scale inputs.
+the knapsack bound, and, for end-to-end prune safety, the solver's own
+search with the bound switched off, so that it differs from ``solve`` only
+in the pruning under test. The first two trade all performance for
+directness; all three are only meant for desk-scale inputs.
 """
 
 from __future__ import annotations
@@ -13,18 +14,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .model import (
-    PackingState,
-    Pallet,
-    Placement,
-    SearchStats,
-    Solution,
-    SolverParams,
-    TransportUnit,
-    oriented,
-)
-from .scoring import rank_and_cut, scored_candidates
-from .search import _validate_instance
+from .model import PackingState, Pallet, Solution, SolverParams, TransportUnit
+from .search import _Searcher
 
 MAX_VOXELS = 10**8
 MAX_DP_SUM = 10**6
@@ -86,62 +77,30 @@ def dp_knapsack(volumes: Sequence[int], capacity: int) -> int:
     return (reachable.bit_length() - 1) * g
 
 
+class _Unbounded(_Searcher):
+    """The solver's search with no bound and no clock."""
+
+    def _knapsack_bound(self, first: int) -> int:
+        return self.pallet.volume()  # loaded + this > any incumbent: never prunes
+
+    def _tick(self) -> None:
+        pass
+
+
 def exhaustive_solve(
     units: Sequence[TransportUnit],
     pallet: Pallet,
     params: SolverParams,
     config: OracleConfig = OracleConfig(),
 ) -> Solution:
-    """Full enumeration over the same candidate space as the solver.
+    """The solver's search with the caller's branch cap, no bound, no clock.
 
-    Same extreme points, feasibility rules, orientations, picking order
-    with skipping, candidate ordering and incumbent tie-break, but no
-    upper-bound pruning and no branch cap.
+    Same candidates, feasibility rules, orientations, picking order with
+    skipping, candidate ordering and incumbent tie-break as ``solve``; it
+    differs only in never pruning on the knapsack bound and never stopping
+    on ``time_limit_ms``.
     """
-    _validate_instance(units)
     if len(units) > config.max_units:
         raise ValueError(f"instance exceeds oracle limit of {config.max_units} units")
-    units = list(units)
-    n = len(units)
-    best_state = PackingState.empty(pallet)
-    best_volume = 0
-    nodes = 0
-
-    def explore(state: PackingState, idx: int, skippable: bool) -> None:
-        nonlocal best_state, best_volume, nodes
-        while idx < n:
-            unit = units[idx]
-            scored = scored_candidates(state, unit, params)
-            ranked = rank_and_cut(scored, len(scored)) if scored else []
-            nodes += 1
-            if not ranked:
-                if not skippable:
-                    return
-                idx += 1
-                continue
-            children = [
-                state.with_placement(
-                    Placement(unit.id, c.position, oriented(unit, c.rotated), c.rotated)
-                )
-                for c in ranked
-            ]
-            b = children[0].placed_volume()
-            if b > best_volume:
-                best_state = children[0]
-                best_volume = b
-            if idx + 1 < n:
-                for child in children:
-                    explore(child, idx + 1, True)
-            return
-
-    for root in range(n):
-        explore(PackingState.empty(pallet), root, skippable=False)
-
-    stats = SearchStats(nodes_expanded=nodes)
-    return Solution(
-        placements=best_state.placements,
-        placed_volume=best_volume,
-        utilization=best_volume / pallet.volume(),
-        stats=stats,
-        pallet=pallet,
-    )
+    sol, _ = _Unbounded(units, pallet, params, trace=None).run()
+    return sol

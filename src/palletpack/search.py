@@ -97,6 +97,7 @@ class _Searcher:
         params: SolverParams,
         trace: Optional[list[TraceEvent]],
     ):
+        _validate_instance(units)
         self.units = list(units)
         self.volumes = [volume(u.dims) for u in self.units]
         # rest[i]: the volume of units i.. together.
@@ -270,7 +271,6 @@ class _Searcher:
 
 def solve(units: Sequence[TransportUnit], pallet: Pallet, params: SolverParams) -> Solution:
     """Best configuration found before the tree or the time limit runs out."""
-    _validate_instance(units)
     sol, _ = _Searcher(units, pallet, params, trace=None).run()
     return sol
 
@@ -279,7 +279,6 @@ def solve_with_trace(
     units: Sequence[TransportUnit], pallet: Pallet, params: SolverParams
 ) -> tuple[Solution, list[TraceEvent]]:
     """Like :func:`solve`, also returning the ordered event log."""
-    _validate_instance(units)
     sol, trace = _Searcher(units, pallet, params, trace=[]).run()
     assert trace is not None
     return sol, trace

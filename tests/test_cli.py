@@ -68,6 +68,17 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "u0" in err
 
 
+def test_deeply_nested_json_exits_2(instance_path, tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 1000 + "]" * 1000)
+    for argv in (["solve", str(nested)], ["validate", str(nested), str(instance_path)]):
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_flag_overrides_are_echoed(instance_path, tmp_path):
     out = tmp_path / "solution.json"
     code = cli_main([

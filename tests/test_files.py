@@ -9,8 +9,6 @@ from palletpack.files import (
     instance_digest,
     parse_instance,
     parse_solution,
-    serialize_instance,
-    solution_from_file,
     solution_to_json,
     validate_solution,
 )
@@ -76,11 +74,6 @@ def test_parse_rejects_bad_json_and_unknown_fields():
     assert "vertical_support" in str(err.value)
 
 
-def test_instance_round_trip():
-    inst = parse_instance(THREE_UNITS)
-    assert parse_instance(serialize_instance(inst)) == inst
-
-
 def test_solution_round_trip_and_validation():
     text = THREE_UNITS
     inst = parse_instance(text)
@@ -90,8 +83,6 @@ def test_solution_round_trip_and_validation():
     back = parse_solution(payload)
     assert back == sf
     assert validate_solution(back, inst, text) == []
-    rebuilt = solution_from_file(back, inst)
-    assert rebuilt.placements == solution.placements
 
 
 def test_validation_catches_overlap_tamper():
@@ -176,4 +167,3 @@ def test_serialization_is_deterministic():
     ja = solution_to_json(build_solution_file(a, inst.params, text))
     jb = solution_to_json(build_solution_file(b, inst.params, text))
     assert ja == jb
-    assert serialize_instance(inst) == serialize_instance(parse_instance(text))

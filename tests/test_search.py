@@ -20,6 +20,7 @@ from palletpack.model import (
     oriented,
 )
 from palletpack.oracle import exhaustive_solve
+from palletpack.scoring import rank_and_cut, scored_candidates
 from palletpack.search import solve, solve_with_trace
 
 from conftest import random_solver_instance
@@ -110,6 +111,45 @@ def test_solve_matches_exhaustive_oracle_small_batch():
         oracle = exhaustive_solve(units, pallet, params)
         assert sol.placed_volume == oracle.placed_volume
         assert sol.placements == oracle.placements
+
+
+@pytest.mark.parametrize("mode", ["exact_knapsack", "lp_relaxation"])
+def test_pruning_is_safe_at_the_default_branch_cap(mode):
+    rng = random.Random(303)
+    for _ in range(100):
+        units, pallet, params = random_solver_instance(rng, max_units=6)
+        params = dataclasses.replace(params, max_branches=4, bound_mode=mode)
+        sol = solve(units, pallet, params)
+        oracle = exhaustive_solve(units, pallet, params)
+        assert sol.placed_volume == oracle.placed_volume
+        assert sol.placements == oracle.placements
+
+
+def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
+    # At every node, the flat state's candidates, feasibility and scores
+    # must rank exactly as generate/check_placement/evaluate on a
+    # PackingState of the same placements do.
+    fast = search._Searcher._ranked_candidates
+    checked = 0
+
+    def ranked(self, unit):
+        nonlocal checked
+        got = fast(self, unit)
+        state = PackingState(tuple(self.placed), self.pallet)
+        reference = rank_and_cut(scored_candidates(state, unit, self.params),
+                                 self.params.max_branches)
+        assert got == [(-c.score, c.position[2], c.position[1], c.position[0], c.rotated)
+                       for c in reference]
+        checked += 1
+        return got
+
+    monkeypatch.setattr(search._Searcher, "_ranked_candidates", ranked)
+    rng = random.Random(303)  # criterion 3's instances
+    nodes = 0
+    for _ in range(100):
+        units, pallet, params = random_solver_instance(rng, max_units=6)
+        nodes += solve(units, pallet, params).stats.nodes_expanded
+    assert checked == nodes > 1000
 
 
 def test_trace_single_unit(pallet_4x3x10):
