@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -84,7 +85,9 @@ def _need(obj: dict, key: str, where: str) -> Any:
 def _typed(value: Any, types: type | tuple[type, ...], what: str, field: str, where: str) -> Any:
     # bool is a subclass of int, so true/false pass only where a bool is asked for
     if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-        raise InstanceFormatError(f"{where}: field {field!r} must be {what}, got {value!r}")
+        raise InstanceFormatError(
+            f"{where}: field {field!r} must be {what}, got {reprlib.repr(value)}"
+        )
     return value
 
 
@@ -93,10 +96,10 @@ def _int(value: Any, field: str, where: str) -> int:
 
 
 def _pos_int(value: Any, field: str, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InstanceFormatError(f"{where}: field {field!r} must be an integer, got {value!r}")
-    if value <= 0:
-        raise InstanceFormatError(f"{where}: field {field!r} must be positive, got {value}")
+    if _int(value, field, where) <= 0:
+        raise InstanceFormatError(
+            f"{where}: field {field!r} must be positive, got {reprlib.repr(value)}"
+        )
     return value
 
 
@@ -279,7 +282,7 @@ def validate_solution(
         last_order = max(last_order, unit.order_index)
         dims = oriented(unit, sp.rotated)
         pos = (sp.x, sp.y, sp.z)
-        if min(pos) < 0 or not check_overlap_bounds(state, pos, dims):
+        if not check_overlap_bounds(state, pos, dims):
             violations.append(
                 f"placement {i} ({sp.id}): overlaps another unit or exceeds pallet bounds"
             )

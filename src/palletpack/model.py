@@ -121,34 +121,39 @@ def boxes_overlap(a: Placement, b: Placement) -> bool:
 class PackingState:
     """Placements currently on the pallet, in loading order.
 
-    Construction validates the geometric invariants: pairwise
-    non-overlapping boxes, all inside the pallet volume.
+    Construction validates the geometric invariants: each box lies inside
+    the pallet volume and overlaps none of the boxes before it.
     """
 
     placements: tuple[Placement, ...]
     pallet: Pallet
 
     def __post_init__(self):
-        object.__setattr__(self, "placements", tuple(self.placements))
+        placements = tuple(self.placements)
+        object.__setattr__(self, "placements", placements)
+        for i, pl in enumerate(placements):
+            self._check_fit(pl, placements[:i])
+
+    def _check_fit(self, pl: Placement, before: tuple[Placement, ...]) -> None:
         p = self.pallet
-        for pl in self.placements:
-            if pl.x2 > p.width or pl.y2 > p.depth or pl.z2 > p.max_height:
-                raise ValueError(f"placement {pl.unit_id} exceeds pallet bounds")
-        n = len(self.placements)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if boxes_overlap(self.placements[i], self.placements[j]):
-                    raise ValueError(
-                        f"placements {self.placements[i].unit_id} and "
-                        f"{self.placements[j].unit_id} overlap"
-                    )
+        if pl.x2 > p.width or pl.y2 > p.depth or pl.z2 > p.max_height:
+            raise ValueError(f"placement {pl.unit_id} exceeds pallet bounds")
+        for other in before:
+            if boxes_overlap(other, pl):
+                raise ValueError(f"placements {other.unit_id} and {pl.unit_id} overlap")
 
     @staticmethod
     def empty(pallet: Pallet) -> "PackingState":
         return PackingState((), pallet)
 
     def with_placement(self, placement: Placement) -> "PackingState":
-        return PackingState(self.placements + (placement,), self.pallet)
+        """This state plus ``placement``, checked against this state's boxes
+        only: they were checked when this state was built."""
+        self._check_fit(placement, self.placements)
+        child = object.__new__(PackingState)
+        object.__setattr__(child, "placements", self.placements + (placement,))
+        object.__setattr__(child, "pallet", self.pallet)
+        return child
 
     def placed_volume(self) -> int:
         return sum(volume(pl.oriented_dims) for pl in self.placements)
@@ -214,6 +219,3 @@ class Solution:
     utilization: float
     stats: SearchStats
     pallet: Pallet
-
-    def state(self) -> PackingState:
-        return PackingState(self.placements, self.pallet)

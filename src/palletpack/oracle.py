@@ -10,7 +10,6 @@ directness; all three are only meant for desk-scale inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
@@ -19,42 +18,28 @@ from .search import _Searcher
 
 MAX_VOXELS = 10**8
 MAX_DP_SUM = 10**6
+MAX_UNITS = 6
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    voxel_resolution: int = 1
-    max_units: int = 6
-
-    def __post_init__(self):
-        if self.voxel_resolution <= 0 or self.max_units <= 0:
-            raise ValueError("oracle config values must be positive")
-
-
-def voxel_unused_volume(state: PackingState, config: OracleConfig = OracleConfig()) -> int:
+def voxel_unused_volume(state: PackingState) -> int:
     """Unused pallet volume by direct column counting.
 
-    Walks the floor in ``voxel_resolution`` steps, takes the tallest unit
-    top over each column, and adds up the space left to the ceiling. Exact
-    when the resolution divides all coordinates (always at 1 mm).
+    Walks the floor in 1 mm columns, takes the tallest unit top over each
+    column, and adds up the space left to the ceiling.
     """
     p = state.pallet
-    res = config.voxel_resolution
-    if p.width * p.depth * p.max_height > MAX_VOXELS * res**3:
+    if p.width * p.depth * p.max_height > MAX_VOXELS:
         raise ValueError("pallet too large to voxelize")
-    nx = p.width // res
-    ny = p.depth // res
-    heights = [[0] * ny for _ in range(nx)]
+    heights = [[0] * p.depth for _ in range(p.width)]
     for pl in state.placements:
         top = pl.z2
-        for a in range(pl.x // res, (pl.x2 + res - 1) // res):
+        for a in range(pl.x, pl.x2):
             col = heights[a]
-            for b in range(pl.y // res, (pl.y2 + res - 1) // res):
+            for b in range(pl.y, pl.y2):
                 if top > col[b]:
                     col[b] = top
     zp = p.max_height
-    cell = res * res
-    return sum((zp - h) * cell for col in heights for h in col)
+    return sum(zp - h for col in heights for h in col)
 
 
 def dp_knapsack(volumes: Sequence[int], capacity: int) -> int:
@@ -91,7 +76,6 @@ def exhaustive_solve(
     units: Sequence[TransportUnit],
     pallet: Pallet,
     params: SolverParams,
-    config: OracleConfig = OracleConfig(),
 ) -> Solution:
     """The solver's search with the caller's branch cap, no bound, no clock.
 
@@ -100,7 +84,7 @@ def exhaustive_solve(
     differs only in never pruning on the knapsack bound and never stopping
     on ``time_limit_ms``.
     """
-    if len(units) > config.max_units:
-        raise ValueError(f"instance exceeds oracle limit of {config.max_units} units")
+    if len(units) > MAX_UNITS:
+        raise ValueError(f"instance exceeds oracle limit of {MAX_UNITS} units")
     sol, _ = _Unbounded(units, pallet, params, trace=None).run()
     return sol

@@ -10,10 +10,9 @@ keeps more follow-up placements feasible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import extreme_points
-from .feasibility import SupportReport, check_placement
+from .feasibility import check_placement
 from .model import Dims, PackingState, SolverParams, TransportUnit, oriented
 
 # Distances below this clamp count as the clamp; guards the division for
@@ -21,13 +20,9 @@ from .model import Dims, PackingState, SolverParams, TransportUnit, oriented
 # quite exclude on the x/y terms.
 DISTANCE_CLAMP = 1e-6
 
-
-@dataclass(frozen=True)
-class ScoredCandidate:
-    position: tuple[int, int, int]
-    rotated: bool
-    score: float
-    report: SupportReport
+# A scored candidate: (-score, z, y, x, rotated). Sorting these tuples is
+# the ranking rule.
+Ranked = tuple[float, int, int, int, bool]
 
 
 def coplanar_sets(
@@ -80,31 +75,25 @@ def evaluate(
     return score
 
 
-def _order_key(c: ScoredCandidate):
-    x, y, z = c.position
-    return (-c.score, z, y, x, c.rotated)
-
-
-def rank_and_cut(candidates: list[ScoredCandidate], max_branches: int) -> list[ScoredCandidate]:
+def rank_and_cut(candidates: list[Ranked], max_branches: int) -> list[Ranked]:
     """Best candidates first, at most ``max_branches`` of them.
 
     Ties break toward low z, then y, then x, unrotated before rotated, so
     the search tree is reproducible.
     """
-    return sorted(candidates, key=_order_key)[:max_branches]
+    return sorted(candidates)[:max_branches]
 
 
 def scored_candidates(
     state: PackingState, unit: TransportUnit, params: SolverParams
-) -> list[ScoredCandidate]:
+) -> list[Ranked]:
     """All feasible (position, orientation) combinations for ``unit``,
     scored but not yet ranked."""
-    out: list[ScoredCandidate] = []
+    out: list[Ranked] = []
     for cand in extreme_points.generate(state):
+        x, y, z = cand.coords
         for rotated in (False, True):
             dims = oriented(unit, rotated)
-            report = check_placement(state, cand.coords, dims, params)
-            if report.feasible:
-                score = evaluate(state, cand.coords, dims, params)
-                out.append(ScoredCandidate(cand.coords, rotated, score, report))
+            if check_placement(state, cand.coords, dims, params).feasible:
+                out.append((-evaluate(state, cand.coords, dims, params), z, y, x, rotated))
     return out

@@ -36,10 +36,7 @@ from .model import (
     oriented,
     volume,
 )
-
-# A ranked candidate: (-score, z, y, x, rotated). Sorting these orders
-# candidates as scoring.rank_and_cut does.
-_Ranked = tuple[float, int, int, int, bool]
+from .scoring import Ranked, rank_and_cut
 
 
 @dataclass(frozen=True)
@@ -126,12 +123,12 @@ class _Searcher:
         if self.trace is not None:
             self.trace.append(TraceEvent(kind, **fields))
 
-    def _ranked_candidates(self, unit: TransportUnit) -> list[_Ranked]:
+    def _ranked_candidates(self, unit: TransportUnit) -> list[Ranked]:
         """Feasible (position, orientation) pairs for ``unit``, best first,
-        cut to max_branches; ordered as ``scoring.rank_and_cut`` orders."""
+        cut to max_branches."""
         state = self.state
         w, d, h = unit.dims.w, unit.dims.d, unit.dims.h
-        scored: list[_Ranked] = []
+        scored: list[Ranked] = []
         for x, y, z in state.candidates():
             self._tick()
             if state.fits(x, y, z, w, d, h):
@@ -139,10 +136,9 @@ class _Searcher:
             if state.fits(x, y, z, d, w, h):
                 scored.append((-state.score(x, y, z, d, w, h), z, y, x, True))
         self.candidates_evaluated += len(scored)
-        scored.sort()
-        return scored[:self.params.max_branches]
+        return rank_and_cut(scored, self.params.max_branches)
 
-    def _push(self, unit: TransportUnit, cand: _Ranked) -> None:
+    def _push(self, unit: TransportUnit, cand: Ranked) -> None:
         _, z, y, x, rotated = cand
         dims = oriented(unit, rotated)
         self.state.push(x, y, z, dims.w, dims.d, dims.h)

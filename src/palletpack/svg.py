@@ -1,7 +1,7 @@
 """Deterministic SVG rendering of a pallet configuration.
 
 One top-down panel per distinct placement z-level, plus a side (x-z)
-elevation. Output is a pure function of the solution and instance: stable
+elevation. Output is a pure function of the solution: stable
 element order, fixed palette keyed by a content hash of the unit id.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .model import Pallet, Solution
+from .model import Solution
 
 PANEL = 240
 MARGIN = 24
@@ -44,9 +44,9 @@ def _text(x: float, y: float, s: str, size: int = 10) -> str:
     )
 
 
-def render_svg(solution: Solution, pallet: Pallet | None = None) -> str:
+def render_svg(solution: Solution) -> str:
     """SVG document for a solution; byte-identical across renders."""
-    pallet = pallet or solution.pallet
+    pallet = solution.pallet
     levels = sorted({pl.z for pl in solution.placements}) or [0]
     panels = len(levels) + 1  # top-down panels plus the side elevation
 

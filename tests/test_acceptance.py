@@ -149,7 +149,7 @@ def test_criterion_6_determinism():
     bytes_a = solution_to_json(build_solution_file(a, params, text)).encode()
     bytes_b = solution_to_json(build_solution_file(b, params, text)).encode()
     svg_a = render_svg(a).encode()
-    svg_b = render_svg(a).encode()
+    svg_b = render_svg(b).encode()
     ok = bytes_a == bytes_b and svg_a == svg_b
     assert _report(6, "determinism", ok,
                    f"solution files {'match' if bytes_a == bytes_b else 'differ'}, "

@@ -79,6 +79,25 @@ def test_deeply_nested_json_exits_2(instance_path, tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_bad_value_is_shown_shortened(instance_path, tmp_path, capsys):
+    # a 300-deep list parses fine; its full repr would be 600 characters
+    deep = json.loads("[" * 300 + "]" * 300)
+    inst = tmp_path / "deep_w.json"
+    inst.write_text(json.dumps({**INSTANCE, "units": [{"id": "u0", "w": deep, "d": 2, "h": 1}]}))
+    out = tmp_path / "solution.json"
+    assert cli_main(["solve", str(instance_path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["placements"][0]["x"] = deep
+    out.write_text(json.dumps(doc))
+    for argv in (["solve", str(inst)], ["validate", str(out), str(instance_path)]):
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert len(captured.err) < 200
+
+
 def test_flag_overrides_are_echoed(instance_path, tmp_path):
     out = tmp_path / "solution.json"
     code = cli_main([

@@ -83,6 +83,22 @@ def test_state_rejects_out_of_bounds():
         PackingState((Placement("a", (0, 0, 10), Dims(1, 1, 1), False),), pal)
 
 
+def test_with_placement_checks_the_new_box_as_the_constructor_does():
+    pal = Pallet(4, 3, 10)
+    a = Placement("a", (0, 0, 0), Dims(2, 2, 1), False)
+    state = PackingState((a,), pal)
+    out_of_bounds = Placement("b", (3, 0, 0), Dims(2, 2, 1), False)
+    overlapping = Placement("b", (1, 0, 0), Dims(2, 2, 1), False)
+    for bad in (out_of_bounds, overlapping):
+        with pytest.raises(ValueError) as built:
+            PackingState((a, bad), pal)
+        with pytest.raises(ValueError) as added:
+            state.with_placement(bad)
+        assert str(added.value) == str(built.value)
+    touching = Placement("b", (2, 0, 0), Dims(2, 2, 1), False)
+    assert state.with_placement(touching) == PackingState((a, touching), pal)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

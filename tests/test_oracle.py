@@ -1,12 +1,7 @@
 import pytest
 
 from palletpack.model import Dims, PackingState, Pallet, SolverParams, TransportUnit
-from palletpack.oracle import (
-    OracleConfig,
-    dp_knapsack,
-    exhaustive_solve,
-    voxel_unused_volume,
-)
+from palletpack.oracle import dp_knapsack, exhaustive_solve, voxel_unused_volume
 from palletpack.search import solve
 
 from conftest import make_state
@@ -68,11 +63,4 @@ def test_exhaustive_explores_more_nodes_than_pruned_solve(pallet_4x3x10):
 def test_exhaustive_enforces_unit_limit(pallet_4x3x10):
     units = [TransportUnit(f"u{i}", Dims(1, 1, 1), i) for i in range(7)]
     with pytest.raises(ValueError):
-        exhaustive_solve(units, pallet_4x3x10, P0, OracleConfig(max_units=6))
-
-
-def test_oracle_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(voxel_resolution=0)
-    with pytest.raises(ValueError):
-        OracleConfig(max_units=-1)
+        exhaustive_solve(units, pallet_4x3x10, P0)

@@ -1,12 +1,10 @@
 import math
-from fractions import Fraction
 
 import hypothesis.strategies as st
 from hypothesis import given
 
-from palletpack.feasibility import SupportReport
 from palletpack.model import Dims, PackingState, Pallet, SolverParams
-from palletpack.scoring import ScoredCandidate, coplanar_sets, evaluate, rank_and_cut
+from palletpack.scoring import coplanar_sets, evaluate, rank_and_cut
 
 from conftest import loose_states, make_state
 
@@ -63,14 +61,14 @@ def test_distance_discounts_score():
 
 
 def _cand(pos, rotated=False, score=0.0):
-    report = SupportReport(Fraction(1), Fraction(1), Fraction(1), True)
-    return ScoredCandidate(pos, rotated, score, report)
+    x, y, z = pos
+    return (-score, z, y, x, rotated)
 
 
 def test_rank_and_cut_truncates():
     cands = [_cand((i, 0, 0), score=float(i)) for i in range(5)]
     top = rank_and_cut(cands, 3)
-    assert [c.score for c in top] == [4.0, 3.0, 2.0]
+    assert [-c[0] for c in top] == [4.0, 3.0, 2.0]
 
 
 def test_rank_and_cut_tie_break_order():
@@ -82,7 +80,7 @@ def test_rank_and_cut_tie_break_order():
         _cand((0, 0, 0), rotated=False),
     ]
     ordered = rank_and_cut(cands, 10)
-    assert [(c.position, c.rotated) for c in ordered] == [
+    assert [((c[3], c[2], c[1]), c[4]) for c in ordered] == [
         ((0, 0, 0), False),
         ((0, 0, 0), True),
         ((1, 0, 0), False),

@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from palletpack import search
-from palletpack.bounds import BoundContext, knapsack_upper_bound
+from palletpack import model, search
+from palletpack.bounds import BoundContext, knapsack_upper_bound, node_upper_bound
 from palletpack.feasibility import check_placement
 from palletpack.files import build_solution_file, parse_instance, validate_solution
 from palletpack.model import (
@@ -138,8 +138,7 @@ def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
         state = PackingState(tuple(self.placed), self.pallet)
         reference = rank_and_cut(scored_candidates(state, unit, self.params),
                                  self.params.max_branches)
-        assert got == [(-c.score, c.position[2], c.position[1], c.position[0], c.rotated)
-                       for c in reference]
+        assert got == reference
         checked += 1
         return got
 
@@ -229,9 +228,9 @@ def test_time_limit_returns_incumbent_quickly():
     assert sol.stats.elapsed_ms <= 1000
 
 
-def test_deep_search_needs_no_call_stack():
-    # One placed unit per search level; the limit leaves room for far fewer
-    # levels than units placed, so a recursive search would fail here.
+def _cube_column():
+    """150 10 mm cubes, all of which fit the pallet, searched one candidate
+    per level; with the instance text."""
     units = [_unit(i, 10, 10, 10) for i in range(150)]
     pallet = Pallet(100, 100, 200)
     params = SolverParams(vertical_support_min=1.0, max_branches=1, time_limit_ms=60_000)
@@ -239,6 +238,13 @@ def test_deep_search_needs_no_call_stack():
         "pallet": {"width": 100, "depth": 100, "max_height": 200},
         "units": [{"id": u.id, "w": 10, "d": 10, "h": 10} for u in units],
     })
+    return units, pallet, params, text
+
+
+def test_deep_search_needs_no_call_stack():
+    # One placed unit per search level; the limit leaves room for far fewer
+    # levels than units placed, so a recursive search would fail here.
+    units, pallet, params, text = _cube_column()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 60)
     try:
@@ -248,6 +254,25 @@ def test_deep_search_needs_no_call_stack():
     assert len(sol.placements) > 100
     sf = build_solution_file(sol, params, text)
     assert validate_solution(sf, parse_instance(text), text) == []
+
+
+def test_replay_checks_each_pair_of_boxes_once(monkeypatch):
+    units, pallet, params, text = _cube_column()
+    sf = build_solution_file(solve(units, pallet, params), params, text)
+    instance = parse_instance(text)
+    calls = 0
+    pair_check = model.boxes_overlap
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return pair_check(a, b)
+
+    monkeypatch.setattr(model, "boxes_overlap", counted)
+    assert validate_solution(sf, instance, text) == []
+    k = len(sf.placements)
+    assert k == 150
+    assert 0 < calls <= k * (k - 1) // 2
 
 
 def test_invalid_instances_rejected(pallet_4x3x10):
@@ -299,6 +324,8 @@ def test_searcher_bound_equals_the_reference_bound(monkeypatch, mode):
         unused = self.state.unused_volume()
         ctx = BoundContext(tuple(self.volumes[first:]), unused, self.state.volume)
         assert got == knapsack_upper_bound(ctx, mode)
+        state = PackingState(tuple(self.placed), self.pallet)
+        assert self.state.volume + got == node_upper_bound(state, self.units[first:], mode)
         if sum(ctx.remaining_volumes) <= unused:
             paths["all fit"] += 1
         else:
