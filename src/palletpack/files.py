@@ -106,7 +106,7 @@ def _pos_int(value: Any, field: str, where: str) -> int:
 def parse_params(obj: dict, where: str = "params") -> SolverParams:
     unknown = set(obj) - set(PARAM_TYPES)
     if unknown:
-        raise InstanceFormatError(f"{where}: unknown field(s) {sorted(unknown)}")
+        raise InstanceFormatError(f"{where}: unknown field(s) {reprlib.repr(sorted(unknown))}")
     for name, value in obj.items():
         _typed(value, *PARAM_TYPES[name], name, where)
     try:
@@ -148,12 +148,13 @@ def parse_instance(text: str) -> InstanceFile:
         if not isinstance(uid, str) or not uid:
             raise InstanceFormatError(f"{where}: field 'id' must be a nonempty string")
         if uid in seen:
-            raise InstanceFormatError(f"units: duplicate id {uid!r}")
+            raise InstanceFormatError(f"units: duplicate id {reprlib.repr(uid)}")
         seen.add(uid)
+        named = f"unit {reprlib.repr(uid)}"
         dims = Dims(
-            _pos_int(_need(ru, "w", where), "w", f"unit {uid!r}"),
-            _pos_int(_need(ru, "d", where), "d", f"unit {uid!r}"),
-            _pos_int(_need(ru, "h", where), "h", f"unit {uid!r}"),
+            _pos_int(_need(ru, "w", where), "w", named),
+            _pos_int(_need(ru, "d", where), "d", named),
+            _pos_int(_need(ru, "h", where), "h", named),
         )
         units.append(TransportUnit(uid, dims, i))
 
@@ -164,7 +165,7 @@ def parse_instance(text: str) -> InstanceFile:
 
     extra = set(doc) - {"pallet", "units", "params"}
     if extra:
-        raise InstanceFormatError(f"instance: unknown field(s) {sorted(extra)}")
+        raise InstanceFormatError(f"instance: unknown field(s) {reprlib.repr(sorted(extra))}")
     return InstanceFile(pallet, tuple(units), params)
 
 
@@ -272,7 +273,7 @@ def validate_solution(
     for i, sp in enumerate(sf.placements):
         unit = units_by_id.get(sp.id)
         if unit is None:
-            violations.append(f"placement {i}: unknown unit id {sp.id!r}")
+            violations.append(f"placement {i}: unknown unit id {reprlib.repr(sp.id)}")
             continue
         if unit.order_index <= last_order:
             violations.append(

@@ -12,20 +12,23 @@ Every answer is the same as the reference functions give on the
 equivalent ``PackingState``: ``candidates`` as ``extreme_points.generate``,
 ``fits`` as ``feasibility.check_placement(...).feasible`` and ``score`` as
 ``scoring.evaluate``, float for float. Those functions stay the reference
-that the replay checker and the oracle use.
+that the replay checker and the oracle use. ``free_rays`` is a necessary
+condition of ``fits`` that is cheap to test once computed for a state.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Optional
+from typing import Callable, Optional
 
 from .feasibility import rect_union_area, support_threshold
 from .model import Pallet, SolverParams
 from .scoring import DISTANCE_CLAMP
 
 Box = tuple[int, int, int, int, int, int]  # x, y, z, x2, y2, z2
+# A candidate (x, y, z) and how far it can run along +x, +y and +z.
+Ray = tuple[int, int, int, int, int, int]
 
 
 def _ratio(value: float) -> tuple[int, int]:
@@ -50,6 +53,7 @@ class FlatState:
         self._undo: list[tuple[list[int], int, int]] = []  # (maxima, kind, old value)
         self._marks: list[int] = []  # undo-log length before each push
         self._candidates: Optional[list[tuple[int, int, int]]] = None
+        self._free_rays: Optional[list[Ray]] = None
         # fits() memo of _layers() for one (z, height), cleared by push/pop
         self._slab_key: Optional[tuple[int, int]] = None
         self._slab: list[Box] = []
@@ -112,7 +116,7 @@ class FlatState:
         self.boxes.append((x, y, z, x2, y2, z2))
         self._maxima.append([mxy, mxz, myx, myz, mzx, mzy])
         self.volume += w * d * h
-        self._candidates = self._slab_key = None
+        self._candidates = self._free_rays = self._slab_key = None
 
     def pop(self) -> None:
         """Remove the last pushed box and restore the state before it."""
@@ -125,7 +129,7 @@ class FlatState:
         while len(undo) > mark:
             m, kind, old = undo.pop()
             m[kind] = old
-        self._candidates = self._slab_key = None
+        self._candidates = self._free_rays = self._slab_key = None
 
     def candidates(self) -> list[tuple[int, int, int]]:
         """Extreme points inside the pallet, deduplicated, ascending by
@@ -152,6 +156,52 @@ class FlatState:
                         pts.add((z2, mzy, x))
                 self._candidates = [(x, y, z) for z, y, x in sorted(pts)]
         return self._candidates
+
+    def pallet_rays(self) -> list[Ray]:
+        """Every candidate with its run to the pallet sides: the rays of
+        :meth:`free_rays` before any box is looked at."""
+        p = self.pallet
+        w, d, h = p.width, p.depth, p.max_height
+        return [(x, y, z, w - x, d - y, h - z) for x, y, z in self.candidates()]
+
+    def free_rays(self, tick: Callable[[], None]) -> list[Ray]:
+        """The candidates that lie inside no box, each with how far a ray
+        runs from it along +x, +y and +z before it meets a box or a pallet
+        side; ``tick`` is called once per candidate.
+
+        A box at the candidate that is longer than a ray on that axis
+        overlaps the box the ray met, or leaves the pallet, so ``fits``
+        holds only where ``w <= ex``, ``d <= ey`` and ``h <= ez``. Costs
+        O(candidates × boxes) once per state, about one scan of the
+        candidates with ``fits``, so it pays only on a state that is asked
+        for several units."""
+        if self._free_rays is None:
+            p = self.pallet
+            boxes = self.boxes
+            rays = []
+            level_z = None
+            for x, y, z in self.candidates():  # grouped by z
+                tick()
+                if z != level_z:
+                    level_z = z
+                    level = [b for b in boxes if b[2] <= z < b[5]]
+                    above = [b for b in boxes if b[2] > z]
+                ex, ey, ez = p.width - x, p.depth - y, p.max_height - z
+                for bx, by, _, bx2, by2, _ in level:
+                    if by <= y < by2:
+                        if bx <= x < bx2:
+                            break  # inside this box
+                        if x < bx and bx - x < ex:
+                            ex = bx - x
+                    elif bx <= x < bx2 and y < by and by - y < ey:
+                        ey = by - y
+                else:
+                    for bx, by, bz, bx2, by2, _ in above:
+                        if bx <= x < bx2 and by <= y < by2 and bz - z < ez:
+                            ez = bz - z
+                    rays.append((x, y, z, ex, ey, ez))
+            self._free_rays = rays
+        return self._free_rays
 
     def fits(self, x: int, y: int, z: int, w: int, d: int, h: int) -> bool:
         """Whether a w×d×h box at (x, y, z) meets every placement rule:

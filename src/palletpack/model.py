@@ -7,6 +7,7 @@ the only permitted rotation is 90 degrees about z.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 
@@ -196,7 +197,9 @@ class SolverParams:
         if self.time_limit_ms <= 0:
             raise ValueError("time_limit_ms must be positive")
         if self.bound_mode not in BOUND_MODES:
-            raise ValueError(f"bound_mode must be one of {BOUND_MODES}, got {self.bound_mode!r}")
+            raise ValueError(
+                f"bound_mode must be one of {BOUND_MODES}, got {reprlib.repr(self.bound_mode)}"
+            )
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,21 @@ descent pushes a box onto it and a backtrack pops it, so no node rebuilds
 its candidates or re-checks its parent's placements. Branching nodes are
 kept on an explicit stack, so the depth of the tree is not bounded by the
 interpreter's recursion limit.
+
+Two exact shortcuts leave every decision as it was. The search needs only
+whether the bound can beat the incumbent, and any feasible filling of the
+remaining volumes is a lower bound on it, so a first-fit fill that already
+beats the incumbent answers "no prune" and the bound is computed only when
+the fill fails. When skips retry the same state with further units, the
+state's free rays (how far each candidate can run along +x, +y and +z)
+reject the pairs that would overlap a box before ``fits`` is asked.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Optional, Sequence
 
 from .bounds import BoundContext, knapsack_upper_bound
@@ -99,9 +107,6 @@ class _Searcher:
         self.volumes = [volume(u.dims) for u in self.units]
         # rest[i]: the volume of units i.. together.
         self.rest = list(accumulate(reversed(self.volumes), initial=0))[::-1]
-        # Knapsack bounds by (first remaining unit, capacity): the bound
-        # reads nothing else, so each is computed once per solve.
-        self.knapsack_bounds: dict[tuple[int, int], int] = {}
         self.pallet = pallet
         self.params = params
         self.trace = trace
@@ -123,17 +128,25 @@ class _Searcher:
         if self.trace is not None:
             self.trace.append(TraceEvent(kind, **fields))
 
-    def _ranked_candidates(self, unit: TransportUnit) -> list[Ranked]:
+    def _ranked_candidates(self, unit: TransportUnit, tries: int) -> list[Ranked]:
         """Feasible (position, orientation) pairs for ``unit``, best first,
-        cut to max_branches."""
+        cut to max_branches. ``tries``: units already tried on this state.
+
+        The free rays cost about one scan of the candidates, and a state
+        retried once is mostly not retried again, so they are computed on
+        the second retry and serve every later one."""
         state = self.state
         w, d, h = unit.dims.w, unit.dims.d, unit.dims.h
         scored: list[Ranked] = []
-        for x, y, z in state.candidates():
+        rays = state.free_rays(self._tick) if tries >= 2 else state.pallet_rays()
+        for x, y, z, ex, ey, ez in rays:
             self._tick()
-            if state.fits(x, y, z, w, d, h):
+            if h > ez:
+                continue
+            # A box longer than a ray meets what the ray met: fits() says no.
+            if w <= ex and d <= ey and state.fits(x, y, z, w, d, h):
                 scored.append((-state.score(x, y, z, w, d, h), z, y, x, False))
-            if state.fits(x, y, z, d, w, h):
+            if d <= ex and w <= ey and state.fits(x, y, z, d, w, h):
                 scored.append((-state.score(x, y, z, d, w, h), z, y, x, True))
         self.candidates_evaluated += len(scored)
         return rank_and_cut(scored, self.params.max_branches)
@@ -154,10 +167,11 @@ class _Searcher:
         of a node that branches, with its best candidate left on the state,
         or None when the node is done: a leaf, pruned, or out of units."""
         n = len(self.units)
+        tries = 0
         while idx < n:
             self._tick()
             unit = self.units[idx]
-            ranked = self._ranked_candidates(unit)
+            ranked = self._ranked_candidates(unit, tries)
             self.nodes_expanded += 1
             self._log("expand", unit_id=unit.id, order_index=idx,
                       candidates=len(ranked), depth=depth)
@@ -167,6 +181,7 @@ class _Searcher:
                     return None
                 self._log("skip", unit_id=unit.id, order_index=idx, depth=depth)
                 idx += 1
+                tries += 1
                 continue
 
             best = ranked[0]
@@ -184,9 +199,8 @@ class _Searcher:
                     ))
 
             if idx + 1 < n:
-                ub = b + self._knapsack_bound(idx + 1)
-                self._tick()
-                if ub <= self.incumbent_volume:
+                ub = self._pruning_bound(idx + 1)
+                if ub is not None:
                     self.nodes_pruned += 1
                     self._log("prune", unit_id=unit.id, order_index=idx, upper_bound=ub,
                               incumbent_volume=self.incumbent_volume, depth=depth)
@@ -198,6 +212,27 @@ class _Searcher:
         # picking order exhausted: natural leaf, caller backtracks
         return None
 
+    def _pruning_bound(self, first: int) -> Optional[int]:
+        """The node's upper bound (bounds.node_upper_bound) if it cannot beat
+        the incumbent, else None.
+
+        A first-fit fill of units ``first``.. into the unused volume is a
+        feasible knapsack filling, so it never exceeds the bound in either
+        mode, capped or not. Once the fill alone beats the incumbent, the
+        answer is None without computing the bound."""
+        loaded = self.state.volume
+        need = self.incumbent_volume - loaded
+        capacity = self.state.unused_volume()
+        fill = 0
+        for v in islice(self.volumes, first, None):
+            if fill + v <= capacity:
+                fill += v
+                if fill > need:
+                    return None
+        ub = loaded + self._knapsack_bound(first)
+        self._tick()
+        return ub if ub <= self.incumbent_volume else None
+
     def _knapsack_bound(self, first: int) -> int:
         """Best volume units ``first``.. can still add (bounds.node_upper_bound
         less the loaded volume)."""
@@ -205,12 +240,8 @@ class _Searcher:
         rest = self.rest[first]
         if rest <= capacity:  # all of them fit: exact in either bound mode
             return rest
-        key = (first, capacity)
-        bound = self.knapsack_bounds.get(key)
-        if bound is None:
-            ctx = BoundContext(tuple(self.volumes[first:]), capacity, self.state.volume)
-            bound = self.knapsack_bounds[key] = knapsack_upper_bound(ctx, self.params.bound_mode)
-        return bound
+        ctx = BoundContext(tuple(self.volumes[first:]), capacity, self.state.volume)
+        return knapsack_upper_bound(ctx, self.params.bound_mode)
 
     def _search_from(self, root_idx: int) -> None:
         """Depth-first search of the tree whose first placed unit is

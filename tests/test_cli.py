@@ -98,6 +98,40 @@ def test_bad_value_is_shown_shortened(instance_path, tmp_path, capsys):
         assert len(captured.err) < 200
 
 
+LONG = "k" * 5000
+
+
+@pytest.mark.parametrize("doc", [
+    {**INSTANCE, "units": [{"id": LONG, "w": 1, "d": 1, "h": 1}] * 2},
+    {**INSTANCE, "params": {LONG: 1}},
+    {**INSTANCE, LONG: 1},
+    {**INSTANCE, "params": {"bound_mode": LONG}},
+    {**INSTANCE, "units": [{"id": LONG, "w": 0, "d": 1, "h": 1}]},
+], ids=["duplicate-id", "params-key", "instance-key", "bound-mode", "id-of-bad-unit"])
+def test_outside_string_is_shown_shortened(tmp_path, capsys, doc):
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps(doc))
+    assert cli_main(["solve", str(inst)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err) < 200
+
+
+def test_unknown_unit_id_is_shown_shortened(instance_path, tmp_path, capsys):
+    out = tmp_path / "solution.json"
+    assert cli_main(["solve", str(instance_path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["placements"][0]["id"] = LONG
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["validate", str(out), str(instance_path)]) == 1  # a violation, not bad input
+    lines = capsys.readouterr().out.splitlines()
+    unknown = [line for line in lines if "unknown unit id" in line]
+    assert len(unknown) == 1 and len(unknown[0]) < 200
+    assert all(len(line) < 200 for line in lines)
+
+
 def test_flag_overrides_are_echoed(instance_path, tmp_path):
     out = tmp_path / "solution.json"
     code = cli_main([

@@ -43,9 +43,9 @@ def assert_matches_reference(state: FlatState, params: SolverParams, units) -> N
                         ref, pos, dims, params)
 
 
-@settings(max_examples=150)
-@given(st.data())
-def test_push_pop_sequences_match_reference(data):
+def drive(data, check) -> None:
+    """Draw a pallet, params, units and a push/pop sequence; call
+    ``check(state, params, units)`` on the state before and after each step."""
     pallet = Pallet(*(data.draw(st.integers(3, 12)) for _ in range(3)))
     params = SolverParams(
         vertical_support_min=data.draw(st.sampled_from(THRESHOLDS)),
@@ -59,7 +59,7 @@ def test_push_pop_sequences_match_reference(data):
     side = st.integers(1, 5)
     units = data.draw(st.lists(st.tuples(side, side, side), min_size=1, max_size=3))
     state = FlatState(pallet, params)
-    assert_matches_reference(state, params, units)
+    check(state, params, units)
     for _ in range(data.draw(st.integers(1, 14))):
         if state.boxes and data.draw(st.integers(0, 3)) == 0:
             state.pop()
@@ -76,7 +76,60 @@ def test_push_pop_sequences_match_reference(data):
                 continue
             x, y, z = pos
             state.push(x, y, z, w, d, h)
-        assert_matches_reference(state, params, units)
+        check(state, params, units)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_push_pop_sequences_match_reference(data):
+    drive(data, assert_matches_reference)
+
+
+def inside(pos, box) -> bool:
+    return all(box[i] <= pos[i] < box[i + 3] for i in range(3))
+
+
+def assert_rays_sound(state: FlatState, params: SolverParams, units) -> None:
+    # Each kept candidate's rays admit every box that fits there; each
+    # dropped candidate lies inside a placed box. A second ask is cached.
+    ticks = []
+    rays = state.free_rays(lambda: ticks.append(1))
+    assert len(ticks) == len(state.candidates())
+    assert state.free_rays(lambda: ticks.append(1)) is rays and len(ticks) == len(
+        state.candidates())
+    kept = {ray[:3]: ray[3:] for ray in rays}
+    assert [ray[:3] for ray in rays] == [p for p in state.candidates() if p in kept]
+    for pos in state.candidates():
+        if pos not in kept:
+            assert any(inside(pos, box) for box in state.boxes)
+            continue
+        ex, ey, ez = kept[pos]
+        for w, d, h in units:
+            for dw, dd in ((w, d), (d, w)):
+                if state.fits(*pos, dw, dd, h):
+                    assert dw <= ex and dd <= ey and h <= ez
+    pallet = state.pallet
+    assert state.pallet_rays() == [
+        (x, y, z, pallet.width - x, pallet.depth - y, pallet.max_height - z)
+        for x, y, z in state.candidates()
+    ]
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_free_rays_reject_only_what_fits_rejects(data):
+    drive(data, assert_rays_sound)
+
+
+def test_free_rays_stop_at_the_first_box_and_skip_covered_points():
+    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
+    state.push(0, 0, 0, 4, 10, 2)  # a slab along y
+    state.push(4, 0, 0, 3, 3, 3)  # beside it, touching at x = 4
+    rays = {ray[:3]: ray[3:] for ray in state.free_rays(lambda: None)}
+    assert (4, 0, 0) in state.candidates()  # the slab's corner ...
+    assert (4, 0, 0) not in rays  # ... is the second box's own corner
+    assert rays[(4, 3, 0)] == (6, 7, 10)  # in front of the second box
+    assert rays[(0, 0, 2)] == (4, 10, 8)  # on the slab, runs into the box's side
 
 
 BASE = {"vertical_support_min": 0.0, "horizontal_support_min_x": 0.0,

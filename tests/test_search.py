@@ -125,21 +125,44 @@ def test_pruning_is_safe_at_the_default_branch_cap(mode):
         assert sol.placements == oracle.placements
 
 
+class _Budgeted(search._Searcher):
+    """The searcher, stopped after ``budget`` expanded nodes."""
+
+    budget = 10**9
+
+    def _tick(self):
+        if self.nodes_expanded >= self.budget:
+            raise search._Deadline
+
+
+def _tight_instance(seed):
+    """40 units on a small pallet, shaped like the tight-bound benchmark
+    workload: most nodes skip, and many units are left that cannot all fit."""
+    rng = random.Random(seed)
+    units = [
+        TransportUnit(f"u{i}", Dims(rng.randint(60, 200), rng.randint(60, 200),
+                                    rng.randint(60, 200)), i)
+        for i in range(40)
+    ]
+    return units, Pallet(400, 300, 400)
+
+
 def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
     # At every node, the flat state's candidates, feasibility and scores
     # must rank exactly as generate/check_placement/evaluate on a
     # PackingState of the same placements do.
     fast = search._Searcher._ranked_candidates
-    checked = 0
+    checked = screened = 0
 
-    def ranked(self, unit):
-        nonlocal checked
-        got = fast(self, unit)
+    def ranked(self, unit, tries):
+        nonlocal checked, screened
+        got = fast(self, unit, tries)
         state = PackingState(tuple(self.placed), self.pallet)
         reference = rank_and_cut(scored_candidates(state, unit, self.params),
                                  self.params.max_branches)
         assert got == reference
         checked += 1
+        screened += tries >= 2  # a state retried twice: its free rays screen
         return got
 
     monkeypatch.setattr(search._Searcher, "_ranked_candidates", ranked)
@@ -149,6 +172,13 @@ def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
         units, pallet, params = random_solver_instance(rng, max_units=6)
         nodes += solve(units, pallet, params).stats.nodes_expanded
     assert checked == nodes > 1000
+    # Few of those states are retried twice; most tight-bound nodes are.
+    units, pallet = _tight_instance(27)
+    searcher = _Budgeted(units, pallet, SolverParams(vertical_support_min=1.0), None)
+    searcher.budget = 300
+    searcher.run()
+    assert checked == nodes + 300
+    assert screened > 100
 
 
 def test_trace_single_unit(pallet_4x3x10):
@@ -228,6 +258,27 @@ def test_time_limit_returns_incumbent_quickly():
     assert sol.stats.elapsed_ms <= 1000
 
 
+def test_deadline_holds_on_many_units_that_mostly_skip():
+    # 5,000 units of 400-900 mm on a 1200x800x1500 pallet: a few fit, so
+    # nearly every node skips and retries its state with the next unit.
+    rng = random.Random(5000)
+    text = json.dumps({
+        "pallet": {"width": 1200, "depth": 800, "max_height": 1500},
+        "units": [{"id": f"u{i}", "w": rng.randint(400, 900), "d": rng.randint(400, 900),
+                   "h": rng.randint(400, 900)} for i in range(5000)],
+        "params": {"time_limit_ms": 200, "vertical_support_min": 0.7},
+    })
+    instance = parse_instance(text)
+    start = time.monotonic()
+    sol = solve(instance.units, instance.pallet, instance.params)
+    wall = (time.monotonic() - start) * 1000
+    assert sol.stats.timed_out
+    assert wall < 1.5 * 200
+    assert sol.stats.nodes_expanded > 100 * len(sol.placements) > 0
+    sf = build_solution_file(sol, instance.params, text)
+    assert validate_solution(sf, instance, text) == []
+
+
 def _cube_column():
     """150 10 mm cubes, all of which fit the pallet, searched one candidate
     per level; with the instance text."""
@@ -303,39 +354,67 @@ def test_branch_cap_limits_children():
     assert b.placed_volume <= a.placed_volume
 
 
-@pytest.mark.parametrize("mode", ["exact_knapsack", "lp_relaxation"])
-def test_searcher_bound_equals_the_reference_bound(monkeypatch, mode):
-    # Shaped like the tight-bound benchmark workload: many units left that
-    # cannot all fit, so nodes take the all-fit shortcut, the memo and the
-    # reference computation alike.
-    rng = random.Random(40)
-    units = [
-        TransportUnit(f"u{i}", Dims(rng.randint(60, 200), rng.randint(60, 200),
-                                    rng.randint(60, 200)), i)
-        for i in range(40)
-    ]
-    params = SolverParams(vertical_support_min=1.0, bound_mode=mode, time_limit_ms=400)
-    fast = search._Searcher._knapsack_bound
-    seen = set()
-    paths = {"all fit": 0, "computed": 0, "memo": 0}
+class _CheckedBound(_Budgeted):
+    """Checks each prune decision and each bound the searcher computes
+    against the reference."""
 
-    def checked(self, first):
-        got = fast(self, first)
-        unused = self.state.unused_volume()
-        ctx = BoundContext(tuple(self.volumes[first:]), unused, self.state.volume)
-        assert got == knapsack_upper_bound(ctx, mode)
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.paths = {"fill": 0, "all fit": 0, "kernel": 0}
+
+    def _reference(self, first):
         state = PackingState(tuple(self.placed), self.pallet)
-        assert self.state.volume + got == node_upper_bound(state, self.units[first:], mode)
-        if sum(ctx.remaining_volumes) <= unused:
-            paths["all fit"] += 1
-        else:
-            paths["memo" if (first, unused) in seen else "computed"] += 1
-            seen.add((first, unused))
+        return node_upper_bound(state, self.units[first:], self.params.bound_mode)
+
+    def _pruning_bound(self, first):
+        calls = self.paths["all fit"] + self.paths["kernel"]
+        got = super()._pruning_bound(first)
+        ub = self._reference(first)
+        assert got == (ub if ub <= self.incumbent_volume else None)
+        if self.paths["all fit"] + self.paths["kernel"] == calls:
+            self.paths["fill"] += 1
         return got
 
-    monkeypatch.setattr(search._Searcher, "_knapsack_bound", checked)
-    solve(units, Pallet(400, 300, 400), params)
-    assert all(paths.values()), paths
+    def _knapsack_bound(self, first):
+        got = super()._knapsack_bound(first)
+        unused = self.state.unused_volume()
+        ctx = BoundContext(tuple(self.volumes[first:]), unused, self.state.volume)
+        assert got == knapsack_upper_bound(ctx, self.params.bound_mode)
+        assert self.state.volume + got == self._reference(first)
+        self.paths["all fit" if sum(ctx.remaining_volumes) <= unused else "kernel"] += 1
+        return got
+
+
+@pytest.mark.parametrize("mode", ["exact_knapsack", "lp_relaxation"])
+def test_searcher_bound_equals_the_reference_bound(mode):
+    # An instance whose first 1,000 nodes both prune and pass on the fill.
+    # Every decision must be node_upper_bound <= incumbent; the kernel path
+    # is the next test's.
+    units, pallet = _tight_instance(27)
+    params = SolverParams(vertical_support_min=1.0, bound_mode=mode)
+    searcher = _CheckedBound(units, pallet, params, None)
+    searcher.budget = 1000
+    sol, _ = searcher.run()
+    assert sol.stats.nodes_expanded == 1000
+    assert sol.stats.nodes_pruned_by_bound > 0
+    assert searcher.paths["fill"] > 0 and searcher.paths["all fit"] > 0, searcher.paths
+
+
+@pytest.mark.parametrize("mode", ["exact_knapsack", "lp_relaxation"])
+def test_failed_fill_leaves_the_decision_to_the_bound(mode):
+    # Volume 6 loaded and 4 free, units of volume 3, 2 and 2 to come: first
+    # fit takes the 3 and loads 3, the bound is 4 (2 + 2).
+    units = [_unit(i, w, 1, 1) for i, w in enumerate((6, 3, 2, 2))]
+    params = dataclasses.replace(P0, bound_mode=mode)
+    searcher = _CheckedBound(units, Pallet(10, 1, 1), params, None)
+    searcher._push(units[0], (0.0, 0, 0, 0, False))
+    searcher.incumbent_volume = 9  # needs 4 more: the fill fails, the bound does not
+    assert searcher._pruning_bound(1) is None
+    searcher.incumbent_volume = 10  # needs 5 more: both fail
+    assert searcher._pruning_bound(1) == 10
+    searcher.incumbent_volume = 8  # needs 3 more: the fill decides
+    assert searcher._pruning_bound(1) is None
+    assert searcher.paths == {"fill": 1, "all fit": 0, "kernel": 2}
 
 
 @pytest.mark.xfail(strict=True, reason="pruning is unsafe under an overhang (ROADMAP item 1)")
