@@ -10,6 +10,7 @@ relaxation as its own pruning bound.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,7 +107,7 @@ def knapsack_upper_bound(ctx: BoundContext, mode: str = "exact_knapsack") -> int
         return _subset_sum_max(ctx.remaining_volumes, ctx.capacity)
     if mode == "lp_relaxation":
         return min(sum(ctx.remaining_volumes), ctx.capacity)
-    raise ValueError(f"unknown bound mode {mode!r}")
+    raise ValueError(f"unknown bound mode {reprlib.repr(mode)}")
 
 
 def node_upper_bound(

@@ -275,9 +275,10 @@ def validate_solution(
         if unit is None:
             violations.append(f"placement {i}: unknown unit id {reprlib.repr(sp.id)}")
             continue
+        named = f"placement {i} ({reprlib.repr(sp.id)})"
         if unit.order_index <= last_order:
             violations.append(
-                f"placement {i} ({sp.id}): violates picking order "
+                f"{named}: violates picking order "
                 f"(order_index {unit.order_index} after {last_order})"
             )
         last_order = max(last_order, unit.order_index)
@@ -285,13 +286,13 @@ def validate_solution(
         pos = (sp.x, sp.y, sp.z)
         if not check_overlap_bounds(state, pos, dims):
             violations.append(
-                f"placement {i} ({sp.id}): overlaps another unit or exceeds pallet bounds"
+                f"{named}: overlaps another unit or exceeds pallet bounds"
             )
             continue
         report = check_placement(state, pos, dims, params)
         if not report.feasible:
             violations.append(
-                f"placement {i} ({sp.id}): insufficient support "
+                f"{named}: insufficient support "
                 f"(vertical {float(report.vertical_fraction):.3f}, "
                 f"x {float(report.horiz_x_fraction):.3f}, "
                 f"y {float(report.horiz_y_fraction):.3f})"

@@ -13,7 +13,8 @@ equivalent ``PackingState``: ``candidates`` as ``extreme_points.generate``,
 ``fits`` as ``feasibility.check_placement(...).feasible`` and ``score`` as
 ``scoring.evaluate``, float for float. Those functions stay the reference
 that the replay checker and the oracle use. ``free_rays`` is a necessary
-condition of ``fits`` that is cheap to test once computed for a state.
+condition of ``fits`` that is cheap to test: a state asked for it updates
+a point-to-ray map from the last ancestor asked, logging changes for pop.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from .model import Pallet, SolverParams
 from .scoring import DISTANCE_CLAMP
 
 Box = tuple[int, int, int, int, int, int]  # x, y, z, x2, y2, z2
+Point = tuple[int, int, int]
 # A candidate (x, y, z) and how far it can run along +x, +y and +z.
 Ray = tuple[int, int, int, int, int, int]
+_ABSENT = object()  # undo-log value of a point the ray map did not hold
 
 
 def _ratio(value: float) -> tuple[int, int]:
@@ -52,8 +55,14 @@ class FlatState:
         self._maxima: list[list[int]] = []
         self._undo: list[tuple[list[int], int, int]] = []  # (maxima, kind, old value)
         self._marks: list[int] = []  # undo-log length before each push
-        self._candidates: Optional[list[tuple[int, int, int]]] = None
+        self._candidates: Optional[list[Point]] = None
         self._free_rays: Optional[list[Ray]] = None
+        # Runs (ex, ey, ez), or None inside a box, of the candidates of the
+        # last synced state (this one or an ancestor). Each sync logs the
+        # (point, old value) pairs it changes; a pop below it undoes them.
+        self._rays: dict[Point, Optional[tuple[int, int, int]]] = {}
+        self._ray_undo: list[tuple[Point, object]] = []
+        self._ray_syncs: list[tuple[int, int]] = []  # (depth, undo-log length before)
         # fits() memo of _layers() for one (z, height), cleared by push/pop
         self._slab_key: Optional[tuple[int, int]] = None
         self._slab: list[Box] = []
@@ -129,9 +138,18 @@ class FlatState:
         while len(undo) > mark:
             m, kind, old = undo.pop()
             m[kind] = old
+        syncs, rays, log = self._ray_syncs, self._rays, self._ray_undo
+        while syncs and syncs[-1][0] > len(self.boxes):
+            mark = syncs.pop()[1]
+            while len(log) > mark:
+                pt, old = log.pop()
+                if old is _ABSENT:
+                    del rays[pt]
+                else:
+                    rays[pt] = old
         self._candidates = self._free_rays = self._slab_key = None
 
-    def candidates(self) -> list[tuple[int, int, int]]:
+    def candidates(self) -> list[Point]:
         """Extreme points inside the pallet, deduplicated, ascending by
         (z, y, x); the origin alone on an empty pallet."""
         if self._candidates is None:
@@ -167,41 +185,64 @@ class FlatState:
     def free_rays(self, tick: Callable[[], None]) -> list[Ray]:
         """The candidates that lie inside no box, each with how far a ray
         runs from it along +x, +y and +z before it meets a box or a pallet
-        side; ``tick`` is called once per candidate.
+        side; ``tick`` is called once per newly computed point.
 
         A box at the candidate that is longer than a ray on that axis
         overlaps the box the ray met, or leaves the pallet, so ``fits``
-        holds only where ``w <= ex``, ``d <= ey`` and ``h <= ez``. Costs
-        O(candidates × boxes) once per state, about one scan of the
-        candidates with ``fits``, so it pays only on a state that is asked
-        for several units."""
+        holds only where ``w <= ex``, ``d <= ey`` and ``h <= ez``. The rays
+        are brought up to date from the last synced ancestor: a point it
+        already held only shrinks against the boxes pushed since, a new
+        point is run against every box. That costs O(candidates + new
+        points × boxes) per state."""
         if self._free_rays is None:
-            p = self.pallet
-            boxes = self.boxes
-            rays = []
-            level_z = None
-            for x, y, z in self.candidates():  # grouped by z
+            cands = self.candidates()
+            syncs = self._ray_syncs
+            if not syncs or syncs[-1][0] != len(self.boxes):
+                self._sync_rays(cands, tick)
+            rays = self._rays
+            self._free_rays = [pt + r for pt in cands if (r := rays[pt]) is not None]
+        return self._free_rays
+
+    def _sync_rays(self, cands: list[Point], tick: Callable[[], None]) -> None:
+        """Bring the ray map from the last synced state to this one."""
+        rays, log, syncs = self._rays, self._ray_undo, self._ray_syncs
+        boxes = self.boxes
+        new_boxes = boxes[syncs[-1][0]:] if syncs else []
+        syncs.append((len(boxes), len(log)))
+        live = set(cands)
+        for pt in [pt for pt in rays if pt not in live]:
+            log.append((pt, rays.pop(pt)))
+        p = self.pallet
+        for pt in cands:
+            old = rays.get(pt, _ABSENT)
+            if old is None:  # inside a box it stays inside
+                continue
+            x, y, z = pt
+            if old is _ABSENT:
                 tick()
-                if z != level_z:
-                    level_z = z
-                    level = [b for b in boxes if b[2] <= z < b[5]]
-                    above = [b for b in boxes if b[2] > z]
                 ex, ey, ez = p.width - x, p.depth - y, p.max_height - z
-                for bx, by, _, bx2, by2, _ in level:
+                against = boxes
+            else:
+                ex, ey, ez = old
+                against = new_boxes
+            for bx, by, bz, bx2, by2, bz2 in against:
+                if bz <= z < bz2:
                     if by <= y < by2:
                         if bx <= x < bx2:
-                            break  # inside this box
+                            ray = None
+                            break
                         if x < bx and bx - x < ex:
                             ex = bx - x
                     elif bx <= x < bx2 and y < by and by - y < ey:
                         ey = by - y
-                else:
-                    for bx, by, bz, bx2, by2, _ in above:
-                        if bx <= x < bx2 and by <= y < by2 and bz - z < ez:
-                            ez = bz - z
-                    rays.append((x, y, z, ex, ey, ez))
-            self._free_rays = rays
-        return self._free_rays
+                elif z < bz and bx <= x < bx2 and by <= y < by2 and bz - z < ez:
+                    ez = bz - z
+            else:
+                ray = (ex, ey, ez)
+                if ray == old:
+                    continue
+            log.append((pt, old))
+            rays[pt] = ray
 
     def fits(self, x: int, y: int, z: int, w: int, d: int, h: int) -> bool:
         """Whether a w×d×h box at (x, y, z) meets every placement rule:

@@ -38,6 +38,9 @@ def test_knapsack_examples():
 def test_knapsack_rejects_unknown_mode():
     with pytest.raises(ValueError):
         knapsack_upper_bound(BoundContext((1,), 10, 0), "simplex")
+    with pytest.raises(ValueError) as err:  # an outside string is shown shortened
+        knapsack_upper_bound(BoundContext((1,), 10, 0), "k" * 5000)
+    assert "kkk" in str(err.value) and len(str(err.value)) < 200
 
 
 def test_bound_context_validation():

@@ -132,6 +132,45 @@ def test_unknown_unit_id_is_shown_shortened(instance_path, tmp_path, capsys):
     assert all(len(line) < 200 for line in lines)
 
 
+def _swap_placements(doc):
+    doc["placements"].reverse()
+
+
+def _off_the_edge(doc):
+    doc["placements"][0]["x"] = 3
+
+
+def _afloat(doc):
+    doc["placements"][0]["z"] = 1
+
+
+@pytest.mark.parametrize("tamper,violation", [
+    (_swap_placements, "picking order"),
+    (_off_the_edge, "bounds"),
+    (_afloat, "support"),
+], ids=["picking-order", "bounds", "support"])
+def test_violating_unit_id_is_shown_shortened(tmp_path, capsys, tamper, violation):
+    # A valid 5,000-character unit id, placed where it breaks one rule.
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps({
+        **INSTANCE,
+        "units": [{"id": LONG, "w": 2, "d": 2, "h": 1}, {"id": "u1", "w": 2, "d": 1, "h": 1}],
+        "params": {"vertical_support_min": 1.0},
+    }))
+    out = tmp_path / "solution.json"
+    assert cli_main(["solve", str(inst), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [p["id"] for p in doc["placements"]] == [LONG, "u1"]
+    tamper(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["validate", str(out), str(inst)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    named = [line for line in lines if violation in line]
+    assert len(named) == 1 and named[0].startswith("INVALID: placement ")
+    assert all(len(line) < 200 for line in lines)
+
+
 def test_flag_overrides_are_echoed(instance_path, tmp_path):
     out = tmp_path / "solution.json"
     code = cli_main([

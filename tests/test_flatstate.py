@@ -89,14 +89,43 @@ def inside(pos, box) -> bool:
     return all(box[i] <= pos[i] < box[i + 3] for i in range(3))
 
 
+def scratch_rays(state: FlatState) -> list:
+    """The free rays computed from scratch: every candidate against every
+    box, grouped by the candidates' heights."""
+    p = state.pallet
+    rays = []
+    level_z = None
+    for x, y, z in state.candidates():  # grouped by z
+        if z != level_z:
+            level_z = z
+            level = [b for b in state.boxes if b[2] <= z < b[5]]
+            above = [b for b in state.boxes if b[2] > z]
+        ex, ey, ez = p.width - x, p.depth - y, p.max_height - z
+        for bx, by, _, bx2, by2, _ in level:
+            if by <= y < by2:
+                if bx <= x < bx2:
+                    break  # inside this box
+                if x < bx and bx - x < ex:
+                    ex = bx - x
+            elif bx <= x < bx2 and y < by and by - y < ey:
+                ey = by - y
+        else:
+            for bx, by, bz, bx2, by2, _ in above:
+                if bx <= x < bx2 and by <= y < by2 and bz - z < ez:
+                    ez = bz - z
+            rays.append((x, y, z, ex, ey, ez))
+    return rays
+
+
 def assert_rays_sound(state: FlatState, params: SolverParams, units) -> None:
     # Each kept candidate's rays admit every box that fits there; each
-    # dropped candidate lies inside a placed box. A second ask is cached.
+    # dropped candidate lies inside a placed box. The pass ticks once per
+    # point the ray map did not hold, and a second ask is cached.
+    fresh = sum(pos not in state._rays for pos in state.candidates())
     ticks = []
     rays = state.free_rays(lambda: ticks.append(1))
-    assert len(ticks) == len(state.candidates())
-    assert state.free_rays(lambda: ticks.append(1)) is rays and len(ticks) == len(
-        state.candidates())
+    assert len(ticks) == fresh
+    assert state.free_rays(lambda: ticks.append(1)) is rays and len(ticks) == fresh
     kept = {ray[:3]: ray[3:] for ray in rays}
     assert [ray[:3] for ray in rays] == [p for p in state.candidates() if p in kept]
     for pos in state.candidates():
@@ -121,6 +150,30 @@ def test_free_rays_reject_only_what_fits_rejects(data):
     drive(data, assert_rays_sound)
 
 
+@settings(max_examples=300)
+@given(st.data())
+def test_free_rays_match_a_computation_from_scratch(data):
+    # Rays are asked at random depths, so one update spans several pushes
+    # and some pops go below the depth of the last ask. An ask ticks once
+    # per candidate that the last ask still standing did not have.
+    asked = []  # (depth, candidates) of each ask that no pop has undone
+
+    def check(state, params, units):
+        depth = len(state.boxes)
+        while asked and asked[-1][0] > depth:
+            asked.pop()
+        if data.draw(st.integers(0, 2)) == 0:
+            return
+        held = asked[-1][1] if asked else set()
+        ticks = []
+        assert state.free_rays(lambda: ticks.append(1)) == scratch_rays(state)
+        assert len(ticks) == sum(pos not in held for pos in state.candidates())
+        if not asked or asked[-1][0] < depth:
+            asked.append((depth, set(state.candidates())))
+
+    drive(data, check)
+
+
 def test_free_rays_stop_at_the_first_box_and_skip_covered_points():
     state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
     state.push(0, 0, 0, 4, 10, 2)  # a slab along y
@@ -130,6 +183,20 @@ def test_free_rays_stop_at_the_first_box_and_skip_covered_points():
     assert (4, 0, 0) not in rays  # ... is the second box's own corner
     assert rays[(4, 3, 0)] == (6, 7, 10)  # in front of the second box
     assert rays[(0, 0, 2)] == (4, 10, 8)  # on the slab, runs into the box's side
+
+
+def test_a_candidate_that_comes_back_is_run_against_the_boxes_pushed_meanwhile():
+    # (3, 0, 0), a corner of the first box, stops being a candidate when the
+    # second box goes down across its +y ray, and comes back as a corner of
+    # the third box. Its ray must stop at the second box.
+    state = FlatState(Pallet(6, 11, 11), SolverParams(vertical_support_min=0.0))
+    present = []
+    for box in [(1, 0, 3, 2, 5, 5), (1, 5, 0, 5, 3, 2), (1, 0, 0, 2, 4, 2)]:
+        state.push(*box)
+        present.append((3, 0, 0) in state.candidates())
+        assert state.free_rays(lambda: None) == scratch_rays(state)
+    assert present == [True, False, True]
+    assert (3, 0, 0, 3, 5, 11) in state.free_rays(lambda: None)
 
 
 BASE = {"vertical_support_min": 0.0, "horizontal_support_min_x": 0.0,

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import random
@@ -11,6 +12,7 @@ from palletpack import model, search
 from palletpack.bounds import BoundContext, knapsack_upper_bound, node_upper_bound
 from palletpack.feasibility import check_placement
 from palletpack.files import build_solution_file, parse_instance, validate_solution
+from palletpack.flatstate import FlatState
 from palletpack.model import (
     Dims,
     PackingState,
@@ -147,12 +149,29 @@ def _tight_instance(seed):
     return units, Pallet(400, 300, 400)
 
 
+def _deep_instance(seed):
+    """150 units of 50-200 mm on a 1200x800x1500 pallet, shaped like the
+    anytime-deep benchmark workload: the first dive places nearly all of
+    them, so its states hold up to 149 boxes."""
+    rng = random.Random(seed)
+    units = [
+        TransportUnit(f"u{i}", Dims(rng.randint(50, 200), rng.randint(50, 200),
+                                    rng.randint(50, 200)), i)
+        for i in range(150)
+    ]
+    return units, Pallet(1200, 800, 1500)
+
+
+DEEP_PARAMS = SolverParams(vertical_support_min=0.7, gap_tolerance=5)
+
+
 def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
     # At every node, the flat state's candidates, feasibility and scores
     # must rank exactly as generate/check_placement/evaluate on a
     # PackingState of the same placements do.
     fast = search._Searcher._ranked_candidates
-    checked = screened = 0
+    free_rays = FlatState.free_rays
+    checked = screened = incremental = 0
 
     def ranked(self, unit, tries):
         nonlocal checked, screened
@@ -162,23 +181,73 @@ def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
                                  self.params.max_branches)
         assert got == reference
         checked += 1
-        screened += tries >= 2  # a state retried twice: its free rays screen
+        screened += tries >= 2 or len(self.placed) >= search._SCREEN_BOXES
+        return got
+
+    def rays(self, tick):
+        # An incremental ask computes fewer points anew than it has
+        # candidates: the rest it carries over from an earlier state.
+        nonlocal incremental
+        fresh = 0
+
+        def counted():
+            nonlocal fresh
+            fresh += 1
+            tick()
+
+        got = free_rays(self, counted)
+        incremental += fresh < len(self.candidates())
         return got
 
     monkeypatch.setattr(search._Searcher, "_ranked_candidates", ranked)
+    monkeypatch.setattr(FlatState, "free_rays", rays)
     rng = random.Random(303)  # criterion 3's instances
     nodes = 0
     for _ in range(100):
         units, pallet, params = random_solver_instance(rng, max_units=6)
         nodes += solve(units, pallet, params).stats.nodes_expanded
     assert checked == nodes > 1000
-    # Few of those states are retried twice; most tight-bound nodes are.
-    units, pallet = _tight_instance(27)
-    searcher = _Budgeted(units, pallet, SolverParams(vertical_support_min=1.0), None)
-    searcher.budget = 300
-    searcher.run()
-    assert checked == nodes + 300
-    assert screened > 100
+    # Few of those states are screened; most tight-bound and deep ones are.
+    for (units, pallet), params, budget in (
+        (_tight_instance(27), SolverParams(vertical_support_min=1.0), 300),
+        (_deep_instance(8), DEEP_PARAMS, 120),
+    ):
+        before = checked, screened, incremental
+        searcher = _Budgeted(units, pallet, params, None)
+        searcher.budget = budget
+        searcher.run()
+        asks = screened - before[1]
+        assert checked - before[0] == budget
+        assert asks > budget * 9 // 10
+        assert incremental - before[2] > asks * 9 // 10
+
+
+def _tree_digest(sol):
+    st = sol.stats
+    return hashlib.sha256(repr((
+        [(pl.unit_id, pl.position, pl.rotated) for pl in sol.placements],
+        st.nodes_pruned_by_bound, st.candidates_evaluated,
+    )).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("instance,params,budget,digest", [
+    # 149 of 150 units placed, 91 prunes, 7,286 candidates evaluated
+    (_deep_instance(8), DEEP_PARAMS, 300,
+     "8b5224df3ab6d6666b516b547affc612dd1b53de501eafdb8663cb1d4a77d808"),
+    # 14 units placed, 137 prunes, 847 candidates evaluated
+    (_tight_instance(27), SolverParams(vertical_support_min=1.0), 3000,
+     "81cf79e2ca6b322585721bc74c33b99ff26fbb60a9e8c19e94ad1decaf2ad5b5"),
+], ids=["anytime-deep", "tight-bound"])
+def test_deep_budgeted_tree_is_pinned(instance, params, budget, digest):
+    # Digests recorded before the free rays were kept up to date across
+    # push and pop, when only a state retried twice was screened: screening
+    # deep states must leave the tree exactly as it was.
+    units, pallet = instance
+    searcher = _Budgeted(units, pallet, params, None)
+    searcher.budget = budget
+    sol, _ = searcher.run()
+    assert sol.stats.nodes_expanded == budget
+    assert _tree_digest(sol) == digest
 
 
 def test_trace_single_unit(pallet_4x3x10):
@@ -239,15 +308,8 @@ def test_trace_replays_to_the_solution():
 
 
 def test_time_limit_returns_incumbent_quickly():
-    # 150 small units, shaped like the anytime benchmark workload: the
-    # first dive alone outlasts the 150 ms budget.
-    rng = random.Random(8)
-    units = [
-        TransportUnit(f"u{i}", Dims(rng.randint(50, 200), rng.randint(50, 200),
-                                    rng.randint(50, 200)), i)
-        for i in range(150)
-    ]
-    pallet = Pallet(1200, 800, 1500)
+    # The first dive alone outlasts the 150 ms budget.
+    units, pallet = _deep_instance(8)
     params = SolverParams(vertical_support_min=0.7, gap_tolerance=5, time_limit_ms=150,
                           max_branches=4)
     start = time.monotonic()
@@ -341,6 +403,16 @@ def test_invalid_instances_rejected(pallet_4x3x10):
     ]
     with pytest.raises(ValueError):
         solve(bad_order, pallet_4x3x10, P0)
+
+
+@pytest.mark.parametrize("units", [
+    [TransportUnit("k" * 5000, Dims(1, 1, 1), 0), TransportUnit("k" * 5000, Dims(1, 1, 1), 1)],
+    [TransportUnit("k" * 5000, Dims(1, 1, 1), 1)],
+], ids=["duplicate-id", "order-index"])
+def test_invalid_instance_message_is_shortened(pallet_4x3x10, units):
+    with pytest.raises(ValueError) as err:
+        solve(units, pallet_4x3x10, P0)
+    assert "kkk" in str(err.value) and len(str(err.value)) < 200
 
 
 def test_branch_cap_limits_children():
