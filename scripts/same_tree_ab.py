@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""A/B two source trees of the solver on the same node-budgeted trees.
+
+Loads ``palletpack`` from two source directories into one process and
+solves the same benchmark-shaped instances with both, alternating which
+side goes first per instance. Each solve stops at a fixed node count, not
+on the clock, so both sides should search the same tree. Prints nodes/s
+per side and whether placements, prunes and ``candidates_evaluated``
+match instance for instance.
+
+Example (the parent commit checked out into ../parent):
+    python scripts/same_tree_ab.py ../parent/src src --seed 1
+"""
+
+import argparse
+import importlib
+import json
+import os
+import random
+import sys
+import time
+
+# name: (pallet, units, unit side range, params, instances, node budget or None)
+SHAPES = {
+    "exact-small": ((1200, 800, 1500), 6, (300, 700),
+                    {"vertical_support_min": 0.7, "max_branches": 4}, 300, None),
+    "anytime-deep": ((1200, 800, 1500), 150, (50, 200),
+                     {"vertical_support_min": 0.7, "gap_tolerance": 5}, 4, 300),
+    "tight-bound": ((400, 300, 400), 40, (60, 200),
+                    {"vertical_support_min": 1.0, "bound_mode": "exact_knapsack"}, 12, 3000),
+}
+
+
+def load(src):
+    """The ``files`` and ``search`` modules of the tree under ``src``."""
+    src = os.path.abspath(src)
+    for name in [m for m in sys.modules if m.split(".")[0] == "palletpack"]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        files, search = (importlib.import_module(f"palletpack.{m}") for m in ("files", "search"))
+    finally:
+        sys.path.remove(src)
+    if not search.__file__.startswith(src + os.sep):
+        raise SystemExit(f"palletpack came from {search.__file__}, not from {src}")
+    return files, search
+
+
+def budgeted(search, budget):
+    """The side's searcher, stopped after ``budget`` nodes and never by the clock."""
+    def tick(self):
+        if budget is not None and self.nodes_expanded >= budget:
+            raise search._Deadline
+    return type("Budgeted", (search._Searcher,), {"_tick": tick})
+
+
+def texts(name, seed):
+    (w, d, h), n, (lo, hi), params, count, _ = SHAPES[name]
+    rng = random.Random(f"{name}:{seed}")
+    return [json.dumps({
+        "pallet": {"width": w, "depth": d, "max_height": h},
+        "units": [{"id": f"u{i:03d}", "w": rng.randint(lo, hi), "d": rng.randint(lo, hi),
+                   "h": rng.randint(lo, hi)} for i in range(n)],
+        "params": params,
+    }) for _ in range(count)]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("a", help="source directory of side A (holds palletpack/)")
+    ap.add_argument("b", help="source directory of side B")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--workloads", nargs="+", default=list(SHAPES), choices=list(SHAPES))
+    args = ap.parse_args()
+    sides = [load(args.a), load(args.b)]
+    for name in args.workloads:
+        budget = SHAPES[name][5]
+        searchers = [budgeted(search, budget) for _, search in sides]
+        nodes, secs, trees = [0, 0], [0.0, 0.0], [[], []]
+        for i, text in enumerate(texts(name, args.seed)):
+            for s in ((0, 1) if i % 2 == 0 else (1, 0)):
+                inst = sides[s][0].parse_instance(text)
+                searcher = searchers[s](inst.units, inst.pallet, inst.params, None)
+                started = time.perf_counter()
+                sol, _ = searcher.run()
+                secs[s] += time.perf_counter() - started
+                st = sol.stats
+                nodes[s] += st.nodes_expanded
+                trees[s].append((
+                    [(p.unit_id, p.position, p.rotated) for p in sol.placements],
+                    st.nodes_expanded, st.nodes_pruned_by_bound, st.candidates_evaluated))
+        rate = [nodes[s] / secs[s] for s in (0, 1)]
+        print(f"{name:13} seed {args.seed}: A {rate[0]:9,.0f} nodes/s  B {rate[1]:9,.0f} "
+              f"nodes/s  B/A {rate[1] / rate[0]:.3f}  "
+              f"trees {'identical' if trees[0] == trees[1] else 'DIFFERENT'} "
+              f"({len(trees[0])} instances, {nodes[0]:,} / {nodes[1]:,} nodes)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

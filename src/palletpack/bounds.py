@@ -21,12 +21,10 @@ from .model import PackingState, TransportUnit, volume
 @dataclass(frozen=True)
 class BoundContext:
     """Inputs of one bound computation: volumes of the still-eligible
-    units, the unused pallet volume as capacity, and the volume already
-    loaded."""
+    units and the unused pallet volume as capacity."""
 
     remaining_volumes: tuple[int, ...]
     capacity: int
-    loaded_volume: int
 
     def __post_init__(self):
         if any(v <= 0 for v in self.remaining_volumes):
@@ -118,5 +116,5 @@ def node_upper_bound(
     vols = tuple(volume(u.dims) for u in remaining)
     if not vols:
         return loaded
-    ctx = BoundContext(vols, unused_volume(state), loaded)
+    ctx = BoundContext(vols, unused_volume(state))
     return loaded + knapsack_upper_bound(ctx, mode)

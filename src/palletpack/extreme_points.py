@@ -18,8 +18,6 @@ from .model import PackingState
 # "xz" along -z, and so on. "origin" marks the seed position of an empty
 # pallet.
 KINDS = ("xy", "xz", "yx", "yz", "zx", "zy")
-_KIND_RANK = {k: i for i, k in enumerate(KINDS)}
-_KIND_RANK["origin"] = -1
 
 
 @dataclass(frozen=True)

@@ -115,16 +115,22 @@ def parse_params(obj: dict, where: str = "params") -> SolverParams:
         raise InstanceFormatError(f"{where}: {exc}") from exc
 
 
-def parse_instance(text: str) -> InstanceFile:
-    """Parse and fully validate an instance document."""
+def _load_json(text: str, what: str) -> dict:
+    """The top-level object of ``what``'s JSON document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"instance is not valid JSON: {exc}") from exc
+        raise InstanceFormatError(f"{what} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise InstanceFormatError("instance: JSON nested too deeply") from exc
+        raise InstanceFormatError(f"{what}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
-        raise InstanceFormatError("instance: top level must be an object")
+        raise InstanceFormatError(f"{what}: top level must be an object")
+    return doc
+
+
+def parse_instance(text: str) -> InstanceFile:
+    """Parse and fully validate an instance document."""
+    doc = _load_json(text, "instance")
 
     pal = _need(doc, "pallet", "instance")
     if not isinstance(pal, dict):
@@ -214,14 +220,7 @@ def solution_to_json(sf: SolutionFile) -> str:
 
 def parse_solution(text: str) -> SolutionFile:
     """Parse a solution document, checking the type of every field."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"solution is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise InstanceFormatError("solution: JSON nested too deeply") from exc
-    if not isinstance(doc, dict):
-        raise InstanceFormatError("solution: top level must be an object")
+    doc = _load_json(text, "solution")
     where = "solution"
     raw = _typed(_need(doc, "placements", where), list, "a list", "placements", where)
     placements = []

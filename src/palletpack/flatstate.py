@@ -4,9 +4,8 @@ The search only ever pushes one box onto its state and pops it again, so
 this state keeps what the parent already knew instead of rebuilding it at
 every node. Placed boxes are flat ``(x, y, z, x2, y2, z2)`` int tuples.
 Each box also keeps the six projection maxima of its extreme points; a
-push updates every box's maxima against the new box and logs each change,
-a pop undoes exactly those changes (the insertion update of Crainic,
-Perboli & Tadei, INFORMS J. Computing 20(3), 2008).
+push updates every box's maxima against the new box (the insertion update
+of Crainic, Perboli & Tadei, INFORMS J. Computing 20(3), 2008).
 
 Every answer is the same as the reference functions give on the
 equivalent ``PackingState``: ``candidates`` as ``extreme_points.generate``,
@@ -14,7 +13,12 @@ equivalent ``PackingState``: ``candidates`` as ``extreme_points.generate``,
 ``scoring.evaluate``, float for float. Those functions stay the reference
 that the replay checker and the oracle use. ``free_rays`` is a necessary
 condition of ``fits`` that is cheap to test: a state asked for it updates
-a point-to-ray map from the last ancestor asked, logging changes for pop.
+a point-to-ray map from the last ancestor asked.
+
+Every change to the maxima and the ray map goes into one undo journal of
+``(container, key, old value)`` entries. A pop unwinds the journal to the
+mark its push left and restores the envelope volume and the last synced
+depth saved with it; a sync at depth k journals after push k's mark.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ Box = tuple[int, int, int, int, int, int]  # x, y, z, x2, y2, z2
 Point = tuple[int, int, int]
 # A candidate (x, y, z) and how far it can run along +x, +y and +z.
 Ray = tuple[int, int, int, int, int, int]
-_ABSENT = object()  # undo-log value of a point the ray map did not hold
+_ABSENT = object()  # journal value of a key its container did not hold
 
 
 def _ratio(value: float) -> tuple[int, int]:
@@ -47,22 +51,20 @@ class FlatState:
         self.boxes: list[Box] = []
         self.volume = 0
         # Volume under the height envelope (the top of the tallest box over
-        # each point of the floor), before each push and now.
-        self._envelope: list[int] = []
+        # each point of the floor).
         self._envelope_volume = 0
         # Per box, the maxima of the projections xy, xz, yx, yz, zx, zy
         # (extreme_points.KINDS): the coordinate each corner slides back to.
         self._maxima: list[list[int]] = []
-        self._undo: list[tuple[list[int], int, int]] = []  # (maxima, kind, old value)
-        self._marks: list[int] = []  # undo-log length before each push
+        # Runs (ex, ey, ez), or None inside a box, of the candidates of the
+        # last synced state: the one at depth _synced, this or an ancestor.
+        self._rays: dict[Point, Optional[tuple[int, int, int]]] = {}
+        self._synced: Optional[int] = None
+        self._undo: list[tuple[object, object, object]] = []  # (container, key, old)
+        # (journal length, envelope volume, synced depth) before each push
+        self._marks: list[tuple[int, int, Optional[int]]] = []
         self._candidates: Optional[list[Point]] = None
         self._free_rays: Optional[list[Ray]] = None
-        # Runs (ex, ey, ez), or None inside a box, of the candidates of the
-        # last synced state (this one or an ancestor). Each sync logs the
-        # (point, old value) pairs it changes; a pop below it undoes them.
-        self._rays: dict[Point, Optional[tuple[int, int, int]]] = {}
-        self._ray_undo: list[tuple[Point, object]] = []
-        self._ray_syncs: list[tuple[int, int]] = []  # (depth, undo-log length before)
         # fits() memo of _layers() for one (z, height), cleared by push/pop
         self._slab_key: Optional[tuple[int, int]] = None
         self._slab: list[Box] = []
@@ -79,7 +81,7 @@ class FlatState:
         overlap no placed box."""
         x2, y2, z2 = x + w, y + d, z + h
         undo = self._undo
-        self._marks.append(len(undo))
+        self._marks.append((len(undo), self._envelope_volume, self._synced))
         mxy = mxz = myx = myz = mzx = mzy = 0
         for (bx, by, bz, bx2, by2, bz2), m in zip(self.boxes, self._maxima):
             # The new box's corners slide back against this box ...
@@ -120,7 +122,6 @@ class FlatState:
                 if by >= y2 and y2 > m[5]:
                     undo.append((m, 5, m[5]))
                     m[5] = y2
-        self._envelope.append(self._envelope_volume)
         self._envelope_volume += self._envelope_rise(x, y, x2, y2, z2)
         self.boxes.append((x, y, z, x2, y2, z2))
         self._maxima.append([mxy, mxz, myx, myz, mzx, mzy])
@@ -132,21 +133,14 @@ class FlatState:
         x, y, z, x2, y2, z2 = self.boxes.pop()
         self._maxima.pop()
         self.volume -= (x2 - x) * (y2 - y) * (z2 - z)
-        self._envelope_volume = self._envelope.pop()
         undo = self._undo
-        mark = self._marks.pop()
+        mark, self._envelope_volume, self._synced = self._marks.pop()
         while len(undo) > mark:
-            m, kind, old = undo.pop()
-            m[kind] = old
-        syncs, rays, log = self._ray_syncs, self._rays, self._ray_undo
-        while syncs and syncs[-1][0] > len(self.boxes):
-            mark = syncs.pop()[1]
-            while len(log) > mark:
-                pt, old = log.pop()
-                if old is _ABSENT:
-                    del rays[pt]
-                else:
-                    rays[pt] = old
+            c, key, old = undo.pop()
+            if old is _ABSENT:
+                del c[key]
+            else:
+                c[key] = old
         self._candidates = self._free_rays = self._slab_key = None
 
     def candidates(self) -> list[Point]:
@@ -196,8 +190,7 @@ class FlatState:
         points × boxes) per state."""
         if self._free_rays is None:
             cands = self.candidates()
-            syncs = self._ray_syncs
-            if not syncs or syncs[-1][0] != len(self.boxes):
+            if self._synced != len(self.boxes):
                 self._sync_rays(cands, tick)
             rays = self._rays
             self._free_rays = [pt + r for pt in cands if (r := rays[pt]) is not None]
@@ -205,13 +198,12 @@ class FlatState:
 
     def _sync_rays(self, cands: list[Point], tick: Callable[[], None]) -> None:
         """Bring the ray map from the last synced state to this one."""
-        rays, log, syncs = self._rays, self._ray_undo, self._ray_syncs
-        boxes = self.boxes
-        new_boxes = boxes[syncs[-1][0]:] if syncs else []
-        syncs.append((len(boxes), len(log)))
+        rays, undo, boxes = self._rays, self._undo, self.boxes
+        new_boxes = boxes[self._synced:]  # all of them if none was synced
+        self._synced = len(boxes)
         live = set(cands)
         for pt in [pt for pt in rays if pt not in live]:
-            log.append((pt, rays.pop(pt)))
+            undo.append((rays, pt, rays.pop(pt)))
         p = self.pallet
         for pt in cands:
             old = rays.get(pt, _ABSENT)
@@ -241,7 +233,7 @@ class FlatState:
                 ray = (ex, ey, ez)
                 if ray == old:
                     continue
-            log.append((pt, old))
+            undo.append((rays, pt, old))
             rays[pt] = ray
 
     def fits(self, x: int, y: int, z: int, w: int, d: int, h: int) -> bool:

@@ -65,8 +65,8 @@ def dp_knapsack(volumes: Sequence[int], capacity: int) -> int:
 class _Unbounded(_Searcher):
     """The solver's search with no bound and no clock."""
 
-    def _knapsack_bound(self, first: int) -> int:
-        return self.pallet.volume()  # loaded + this > any incumbent: never prunes
+    def _pruning_bound(self, first: int) -> None:
+        return None
 
     def _tick(self) -> None:
         pass

@@ -19,19 +19,20 @@ interpreter's recursion limit.
 Two exact shortcuts leave every decision as it was. The search needs only
 whether the bound can beat the incumbent, and any feasible filling of the
 remaining volumes is a lower bound on it, so a first-fit fill that already
-beats the incumbent answers "no prune" and the bound is computed only when
-the fill fails. On a state that holds many boxes, or that skips have
-retried with further units, the state's free rays (how far each candidate
-can run along +x, +y and +z) reject the pairs that would overlap a box
-before ``fits`` is asked.
+beats the incumbent answers "no prune". A fill that skipped no unit is the
+bound itself in either bound mode, so the knapsack bound is computed only
+when the fill skipped a unit and still fails. On a state that holds many
+boxes, or that skips have retried with further units, the state's free
+rays (how far each candidate can run along +x, +y and +z) reject the pairs
+that would overlap a box before ``fits`` is asked.
 """
 
 from __future__ import annotations
 
 import reprlib
 import time
-from dataclasses import dataclass
-from itertools import accumulate, islice
+from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from .bounds import BoundContext, knapsack_upper_bound
@@ -67,15 +68,7 @@ class TraceEvent:
     placements: Optional[tuple[tuple[str, tuple[int, int, int], bool], ...]] = None
 
     def as_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for name in (
-            "unit_id", "order_index", "position", "rotated", "purpose", "volume",
-            "upper_bound", "incumbent_volume", "candidates", "depth", "placements",
-        ):
-            v = getattr(self, name)
-            if v is not None:
-                d[name] = v
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 # A state with this many boxes screens its candidates by their free rays.
@@ -114,8 +107,6 @@ class _Searcher:
         _validate_instance(units)
         self.units = list(units)
         self.volumes = [volume(u.dims) for u in self.units]
-        # rest[i]: the volume of units i.. together.
-        self.rest = list(accumulate(reversed(self.volumes), initial=0))[::-1]
         self.pallet = pallet
         self.params = params
         self.trace = trace
@@ -233,24 +224,20 @@ class _Searcher:
         need = self.incumbent_volume - loaded
         capacity = self.state.unused_volume()
         fill = 0
+        skipped = False
         for v in islice(self.volumes, first, None):
             if fill + v <= capacity:
                 fill += v
                 if fill > need:
                     return None
-        ub = loaded + self._knapsack_bound(first)
+            else:
+                skipped = True
+        bound = fill  # a fill that skipped no unit holds them all
+        if skipped:
+            ctx = BoundContext(tuple(self.volumes[first:]), capacity)
+            bound = knapsack_upper_bound(ctx, self.params.bound_mode)
         self._tick()
-        return ub if ub <= self.incumbent_volume else None
-
-    def _knapsack_bound(self, first: int) -> int:
-        """Best volume units ``first``.. can still add (bounds.node_upper_bound
-        less the loaded volume)."""
-        capacity = self.state.unused_volume()
-        rest = self.rest[first]
-        if rest <= capacity:  # all of them fit: exact in either bound mode
-            return rest
-        ctx = BoundContext(tuple(self.volumes[first:]), capacity, self.state.volume)
-        return knapsack_upper_bound(ctx, self.params.bound_mode)
+        return loaded + bound if bound <= need else None
 
     def _search_from(self, root_idx: int) -> None:
         """Depth-first search of the tree whose first placed unit is

@@ -51,7 +51,7 @@ def test_criterion_2_knapsack_equivalence():
         n = rng.randint(0, 15)
         volumes = tuple(rng.randint(1, 8000) for _ in range(n))
         capacity = rng.randint(0, 100_000)
-        ctx = BoundContext(volumes, capacity, 0)
+        ctx = BoundContext(volumes, capacity)
         exact = knapsack_upper_bound(ctx, "exact_knapsack")
         relaxed = knapsack_upper_bound(ctx, "lp_relaxation")
         if exact != dp_knapsack(volumes, capacity):

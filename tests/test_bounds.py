@@ -28,26 +28,26 @@ def exhaustive_best_fill(volumes, capacity):
 
 
 def test_knapsack_examples():
-    assert knapsack_upper_bound(BoundContext((6, 5, 4), 10, 0), "exact_knapsack") == 10
-    assert knapsack_upper_bound(BoundContext((7, 7), 10, 0), "exact_knapsack") == 7
-    assert knapsack_upper_bound(BoundContext((7, 7), 10, 0), "lp_relaxation") == 10
-    assert knapsack_upper_bound(BoundContext((), 10, 0), "exact_knapsack") == 0
-    assert knapsack_upper_bound(BoundContext((), 10, 0), "lp_relaxation") == 0
+    assert knapsack_upper_bound(BoundContext((6, 5, 4), 10), "exact_knapsack") == 10
+    assert knapsack_upper_bound(BoundContext((7, 7), 10), "exact_knapsack") == 7
+    assert knapsack_upper_bound(BoundContext((7, 7), 10), "lp_relaxation") == 10
+    assert knapsack_upper_bound(BoundContext((), 10), "exact_knapsack") == 0
+    assert knapsack_upper_bound(BoundContext((), 10), "lp_relaxation") == 0
 
 
 def test_knapsack_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        knapsack_upper_bound(BoundContext((1,), 10, 0), "simplex")
+        knapsack_upper_bound(BoundContext((1,), 10), "simplex")
     with pytest.raises(ValueError) as err:  # an outside string is shown shortened
-        knapsack_upper_bound(BoundContext((1,), 10, 0), "k" * 5000)
+        knapsack_upper_bound(BoundContext((1,), 10), "k" * 5000)
     assert "kkk" in str(err.value) and len(str(err.value)) < 200
 
 
 def test_bound_context_validation():
     with pytest.raises(ValueError):
-        BoundContext((0,), 10, 0)
+        BoundContext((0,), 10)
     with pytest.raises(ValueError):
-        BoundContext((1,), -1, 0)
+        BoundContext((1,), -1)
 
 
 def test_lower_bound_examples(pallet_4x3x10):
@@ -88,7 +88,7 @@ def test_node_upper_bound_without_remaining(pallet_4x3x10):
     st.integers(0, 20000),
 )
 def test_exact_mode_matches_dp_oracle(volumes, capacity):
-    got = knapsack_upper_bound(BoundContext(tuple(volumes), capacity, 0), "exact_knapsack")
+    got = knapsack_upper_bound(BoundContext(tuple(volumes), capacity), "exact_knapsack")
     assert got == dp_knapsack(volumes, capacity)
 
 
@@ -97,7 +97,7 @@ def test_exact_mode_matches_dp_oracle(volumes, capacity):
     st.integers(0, 2000),
 )
 def test_relaxation_dominates_exact(volumes, capacity):
-    ctx = BoundContext(tuple(volumes), capacity, 0)
+    ctx = BoundContext(tuple(volumes), capacity)
     exact = knapsack_upper_bound(ctx, "exact_knapsack")
     relaxed = knapsack_upper_bound(ctx, "lp_relaxation")
     assert relaxed >= exact
@@ -109,7 +109,7 @@ def test_exact_mode_random_against_subset_enumeration():
     for _ in range(60):
         volumes = [rng.randint(1, 400) for _ in range(rng.randint(0, 9))]
         capacity = rng.randint(0, 1200)
-        ctx = BoundContext(tuple(volumes), capacity, 0)
+        ctx = BoundContext(tuple(volumes), capacity)
         assert knapsack_upper_bound(ctx, "exact_knapsack") == exhaustive_best_fill(
             volumes, capacity
         )
@@ -121,7 +121,7 @@ def test_exact_mode_has_no_recursion_ceiling():
     rng = random.Random(1500)
     volumes = tuple(rng.randint(1, 1000) * 2 for _ in range(1500))
     capacity = sum(volumes) // 2 | 1
-    bound = knapsack_upper_bound(BoundContext(volumes, capacity, 0), "exact_knapsack")
+    bound = knapsack_upper_bound(BoundContext(volumes, capacity), "exact_knapsack")
     assert dp_knapsack(volumes, capacity) <= bound <= capacity
 
 

@@ -174,6 +174,31 @@ def test_free_rays_match_a_computation_from_scratch(data):
     drive(data, check)
 
 
+def journaled(state: FlatState):
+    """Everything a pop must restore: the ray map, the maxima of every box,
+    the envelope volume and the depth the rays were last synced at."""
+    return (dict(state._rays), [list(m) for m in state._maxima],
+            state._envelope_volume, state._synced)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_pop_restores_the_journaled_state(data):
+    # saved[k]: the state at depth k just before the push to depth k + 1,
+    # taken after any ray asks at depth k.
+    saved = []
+
+    def check(state, params, units):
+        depth = len(state.boxes)
+        if depth < len(saved):  # back from depth + 1 by a pop
+            assert journaled(state) == saved[depth]
+        if data.draw(st.booleans()):
+            state.free_rays(lambda: None)
+        saved[depth:] = [journaled(state)]
+
+    drive(data, check)
+
+
 def test_free_rays_stop_at_the_first_box_and_skip_covered_points():
     state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
     state.push(0, 0, 0, 4, 10, 2)  # a slab along y

@@ -57,6 +57,7 @@ def test_exhaustive_explores_more_nodes_than_pruned_solve(pallet_4x3x10):
     oracle = exhaustive_solve(units, pallet_4x3x10, P0)
     assert sol.placed_volume == oracle.placed_volume
     assert sol.stats.nodes_pruned_by_bound >= 1
+    assert oracle.stats.nodes_pruned_by_bound == 0
     assert oracle.stats.nodes_expanded > sol.stats.nodes_expanded
 
 

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from palletpack import model, search
-from palletpack.bounds import BoundContext, knapsack_upper_bound, node_upper_bound
+from palletpack.bounds import node_upper_bound
 from palletpack.feasibility import check_placement
 from palletpack.files import build_solution_file, parse_instance, validate_solution
 from palletpack.flatstate import FlatState
@@ -427,8 +427,8 @@ def test_branch_cap_limits_children():
 
 
 class _CheckedBound(_Budgeted):
-    """Checks each prune decision and each bound the searcher computes
-    against the reference."""
+    """Checks each prune decision the searcher makes against the reference,
+    and counts which path decided it."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -439,21 +439,21 @@ class _CheckedBound(_Budgeted):
         return node_upper_bound(state, self.units[first:], self.params.bound_mode)
 
     def _pruning_bound(self, first):
-        calls = self.paths["all fit"] + self.paths["kernel"]
         got = super()._pruning_bound(first)
         ub = self._reference(first)
         assert got == (ub if ub <= self.incumbent_volume else None)
-        if self.paths["all fit"] + self.paths["kernel"] == calls:
-            self.paths["fill"] += 1
-        return got
-
-    def _knapsack_bound(self, first):
-        got = super()._knapsack_bound(first)
+        # The path from the inputs: a first-fit fill that beats the
+        # incumbent decides; else all remaining units fit, or the kernel runs.
+        rest = self.volumes[first:]
         unused = self.state.unused_volume()
-        ctx = BoundContext(tuple(self.volumes[first:]), unused, self.state.volume)
-        assert got == knapsack_upper_bound(ctx, self.params.bound_mode)
-        assert self.state.volume + got == self._reference(first)
-        self.paths["all fit" if sum(ctx.remaining_volumes) <= unused else "kernel"] += 1
+        fill = 0
+        for v in rest:
+            if fill + v <= unused:
+                fill += v
+        if self.state.volume + fill > self.incumbent_volume:
+            self.paths["fill"] += 1
+        else:
+            self.paths["all fit" if sum(rest) <= unused else "kernel"] += 1
         return got
 
 
