@@ -5,11 +5,14 @@ Loads ``palletpack`` from two source directories into one process and
 solves the same benchmark-shaped instances with both, alternating which
 side goes first per instance. Each solve stops at a fixed node count, not
 on the clock, so both sides should search the same tree. Prints nodes/s
-per side and whether placements, prunes and ``candidates_evaluated``
-match instance for instance.
+per side and B/A for each round, the median and interquartile range of
+B/A over the rounds, and whether placements, prunes and
+``candidates_evaluated`` match instance for instance in every round.
+``--reps N`` runs N rounds per workload and alternates which side starts
+a round, for a change too small for one round to resolve.
 
 Example (the parent commit checked out into ../parent):
-    python scripts/same_tree_ab.py ../parent/src src --seed 1
+    python scripts/same_tree_ab.py ../parent/src src --seed 1 --reps 5
 """
 
 import argparse
@@ -17,6 +20,7 @@ import importlib
 import json
 import os
 import random
+import statistics
 import sys
 import time
 
@@ -65,35 +69,56 @@ def texts(name, seed):
     }) for _ in range(count)]
 
 
+def solve_round(sides, searchers, texts_, first):
+    """Solve every instance on both sides, side ``first`` first on even
+    instances; nodes/s per side and each side's trees."""
+    nodes, secs, trees = [0, 0], [0.0, 0.0], [[], []]
+    for i, text in enumerate(texts_):
+        for s in ((first, 1 - first) if i % 2 == 0 else (1 - first, first)):
+            inst = sides[s][0].parse_instance(text)
+            searcher = searchers[s](inst.units, inst.pallet, inst.params, None)
+            started = time.perf_counter()
+            sol, _ = searcher.run()
+            secs[s] += time.perf_counter() - started
+            st = sol.stats
+            nodes[s] += st.nodes_expanded
+            trees[s].append((
+                [(p.unit_id, p.position, p.rotated) for p in sol.placements],
+                st.nodes_expanded, st.nodes_pruned_by_bound, st.candidates_evaluated))
+    return [nodes[s] / secs[s] for s in (0, 1)], trees
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a", help="source directory of side A (holds palletpack/)")
     ap.add_argument("b", help="source directory of side B")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workloads", nargs="+", default=list(SHAPES), choices=list(SHAPES))
+    ap.add_argument("--reps", type=int, default=1,
+                    help="rounds per workload, alternating which side starts a round")
     args = ap.parse_args()
+    if args.reps < 1:
+        ap.error("--reps must be at least 1")
     sides = [load(args.a), load(args.b)]
     for name in args.workloads:
         budget = SHAPES[name][5]
         searchers = [budgeted(search, budget) for _, search in sides]
-        nodes, secs, trees = [0, 0], [0.0, 0.0], [[], []]
-        for i, text in enumerate(texts(name, args.seed)):
-            for s in ((0, 1) if i % 2 == 0 else (1, 0)):
-                inst = sides[s][0].parse_instance(text)
-                searcher = searchers[s](inst.units, inst.pallet, inst.params, None)
-                started = time.perf_counter()
-                sol, _ = searcher.run()
-                secs[s] += time.perf_counter() - started
-                st = sol.stats
-                nodes[s] += st.nodes_expanded
-                trees[s].append((
-                    [(p.unit_id, p.position, p.rotated) for p in sol.placements],
-                    st.nodes_expanded, st.nodes_pruned_by_bound, st.candidates_evaluated))
-        rate = [nodes[s] / secs[s] for s in (0, 1)]
-        print(f"{name:13} seed {args.seed}: A {rate[0]:9,.0f} nodes/s  B {rate[1]:9,.0f} "
-              f"nodes/s  B/A {rate[1] / rate[0]:.3f}  "
-              f"trees {'identical' if trees[0] == trees[1] else 'DIFFERENT'} "
-              f"({len(trees[0])} instances, {nodes[0]:,} / {nodes[1]:,} nodes)")
+        cases = texts(name, args.seed)
+        ratios, rounds = [], []
+        for r in range(args.reps):
+            rate, trees = solve_round(sides, searchers, cases, r % 2)
+            ratios.append(rate[1] / rate[0])
+            rounds += trees
+            print(f"{name:13} seed {args.seed} round {r + 1}: A {rate[0]:9,.0f} nodes/s  "
+                  f"B {rate[1]:9,.0f} nodes/s  B/A {ratios[-1]:.3f}")
+        same = all(trees == rounds[0] for trees in rounds)
+        summary = f"B/A median {statistics.median(ratios):.3f}"
+        if args.reps >= 2:
+            q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+            summary += f", quartiles {q1:.3f}-{q3:.3f} (IQR {q3 - q1:.3f})"
+        print(f"{name:13} seed {args.seed}: {summary} over {args.reps} round(s), "
+              f"trees {'identical' if same else 'DIFFERENT'} ({len(cases)} instances, "
+              f"{sum(t[1] for t in rounds[0]):,} nodes per side a round)")
     return 0
 
 

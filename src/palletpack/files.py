@@ -29,6 +29,10 @@ from .model import (
     volume,
 )
 
+# The longest extent a file may give. Each length is then exact as a float
+# and each face area (at most 2**106) converts to one; the score's float
+# arithmetic fails on an area past float range (about 2**1024).
+MAX_LENGTH = 2**53
 _NUMBER = ((int, float), "a number")
 _INTEGER = (int, "an integer")
 # Every params field with the JSON type it must have.
@@ -95,10 +99,11 @@ def _int(value: Any, field: str, where: str) -> int:
     return _typed(value, int, "an integer", field, where)
 
 
-def _pos_int(value: Any, field: str, where: str) -> int:
-    if _int(value, field, where) <= 0:
+def _length(value: Any, field: str, where: str) -> int:
+    if not 0 < _int(value, field, where) <= MAX_LENGTH:
         raise InstanceFormatError(
-            f"{where}: field {field!r} must be positive, got {reprlib.repr(value)}"
+            f"{where}: field {field!r} must be positive and at most 2**53, "
+            f"got {reprlib.repr(value)}"
         )
     return value
 
@@ -136,9 +141,9 @@ def parse_instance(text: str) -> InstanceFile:
     if not isinstance(pal, dict):
         raise InstanceFormatError("pallet: must be an object")
     pallet = Pallet(
-        _pos_int(_need(pal, "width", "pallet"), "width", "pallet"),
-        _pos_int(_need(pal, "depth", "pallet"), "depth", "pallet"),
-        _pos_int(_need(pal, "max_height", "pallet"), "max_height", "pallet"),
+        _length(_need(pal, "width", "pallet"), "width", "pallet"),
+        _length(_need(pal, "depth", "pallet"), "depth", "pallet"),
+        _length(_need(pal, "max_height", "pallet"), "max_height", "pallet"),
     )
 
     raw_units = _need(doc, "units", "instance")
@@ -158,9 +163,9 @@ def parse_instance(text: str) -> InstanceFile:
         seen.add(uid)
         named = f"unit {reprlib.repr(uid)}"
         dims = Dims(
-            _pos_int(_need(ru, "w", where), "w", named),
-            _pos_int(_need(ru, "d", where), "d", named),
-            _pos_int(_need(ru, "h", where), "h", named),
+            _length(_need(ru, "w", where), "w", named),
+            _length(_need(ru, "d", where), "d", named),
+            _length(_need(ru, "h", where), "h", named),
         )
         units.append(TransportUnit(uid, dims, i))
 
@@ -301,11 +306,17 @@ def validate_solution(
 
     if total != sf.placed_volume:
         violations.append(
-            f"placed_volume {sf.placed_volume} does not match placements (recomputed {total})"
+            f"placed_volume {reprlib.repr(sf.placed_volume)} does not match placements "
+            f"(recomputed {total})"
         )
     expected_util = total / instance.pallet.volume()
-    if not math.isclose(sf.utilization, expected_util, rel_tol=1e-9, abs_tol=1e-12):
+    try:
+        close = math.isclose(sf.utilization, expected_util, rel_tol=1e-9, abs_tol=1e-12)
+    except OverflowError:  # an integer past float range is no utilization
+        close = False
+    if not close:
         violations.append(
-            f"utilization {sf.utilization} does not match recomputed {expected_util}"
+            f"utilization {reprlib.repr(sf.utilization)} does not match recomputed "
+            f"{expected_util}"
         )
     return violations

@@ -19,12 +19,22 @@ Every change to the maxima and the ray map goes into one undo journal of
 ``(container, key, old value)`` entries. A pop unwinds the journal to the
 mark its push left and restores the envelope volume and the last synced
 depth saved with it; a sync at depth k journals after push k's mark.
+
+A state that holds many boxes indexes them on its first ``fits`` or
+``score``, and a push or pop drops the index. ``fits`` then takes the
+boxes in its height slab, and the tops just below it, from a bisect range
+of the boxes sorted by top instead of a scan; ``score`` takes its coplanar
+sets from bisect ranges of the far faces z2, x2 and y2. The answers do not
+change. ``fits`` gives the same answer in any order of those boxes, since
+overlap is an any-test and support areas are exact integers. ``score``
+fills each set in ascending index order, as ``evaluate`` does, so the sets
+iterate and the float terms add in the same order.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Callable, Optional
 
 from .feasibility import rect_union_area, support_threshold
@@ -35,7 +45,17 @@ Box = tuple[int, int, int, int, int, int]  # x, y, z, x2, y2, z2
 Point = tuple[int, int, int]
 # A candidate (x, y, z) and how far it can run along +x, +y and +z.
 Ray = tuple[int, int, int, int, int, int]
+# Far faces on one axis, ascending, and the indices of their boxes in the same order.
+Faces = tuple[list[int], list[int]]
 _ABSENT = object()  # journal value of a key its container did not hold
+# A state with this many boxes indexes them for fits() and score(). Timed
+# per box count (the same tree either way), the scan's time over the
+# index's for one state's candidates was 0.49-0.85 at 0-5 boxes
+# (exact-small has no more) and 0.86-0.99 on the 8-18-box states of
+# tight-bound, whose low pallet keeps most boxes in any slab; on
+# anytime-deep it passed 1 at about 13 boxes, was 1.05-1.19 at 16-23 and
+# 1.2-1.75 from 24 up.
+_INDEX_BOXES = 16
 
 
 def _ratio(value: float) -> tuple[int, int]:
@@ -69,6 +89,11 @@ class FlatState:
         self._slab_key: Optional[tuple[int, int]] = None
         self._slab: list[Box] = []
         self._below: list[tuple[int, int, int, int]] = []
+        # Index of the boxes for fits() and score() (_build_index): built by the
+        # first ask on a state of at least _INDEX_BOXES boxes, dropped by
+        # push/pop. It fills _slab and _below in top order, not box order;
+        # fits() answers the same either way (an any-test, exact areas).
+        self._index: Optional[tuple[list[Box], Faces, Faces, Faces]] = None
         self._gap = params.gap_tolerance
         self._p = (params.p_x, params.p_y, params.p_z)
         # A support minimum as an exact ratio num/den; num 0 means no test.
@@ -126,7 +151,7 @@ class FlatState:
         self.boxes.append((x, y, z, x2, y2, z2))
         self._maxima.append([mxy, mxz, myx, myz, mzx, mzy])
         self.volume += w * d * h
-        self._candidates = self._free_rays = self._slab_key = None
+        self._candidates = self._free_rays = self._slab_key = self._index = None
 
     def pop(self) -> None:
         """Remove the last pushed box and restore the state before it."""
@@ -141,7 +166,7 @@ class FlatState:
                 del c[key]
             else:
                 c[key] = old
-        self._candidates = self._free_rays = self._slab_key = None
+        self._candidates = self._free_rays = self._slab_key = self._index = None
 
     def candidates(self) -> list[Point]:
         """Extreme points inside the pallet, deduplicated, ascending by
@@ -286,6 +311,11 @@ class FlatState:
         """Boxes that share height with z..z2, and the footprints (x, y, x2,
         y2) of boxes whose tops lie within the gap below z."""
         gap = self._gap
+        if len(self.boxes) >= _INDEX_BOXES:
+            by_top, (tops, _), _, _ = self._index or self._build_index()
+            lo = bisect_right(tops, z)
+            below = [(b[0], b[1], b[3], b[4]) for b in by_top[bisect_left(tops, z - gap):lo]]
+            return [b for b in by_top[lo:] if b[2] < z2], below
         slab = []
         below = []
         for b in self.boxes:
@@ -296,23 +326,44 @@ class FlatState:
                 below.append((b[0], b[1], b[3], b[4]))
         return slab, below
 
+    def _build_index(self) -> tuple[list[Box], Faces, Faces, Faces]:
+        """Index the state's boxes: the boxes sorted by top, and the far
+        faces z2, x2 and y2 each sorted with their box indices."""
+        boxes = self.boxes
+        faces = []
+        for axis in (5, 3, 4):
+            values = [b[axis] for b in boxes]
+            # a stable sort: boxes with equal faces stay in ascending order
+            ids = sorted(range(len(boxes)), key=values.__getitem__)
+            faces.append(([values[j] for j in ids], ids))
+        z_faces, x_faces, y_faces = faces
+        self._index = [boxes[j] for j in z_faces[1]], z_faces, x_faces, y_faces
+        return self._index
+
     def score(self, x: int, y: int, z: int, w: int, d: int, h: int) -> float:
         """Coplanarity score of a box at (x, y, z), bit-identical to
         ``scoring.evaluate``: the same index sets, filled in the same
         order, summed in the same order."""
         p_x, p_y, p_z = self._p
         top, fx, fy = z + h, x + w, y + d
-        s_z: set[int] = set()
-        s_x: set[int] = set()
-        s_y: set[int] = set()
         boxes = self.boxes
-        for j, (_, _, _, bx2, by2, bz2) in enumerate(boxes):
-            if top - p_z <= bz2 <= top + p_z:
-                s_z.add(j)
-            if fx - p_x <= bx2 <= fx + p_x:
-                s_x.add(j)
-            if fy - p_y <= by2 <= fy + p_y:
-                s_y.add(j)
+        if len(boxes) >= _INDEX_BOXES:
+            # Each set gets its indices in ascending order, as the scan adds them.
+            _, (zs, z_ids), (xs, x_ids), (ys, y_ids) = self._index or self._build_index()
+            s_z = set(sorted(z_ids[bisect_left(zs, top - p_z):bisect_right(zs, top + p_z)]))
+            s_x = set(sorted(x_ids[bisect_left(xs, fx - p_x):bisect_right(xs, fx + p_x)]))
+            s_y = set(sorted(y_ids[bisect_left(ys, fy - p_y):bisect_right(ys, fy + p_y)]))
+        else:
+            s_z = set()
+            s_x = set()
+            s_y = set()
+            for j, (_, _, _, bx2, by2, bz2) in enumerate(boxes):
+                if top - p_z <= bz2 <= top + p_z:
+                    s_z.add(j)
+                if fx - p_x <= bx2 <= fx + p_x:
+                    s_x.add(j)
+                if fy - p_y <= by2 <= fy + p_y:
+                    s_y.add(j)
         cx = x + w / 2
         cy = y + d / 2
         cz = z + h / 2

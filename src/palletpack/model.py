@@ -188,7 +188,7 @@ class SolverParams:
         for name in ("vertical_support_min", "horizontal_support_min_x", "horizontal_support_min_y"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+                raise ValueError(f"{name} must be in [0, 1], got {reprlib.repr(v)}")
         for name in ("gap_tolerance", "p_x", "p_y", "p_z"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

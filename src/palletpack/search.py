@@ -29,6 +29,7 @@ that would overlap a box before ``fits`` is asked.
 
 from __future__ import annotations
 
+import math
 import reprlib
 import time
 from dataclasses import asdict, dataclass
@@ -118,7 +119,11 @@ class _Searcher:
         self.nodes_pruned = 0
         self.candidates_evaluated = 0
         self.timed_out = False
-        self.deadline = time.monotonic() + params.time_limit_ms / 1000.0
+        try:
+            budget_s = params.time_limit_ms / 1000.0
+        except OverflowError:  # a limit past float range never runs out
+            budget_s = math.inf
+        self.deadline = time.monotonic() + budget_s
 
     def _tick(self) -> None:
         if time.monotonic() >= self.deadline:

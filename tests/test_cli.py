@@ -1,8 +1,19 @@
+import contextlib
+import copy
+import io
 import json
+import sys
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from palletpack import cli
 from palletpack.cli import cli_main
+from palletpack.files import build_solution_file, parse_instance, solution_to_json
+from palletpack.search import solve
 
 INSTANCE = {
     "pallet": {"width": 4, "depth": 3, "max_height": 10},
@@ -250,3 +261,166 @@ def test_validate_malformed_solution_exits_2(instance_path, tmp_path, capsys, pa
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert repr(path[-1]) in captured.err or "placements" in captured.err
+
+
+FUZZ_INSTANCE = {
+    "pallet": {"width": 6, "depth": 5, "max_height": 6},
+    "units": [{"id": "a", "w": 3, "d": 2, "h": 2}, {"id": "b", "w": 2, "d": 2, "h": 1},
+              {"id": "c", "w": 4, "d": 1, "h": 3}],
+    "params": {"vertical_support_min": 0.5, "max_branches": 3, "time_limit_ms": 2000},
+}
+# Extreme values beside hypothesis' own draws; JSON text can hold each,
+# and an integer past 2**1024 has no float.
+EDGES = st.sampled_from([0, -1, 2**53, 2**53 + 1, 2**1024, 1e308, float("inf"),
+                         float("-inf"), float("nan"), True, "", [], {}])
+HUGE = st.integers(min_value=2**53) | st.integers(max_value=-(2**53))
+JSON_VALUES = EDGES | HUGE | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids,
+                                                              max_size=3),
+    max_leaves=6,
+)
+FIELD_NAMES = st.sampled_from(["id", "w", "d", "h", "x", "y", "z", "rotated", "pallet",
+                               "units", "params", "placements", "time_limit_ms",
+                               "bound_mode"]) | st.text(max_size=6)
+
+
+def _slots(node):
+    """Every (container, key) in ``node``, nested ones included."""
+    items = list(node.items() if isinstance(node, dict) else enumerate(node))
+    for key, child in items:
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from _slots(child)
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` as JSON text after one to three edits (a value replaced, a
+    field or item dropped, a field or item added), sometimes cut short."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        op = draw(st.sampled_from(["replace", "replace", "drop", "add"]))
+        if not slots:
+            op = "add"
+        node, key = draw(st.sampled_from(slots)) if slots else (doc, None)
+        if op == "replace":
+            node[key] = draw(JSON_VALUES)
+        elif op == "drop":
+            del node[key]
+        elif isinstance(node, dict):
+            node[draw(FIELD_NAMES)] = draw(JSON_VALUES)
+        else:
+            node.append(draw(JSON_VALUES))
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+def _run_main(argv):
+    """``cli.main`` on ``argv``: its exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        old_argv = sys.argv
+        sys.argv = ["palletpack", *argv]
+        try:
+            cli.main()
+        except SystemExit as stop:
+            code = stop.code
+        else:
+            code = 0
+        finally:
+            sys.argv = old_argv
+    return code, err.getvalue()
+
+
+def _solution_doc(doc):
+    text = json.dumps(doc)
+    inst = parse_instance(text)
+    sol = solve(inst.units, inst.pallet, inst.params)
+    return json.loads(solution_to_json(build_solution_file(sol, inst.params, text)))
+
+
+FUZZ_SOLUTION = _solution_doc(FUZZ_INSTANCE)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_mutated_documents_exit_cleanly(data):
+    # solve on a mutated instance, and validate with a mutated solution or
+    # instance: every run exits 0, 1 or 2 and prints no traceback.
+    instance = data.draw(mutated(FUZZ_INSTANCE))
+    solution, other = data.draw(st.sampled_from([
+        (mutated(FUZZ_SOLUTION), st.just(json.dumps(FUZZ_INSTANCE))),
+        (st.just(json.dumps(FUZZ_SOLUTION)), mutated(FUZZ_INSTANCE)),
+    ]))
+    solution, other = data.draw(solution), data.draw(other)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, name) for name in ("i.json", "s.json", "o.json", "out.json", "o.svg")]
+        for path, text in zip(paths, (instance, solution, other)):
+            path.write_text(text, encoding="utf-8")
+        for argv in (["solve", str(paths[0]), "--out", str(paths[3]), "--svg", str(paths[4])],
+                     ["validate", str(paths[1]), str(paths[2])]):
+            code, err = _run_main(argv)
+            assert code in (0, 1, 2), (argv[0], code, err)
+            assert "Traceback" not in err
+
+
+# Each of these crashed with an OverflowError on an integer past float range.
+def test_time_limit_past_float_range_never_runs_out(tmp_path):
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps({**INSTANCE, "params": {"time_limit_ms": 10**400}}))
+    out = tmp_path / "solution.json"
+    assert cli_main(["solve", str(inst), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["stats"]["timed_out"] is False and doc["placed_volume"] == 4
+
+
+@pytest.mark.parametrize("doc", [
+    {**INSTANCE, "pallet": {"width": 2**53 + 1, "depth": 3, "max_height": 10}},
+    {**INSTANCE, "units": [{"id": "u0", "w": 2, "d": 2**1024, "h": 1}]},
+], ids=["pallet", "unit"])
+def test_length_past_2_53_is_rejected(tmp_path, capsys, doc):
+    # A face area past float range crashed the score and the SVG scaling.
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps(doc))
+    assert cli_main(["solve", str(inst)]) == 2
+    err = capsys.readouterr().err
+    assert "must be positive and at most 2**53" in err and len(err) < 200
+
+
+def test_lengths_of_2_53_solve_and_draw(tmp_path):
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps({
+        "pallet": {"width": 2**53, "depth": 2**53, "max_height": 10},
+        "units": [{"id": "u0", "w": 2**53, "d": 2, "h": 1},
+                  {"id": "u1", "w": 2, "d": 2**53, "h": 1}],
+        "params": {"vertical_support_min": 0.0},
+    }))
+    out = tmp_path / "solution.json"
+    assert cli_main(["solve", str(inst), "--out", str(out), "--svg",
+                     str(tmp_path / "layout.svg")]) == 0
+    assert cli_main(["validate", str(out), str(inst)]) == 0
+
+
+def test_utilization_past_float_range_is_a_violation(instance_path, tmp_path, capsys):
+    out = tmp_path / "solution.json"
+    assert cli_main(["solve", str(instance_path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["utilization"] = doc["placed_volume"] = 10**400
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["validate", str(out), str(instance_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == ["placed_volume", "utilization"]
+    assert all(len(line) < 200 for line in lines)
+
+
+def test_huge_threshold_is_shown_shortened(tmp_path, capsys):
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps({**INSTANCE, "params": {"vertical_support_min": 10**400}}))
+    assert cli_main(["solve", str(inst)]) == 2
+    err = capsys.readouterr().err
+    assert "vertical_support_min must be in [0, 1]" in err and len(err) < 200

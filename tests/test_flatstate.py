@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from palletpack import flatstate
 from palletpack.extreme_points import generate
 from palletpack.feasibility import check_overlap_bounds, check_placement
 from palletpack.flatstate import FlatState
@@ -83,6 +84,15 @@ def drive(data, check) -> None:
 @given(st.data())
 def test_push_pop_sequences_match_reference(data):
     drive(data, assert_matches_reference)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_indexed_push_pop_sequences_match_reference(data):
+    # drive() stays below _INDEX_BOXES boxes, so index every state instead.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flatstate, "_INDEX_BOXES", 0)
+        drive(data, assert_matches_reference)
 
 
 def inside(pos, box) -> bool:
@@ -272,3 +282,25 @@ def test_score_sums_in_reference_set_order():
         if check_overlap_bounds(reference_state(state), (x, y, z), Dims(w, d, h)):
             state.push(x, y, z, w, d, h)
     assert_matches_reference(state, params, [(3, 5, 2), (7, 2, 1), (2, 2, 3)])
+
+
+def test_indexed_score_fills_colliding_sets_in_index_order(monkeypatch):
+    # At (0, 12, 0), a 4x1x1 box's +x face lies within 2 of the +x faces of
+    # boxes 0 and 8 (at 3) and 1 and 2 (at 6). Boxes 0 and 8 share a slot
+    # of an 8-slot set table, so a set filled in face order (0, 8, 1, 2)
+    # iterates in another order than one filled in index order, and the
+    # score's last bit differs.
+    monkeypatch.setattr(flatstate, "_INDEX_BOXES", 0)
+    params = SolverParams(vertical_support_min=0.0, p_x=2, p_y=2, p_z=2)
+    state = FlatState(Pallet(24, 24, 8), params)
+    for x, y, z, x2, y2, z2 in [
+        (0, 0, 0, 3, 6, 3), (0, 6, 0, 6, 12, 2), (0, 6, 2, 6, 9, 4), (6, 6, 0, 10, 13, 1),
+        (0, 0, 4, 1, 7, 7), (10, 0, 0, 15, 3, 1), (6, 3, 2, 9, 6, 5), (9, 3, 1, 11, 6, 5),
+        (1, 0, 4, 3, 3, 8),
+    ]:
+        state.push(x, y, z, x2 - x, y2 - y, z2 - z)
+    assert list(set([0, 1, 2, 8])) != list(set([0, 8, 1, 2]))
+    pos = (0, 12, 0)
+    assert state.fits(*pos, 4, 1, 1)
+    assert state.score(*pos, 4, 1, 1) == evaluate(reference_state(state), pos, Dims(4, 1, 1),
+                                                  params)

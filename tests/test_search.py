@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from palletpack import model, search
+from palletpack import flatstate, model, search
 from palletpack.bounds import node_upper_bound
 from palletpack.feasibility import check_placement
 from palletpack.files import build_solution_file, parse_instance, validate_solution
@@ -21,7 +21,7 @@ from palletpack.model import (
     TransportUnit,
     oriented,
 )
-from palletpack.oracle import exhaustive_solve
+from palletpack.oracle import MAX_UNITS, exhaustive_solve
 from palletpack.scoring import rank_and_cut, scored_candidates
 from palletpack.search import solve, solve_with_trace
 
@@ -248,6 +248,20 @@ def test_deep_budgeted_tree_is_pinned(instance, params, budget, digest):
     sol, _ = searcher.run()
     assert sol.stats.nodes_expanded == budget
     assert _tree_digest(sol) == digest
+
+
+def test_box_index_leaves_the_deep_tree_as_it_was(monkeypatch):
+    # Every state indexed, or none: the same placements, prunes and
+    # candidates evaluated.
+    digests = []
+    for threshold in (0, 10**9):
+        monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
+        searcher = _Budgeted(*_deep_instance(8), DEEP_PARAMS, None)
+        searcher.budget = 150
+        sol, _ = searcher.run()
+        assert sol.stats.nodes_expanded == 150
+        digests.append(_tree_digest(sol))
+    assert digests[0] == digests[1]
 
 
 def test_trace_single_unit(pallet_4x3x10):
@@ -487,6 +501,37 @@ def test_failed_fill_leaves_the_decision_to_the_bound(mode):
     searcher.incumbent_volume = 8  # needs 3 more: the fill decides
     assert searcher._pruning_bound(1) is None
     assert searcher.paths == {"fill": 1, "all fit": 0, "kernel": 2}
+
+
+def _bound_pressed_instance(rng):
+    """Up to the oracle's limit of units, each up to the pallet's size, on a
+    2-5 x 2-5 x 2-4 pallet at full support: the units seldom all fit, so
+    first-fit fills often fail and the knapsack bound decides. Below full
+    support a unit can go under an overhang, which the bound does not
+    count (ROADMAP item 1, the xfail below)."""
+    pallet = Pallet(rng.randint(2, 5), rng.randint(2, 5), rng.randint(2, 4))
+    units = [
+        _unit(i, rng.randint(1, pallet.width), rng.randint(1, pallet.depth),
+              rng.randint(1, pallet.max_height))
+        for i in range(rng.randint(3, MAX_UNITS))
+    ]
+    return units, pallet, dataclasses.replace(P0, vertical_support_min=1.0)
+
+
+@pytest.mark.parametrize("mode", ["exact_knapsack", "lp_relaxation"])
+def test_pruning_is_safe_where_the_knapsack_decides(mode):
+    # Every decision on real search states, the kernel's among them, must
+    # be node_upper_bound <= incumbent, and the result the oracle's.
+    rng = random.Random(909)
+    kernel = 0
+    for _ in range(100):
+        units, pallet, params = _bound_pressed_instance(rng)
+        params = dataclasses.replace(params, bound_mode=mode)
+        searcher = _CheckedBound(units, pallet, params, None)
+        sol, _ = searcher.run()
+        assert sol.placements == exhaustive_solve(units, pallet, params).placements
+        kernel += searcher.paths["kernel"]
+    assert kernel > 100
 
 
 @pytest.mark.xfail(strict=True, reason="pruning is unsafe under an overhang (ROADMAP item 1)")
