@@ -9,7 +9,9 @@ per side and B/A for each round, the median and interquartile range of
 B/A over the rounds, and whether placements, prunes and
 ``candidates_evaluated`` match instance for instance in every round.
 ``--reps N`` runs N rounds per workload and alternates which side starts
-a round, for a change too small for one round to resolve.
+a round, for a change too small for one round to resolve. ``--nodes N``
+stops every solve at N nodes instead of the workload's own budget
+(exact-small has none: its trees are searched to completion).
 
 Example (the parent commit checked out into ../parent):
     python scripts/same_tree_ab.py ../parent/src src --seed 1 --reps 5
@@ -96,12 +98,16 @@ def main():
     ap.add_argument("--workloads", nargs="+", default=list(SHAPES), choices=list(SHAPES))
     ap.add_argument("--reps", type=int, default=1,
                     help="rounds per workload, alternating which side starts a round")
+    ap.add_argument("--nodes", type=int, default=None,
+                    help="node budget of every solve, overriding the workload's own")
     args = ap.parse_args()
     if args.reps < 1:
         ap.error("--reps must be at least 1")
+    if args.nodes is not None and args.nodes < 1:
+        ap.error("--nodes must be at least 1")
     sides = [load(args.a), load(args.b)]
     for name in args.workloads:
-        budget = SHAPES[name][5]
+        budget = SHAPES[name][5] if args.nodes is None else args.nodes
         searchers = [budgeted(search, budget) for _, search in sides]
         cases = texts(name, args.seed)
         ratios, rounds = [], []

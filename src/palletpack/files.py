@@ -133,6 +133,26 @@ def _load_json(text: str, what: str) -> dict:
     return doc
 
 
+def _unit(i: int, ru: Any, seen: set[str]) -> TransportUnit:
+    """Unit ``i`` of the picking order, checked field by field; the first
+    check that fails raises, naming the unit and the field."""
+    where = f"units[{i}]"
+    if not isinstance(ru, dict):
+        raise InstanceFormatError(f"{where}: must be an object")
+    uid = _need(ru, "id", where)
+    if not isinstance(uid, str) or not uid:
+        raise InstanceFormatError(f"{where}: field 'id' must be a nonempty string")
+    if uid in seen:
+        raise InstanceFormatError(f"units: duplicate id {reprlib.repr(uid)}")
+    named = f"unit {reprlib.repr(uid)}"
+    dims = Dims(
+        _length(_need(ru, "w", where), "w", named),
+        _length(_need(ru, "d", where), "d", named),
+        _length(_need(ru, "h", where), "h", named),
+    )
+    return TransportUnit(uid, dims, i)
+
+
 def parse_instance(text: str) -> InstanceFile:
     """Parse and fully validate an instance document."""
     doc = _load_json(text, "instance")
@@ -152,22 +172,20 @@ def parse_instance(text: str) -> InstanceFile:
     units = []
     seen: set[str] = set()
     for i, ru in enumerate(raw_units):
-        where = f"units[{i}]"
-        if not isinstance(ru, dict):
-            raise InstanceFormatError(f"{where}: must be an object")
-        uid = _need(ru, "id", where)
-        if not isinstance(uid, str) or not uid:
-            raise InstanceFormatError(f"{where}: field 'id' must be a nonempty string")
-        if uid in seen:
-            raise InstanceFormatError(f"units: duplicate id {reprlib.repr(uid)}")
-        seen.add(uid)
-        named = f"unit {reprlib.repr(uid)}"
-        dims = Dims(
-            _length(_need(ru, "w", where), "w", named),
-            _length(_need(ru, "d", where), "d", named),
-            _length(_need(ru, "h", where), "h", named),
-        )
-        units.append(TransportUnit(uid, dims, i))
+        # The common case passes every check of _unit without naming the unit.
+        try:
+            uid, w, d, h = ru["id"], ru["w"], ru["d"], ru["h"]
+        except (TypeError, KeyError):
+            uid = None
+        if (type(uid) is str and uid and uid not in seen
+                and type(w) is int and 0 < w <= MAX_LENGTH
+                and type(d) is int and 0 < d <= MAX_LENGTH
+                and type(h) is int and 0 < h <= MAX_LENGTH):
+            unit = TransportUnit(uid, Dims(w, d, h), i)
+        else:
+            unit = _unit(i, ru, seen)
+        seen.add(unit.id)
+        units.append(unit)
 
     raw_params = doc.get("params", {})
     if not isinstance(raw_params, dict):

@@ -9,8 +9,9 @@ of Crainic, Perboli & Tadei, INFORMS J. Computing 20(3), 2008).
 
 Every answer is the same as the reference functions give on the
 equivalent ``PackingState``: ``candidates`` as ``extreme_points.generate``,
-``fits`` as ``feasibility.check_placement(...).feasible`` and ``score`` as
-``scoring.evaluate``, float for float. Those functions stay the reference
+``fits`` as ``feasibility.check_placement(...).feasible``, ``score`` as
+``scoring.evaluate``, float for float, and ``scored`` as
+``scoring.scored_candidates``. Those functions stay the reference
 that the replay checker and the oracle use. ``free_rays`` is a necessary
 condition of ``fits`` that is cheap to test: a state asked for it updates
 a point-to-ray map from the last ancestor asked.
@@ -29,6 +30,23 @@ change. ``fits`` gives the same answer in any order of those boxes, since
 overlap is an any-test and support areas are exact integers. ``score``
 fills each set in ascending index order, as ``evaluate`` does, so the sets
 iterate and the float terms add in the same order.
+
+``scored`` asks ``fits`` and ``score`` about every (point, orientation)
+pair of one unit. A state of k + 1 >= _INDEX_BOXES boxes shares those
+answers with its siblings, the states that hold the same first k boxes
+and another last one, through the memo of prefix k: one dict per unit's
+dims from a packed (point, rotated) key to the pair's score, or to None
+where it does not fit. The memo lives as long as those k boxes: a pop that
+leaves m boxes drops the memo of prefix m + 1, and a push keeps every
+memo. An entry is read or written only where the last box ``b`` cannot
+change the answer: ``b`` misses the pair's halo, the pair grown by the gap
+on its low x, y and z sides, and no far face of ``b`` is coplanar, within
+p, with the pair's top, +x or +y face. Every box that ``fits`` looks at
+lies in the halo: one that overlaps the pair, one whose top lies within
+the gap below it, and one whose +x or +y face backs its -x or -y face
+within the gap. So ``fits`` takes the same boxes as on the prefix, and
+``score`` fills the same index sets in the same order: the answer is the
+prefix's, bit for bit, whichever sibling asked first.
 """
 
 from __future__ import annotations
@@ -39,7 +57,7 @@ from typing import Callable, Optional
 
 from .feasibility import rect_union_area, support_threshold
 from .model import Pallet, SolverParams
-from .scoring import DISTANCE_CLAMP
+from .scoring import DISTANCE_CLAMP, Ranked
 
 Box = tuple[int, int, int, int, int, int]  # x, y, z, x2, y2, z2
 Point = tuple[int, int, int]
@@ -47,14 +65,23 @@ Point = tuple[int, int, int]
 Ray = tuple[int, int, int, int, int, int]
 # Far faces on one axis, ascending, and the indices of their boxes in the same order.
 Faces = tuple[list[int], list[int]]
+# A sibling memo: ((z * (D + 1) + y) * (W + 1) + x) * 2 + rotated, on a pallet
+# of width W and depth D, to the pair's score, or to None where it does not fit.
+Memo = dict[int, Optional[float]]
 _ABSENT = object()  # journal value of a key its container did not hold
+_UNASKED = object()  # a sibling memo's answer to a pair no sibling has asked about
 # A state with this many boxes indexes them for fits() and score(). Timed
 # per box count (the same tree either way), the scan's time over the
 # index's for one state's candidates was 0.49-0.85 at 0-5 boxes
 # (exact-small has no more) and 0.86-0.99 on the 8-18-box states of
 # tight-bound, whose low pallet keeps most boxes in any slab; on
 # anytime-deep it passed 1 at about 13 boxes, was 1.05-1.19 at 16-23 and
-# 1.2-1.75 from 24 up.
+# 1.2-1.75 from 24 up. Such a state also shares its fits() and score()
+# answers with its siblings (scored()). Swept over this threshold on
+# node-budgeted solves (the same tree either way), the memo from 1, 8, 12
+# and 16 boxes up ran tight-bound at 0.89, 0.88, 0.91 and 1.00 of its
+# nodes/s without it, and anytime-deep at 1.24-1.26 for any threshold from
+# 8 to 32.
 _INDEX_BOXES = 16
 
 
@@ -94,6 +121,10 @@ class FlatState:
         # push/pop. It fills _slab and _below in top order, not box order;
         # fits() answers the same either way (an any-test, exact areas).
         self._index: Optional[tuple[list[Box], Faces, Faces, Faces]] = None
+        # Sibling memos by prefix length k (_sibling_memo), each by unit dims:
+        # valid while the first k boxes stay, so a pop that leaves m boxes
+        # drops prefix m + 1's.
+        self._memos: dict[int, dict[tuple[int, int, int], Memo]] = {}
         self._gap = params.gap_tolerance
         self._p = (params.p_x, params.p_y, params.p_z)
         # A support minimum as an exact ratio num/den; num 0 means no test.
@@ -167,6 +198,84 @@ class FlatState:
             else:
                 c[key] = old
         self._candidates = self._free_rays = self._slab_key = self._index = None
+        self._memos.pop(len(self.boxes) + 1, None)
+
+    def scored(
+        self, rays: list[Ray], w: int, d: int, h: int, tick: Callable[[], None]
+    ) -> list[Ranked]:
+        """The pairs of a w×d×h unit at ``rays`` that fit, unrotated before
+        rotated at each point, with their negated scores: for the rays of
+        ``pallet_rays`` or ``free_rays``, the pairs and scores of
+        ``scoring.scored_candidates``. ``tick`` is called once per ray. A box
+        longer than a ray meets what the ray met, so ``fits`` is not asked
+        there."""
+        n = len(self.boxes)
+        if n and n >= _INDEX_BOXES:
+            return self._scored_with_memo(rays, self._sibling_memo(w, d, h), w, d, h, tick)
+        scored: list[Ranked] = []
+        for x, y, z, ex, ey, ez in rays:
+            tick()
+            if h > ez:
+                continue
+            if w <= ex and d <= ey and self.fits(x, y, z, w, d, h):
+                scored.append((-self.score(x, y, z, w, d, h), z, y, x, False))
+            if d <= ex and w <= ey and self.fits(x, y, z, d, w, h):
+                scored.append((-self.score(x, y, z, d, w, h), z, y, x, True))
+        return scored
+
+    def _sibling_memo(self, w: int, d: int, h: int) -> Memo:
+        """The memo a state of at least one box shares with its siblings
+        for a w×d×h unit."""
+        return self._memos.setdefault(len(self.boxes) - 1, {}).setdefault((w, d, h), {})
+
+    def _scored_with_memo(
+        self, rays: list[Ray], memo: Memo, w: int, d: int, h: int, tick: Callable[[], None]
+    ) -> list[Ranked]:
+        """``scored`` on a deep state: a pair whose answer the last box
+        cannot change is answered from the sibling ``memo``, or fills it."""
+        fits, score, get = self.fits, self.score, memo.get
+        bx, by, bz, bx2, by2, bz2 = self.boxes[-1]
+        g = self._gap
+        p_x, p_y, p_z = self._p
+        row = self.pallet.width + 1
+        plane = row * (self.pallet.depth + 1)
+        scored: list[Ranked] = []
+        for x, y, z, ex, ey, ez in rays:
+            tick()
+            if h > ez:
+                continue
+            top = z + h
+            # The last box misses the pair's halo (the pair grown by the gap
+            # on its low sides) if it is clear of it along z, or lies more
+            # than the gap behind it along x or y, or starts past its far x
+            # or y face. None of its far faces may be coplanar with the pair's.
+            top_far = abs(bz2 - top) > p_z
+            clear = bz >= top or bz2 < z - g or bx2 < x - g or by2 < y - g
+            key = (z * plane + y * row + x) * 2
+            if w <= ex and d <= ey:
+                fx, fy = x + w, y + d
+                if (top_far and (clear or bx >= fx or by >= fy)
+                        and abs(bx2 - fx) > p_x and abs(by2 - fy) > p_y):
+                    s = get(key, _UNASKED)
+                    if s is _UNASKED:
+                        s = memo[key] = score(x, y, z, w, d, h) if fits(x, y, z, w, d, h) else None
+                else:
+                    s = score(x, y, z, w, d, h) if fits(x, y, z, w, d, h) else None
+                if s is not None:
+                    scored.append((-s, z, y, x, False))
+            if d <= ex and w <= ey:
+                fx, fy = x + d, y + w
+                if (top_far and (clear or bx >= fx or by >= fy)
+                        and abs(bx2 - fx) > p_x and abs(by2 - fy) > p_y):
+                    s = get(key + 1, _UNASKED)
+                    if s is _UNASKED:
+                        s = memo[key + 1] = (
+                            score(x, y, z, d, w, h) if fits(x, y, z, d, w, h) else None)
+                else:
+                    s = score(x, y, z, d, w, h) if fits(x, y, z, d, w, h) else None
+                if s is not None:
+                    scored.append((-s, z, y, x, True))
+        return scored
 
     def candidates(self) -> list[Point]:
         """Extreme points inside the pallet, deduplicated, ascending by

@@ -16,15 +16,19 @@ its candidates or re-checks its parent's placements. Branching nodes are
 kept on an explicit stack, so the depth of the tree is not bounded by the
 interpreter's recursion limit.
 
-Two exact shortcuts leave every decision as it was. The search needs only
-whether the bound can beat the incumbent, and any feasible filling of the
-remaining volumes is a lower bound on it, so a first-fit fill that already
-beats the incumbent answers "no prune". A fill that skipped no unit is the
-bound itself in either bound mode, so the knapsack bound is computed only
-when the fill skipped a unit and still fails. On a state that holds many
-boxes, or that skips have retried with further units, the state's free
-rays (how far each candidate can run along +x, +y and +z) reject the pairs
-that would overlap a box before ``fits`` is asked.
+Three exact shortcuts leave every decision as it was. The search needs
+only whether the bound can beat the incumbent, and any feasible filling of
+the remaining volumes is a lower bound on it, so a first-fit fill that
+already beats the incumbent answers "no prune". A fill that skipped no unit
+is the bound itself in either bound mode, so the knapsack bound is computed
+only when the fill skipped a unit and still fails. On a state that holds
+many boxes, or that skips have retried with further units, the state's
+free rays (how far each candidate can run along +x, +y and +z) reject the
+pairs that would overlap a box before ``fits`` is asked. And on a deep
+state, a pair whose answer the state's last box cannot change takes its
+``fits`` and ``score`` from the memo the state shares with its siblings
+(``FlatState.scored``), which the first sibling to ask fills: after the
+first dive, most nodes are siblings that rank the same next unit.
 """
 
 from __future__ import annotations
@@ -141,18 +145,9 @@ class _Searcher:
         one retried twice."""
         state = self.state
         w, d, h = unit.dims.w, unit.dims.d, unit.dims.h
-        scored: list[Ranked] = []
         screen = tries >= 2 or len(state.boxes) >= _SCREEN_BOXES
         rays = state.free_rays(self._tick) if screen else state.pallet_rays()
-        for x, y, z, ex, ey, ez in rays:
-            self._tick()
-            if h > ez:
-                continue
-            # A box longer than a ray meets what the ray met: fits() says no.
-            if w <= ex and d <= ey and state.fits(x, y, z, w, d, h):
-                scored.append((-state.score(x, y, z, w, d, h), z, y, x, False))
-            if d <= ex and w <= ey and state.fits(x, y, z, d, w, h):
-                scored.append((-state.score(x, y, z, d, w, h), z, y, x, True))
+        scored = state.scored(rays, w, d, h, self._tick)
         self.candidates_evaluated += len(scored)
         return rank_and_cut(scored, self.params.max_branches)
 

@@ -56,6 +56,37 @@ def test_parse_rejects_duplicate_ids():
     assert "duplicate" in str(err.value) and "u0" in str(err.value)
 
 
+GOOD_UNIT = {"id": "v", "w": 1, "d": 1, "h": 1}
+
+
+@pytest.mark.parametrize("unit,message", [
+    ([], "units[1]: must be an object"),
+    ("v", "units[1]: must be an object"),
+    ({"w": 1, "d": 1, "h": 1}, "units[1]: missing required field 'id'"),
+    ({**GOOD_UNIT, "id": ""}, "units[1]: field 'id' must be a nonempty string"),
+    ({**GOOD_UNIT, "id": 7}, "units[1]: field 'id' must be a nonempty string"),
+    ({"id": 7}, "units[1]: field 'id' must be a nonempty string"),
+    ({**GOOD_UNIT, "id": "u0"}, "units: duplicate id 'u0'"),
+    ({"id": "u0"}, "units: duplicate id 'u0'"),
+    ({"id": "v", "w": 1, "h": 1}, "units[1]: missing required field 'd'"),
+    ({"id": "v", "h": "x"}, "units[1]: missing required field 'w'"),
+    ({"id": "v", "w": True, "d": 1}, "unit 'v': field 'w' must be an integer, got True"),
+    ({**GOOD_UNIT, "h": 1.5}, "unit 'v': field 'h' must be an integer, got 1.5"),
+    ({**GOOD_UNIT, "d": None}, "unit 'v': field 'd' must be an integer, got None"),
+    ({**GOOD_UNIT, "d": 0}, "unit 'v': field 'd' must be positive and at most 2**53, got 0"),
+    ({**GOOD_UNIT, "w": 2**53 + 1},
+     "unit 'v': field 'w' must be positive and at most 2**53, got 9007199254740993"),
+])
+def test_parse_names_the_first_failing_unit_check(unit, message):
+    # The second unit fails; its first failing check, in the order id, w,
+    # d, h, gives the message.
+    doc = json.loads(MINIMAL)
+    doc["units"].append(unit)
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance(json.dumps(doc))
+    assert str(err.value) == message
+
+
 def test_parse_rejects_missing_pallet():
     doc = json.loads(MINIMAL)
     del doc["pallet"]

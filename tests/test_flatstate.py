@@ -16,8 +16,8 @@ from palletpack.extreme_points import generate
 from palletpack.feasibility import check_overlap_bounds, check_placement
 from palletpack.flatstate import FlatState
 from palletpack.grid import unused_volume
-from palletpack.model import Dims, PackingState, Pallet, Placement, SolverParams
-from palletpack.scoring import evaluate
+from palletpack.model import Dims, PackingState, Pallet, Placement, SolverParams, TransportUnit
+from palletpack.scoring import evaluate, scored_candidates
 
 THRESHOLDS = [0.0, 0.2, 0.25, 1 / 3, 0.5, 0.7, 0.75, 1.0]
 
@@ -42,11 +42,19 @@ def assert_matches_reference(state: FlatState, params: SolverParams, units) -> N
                 if expected:
                     assert state.score(*pos, dims.w, dims.d, dims.h) == evaluate(
                         ref, pos, dims, params)
+    # scored, on either kind of rays, as scored_candidates; a sibling that
+    # asked before may have left answers in the memo.
+    for w, d, h in units:
+        expected = scored_candidates(ref, TransportUnit("u", Dims(w, d, h), 0), params)
+        for rays in (state.pallet_rays(), state.free_rays(lambda: None)):
+            assert state.scored(rays, w, d, h, lambda: None) == expected
 
 
 def drive(data, check) -> None:
     """Draw a pallet, params, units and a push/pop sequence; call
-    ``check(state, params, units)`` on the state before and after each step."""
+    ``check(state, params, units)`` on the state before and after each step.
+    Each state asks for its sibling memo; after a pop no memo is left for a
+    prefix longer than the boxes on the state."""
     pallet = Pallet(*(data.draw(st.integers(3, 12)) for _ in range(3)))
     params = SolverParams(
         vertical_support_min=data.draw(st.sampled_from(THRESHOLDS)),
@@ -62,8 +70,11 @@ def drive(data, check) -> None:
     state = FlatState(pallet, params)
     check(state, params, units)
     for _ in range(data.draw(st.integers(1, 14))):
+        if state.boxes:
+            state._sibling_memo(*units[0])
         if state.boxes and data.draw(st.integers(0, 3)) == 0:
             state.pop()
+            assert all(k <= len(state.boxes) for k in state._memos)
         else:
             # A box at a candidate position (as the search places them) or
             # anywhere free; support is not required for a push.
@@ -304,3 +315,24 @@ def test_indexed_score_fills_colliding_sets_in_index_order(monkeypatch):
     assert state.fits(*pos, 4, 1, 1)
     assert state.score(*pos, 4, 1, 1) == evaluate(reference_state(state), pos, Dims(4, 1, 1),
                                                   params)
+
+
+def test_sibling_memo_lives_as_long_as_its_prefix():
+    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
+    state.push(0, 0, 0, 2, 2, 2)
+    state.push(2, 0, 0, 2, 2, 2)
+    memo = state._sibling_memo(1, 1, 1)
+    memo[0] = 1.0
+    assert state._sibling_memo(1, 1, 1) is memo
+    assert state._sibling_memo(1, 2, 1) == {}  # one memo per unit's dims
+    state.pop()
+    state.push(0, 2, 0, 2, 2, 2)  # a sibling: the same first box
+    assert state._sibling_memo(1, 1, 1) is memo
+    state.push(4, 0, 0, 2, 2, 2)  # a child shares its parent's boxes
+    assert state._sibling_memo(1, 1, 1) == {}
+    state.pop()
+    state.pop()
+    state.pop()  # the first box is gone, and prefix 1's memo with it
+    state.push(0, 0, 0, 2, 2, 2)
+    state.push(2, 0, 0, 2, 2, 2)
+    assert state._sibling_memo(1, 1, 1) == {}

@@ -264,6 +264,78 @@ def test_box_index_leaves_the_deep_tree_as_it_was(monkeypatch):
     assert digests[0] == digests[1]
 
 
+# Parameters the benchmark never sets: a wide gap (the halo's low sides),
+# horizontal support (boxes that back a face within the gap) and coplanar
+# tolerances (boxes that score without touching).
+ODD_PARAMS = [
+    SolverParams(vertical_support_min=0.6, horizontal_support_min_x=0.3,
+                 horizontal_support_min_y=0.3, gap_tolerance=20, p_x=15, p_y=15, p_z=15),
+    SolverParams(vertical_support_min=0.5, horizontal_support_min_x=0.2, gap_tolerance=8,
+                 p_y=30, p_z=5),
+    SolverParams(vertical_support_min=0.7, horizontal_support_min_y=0.4, gap_tolerance=40,
+                 p_x=40, p_z=40),
+]
+
+
+@pytest.mark.parametrize("params", ODD_PARAMS, ids=["all", "x-support", "y-support"])
+def test_sibling_memo_leaves_the_deep_tree_as_it_was(monkeypatch, params):
+    # The memo (and the index) on every state with a box, or on none: the
+    # same placements, prunes and candidates evaluated.
+    digests = []
+    for threshold in (0, 10**9):
+        monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
+        searcher = _Budgeted(*_deep_instance(3), params, None)
+        searcher.budget = 200
+        sol, _ = searcher.run()
+        assert sol.stats.nodes_expanded == 200
+        digests.append(_tree_digest(sol))
+    assert digests[0] == digests[1]
+
+
+def test_sibling_memo_answers_rank_as_the_reference(monkeypatch):
+    # Every state with a box uses the memo; at every node its ranking of
+    # every feasible pair (no branch cap) must equal
+    # generate/check_placement/evaluate on the same placements.
+    monkeypatch.setattr(flatstate, "_INDEX_BOXES", 0)
+    fast = search._Searcher._ranked_candidates
+    hits = 0
+
+    def ranked(self, unit, tries):
+        got = fast(self, unit, tries)
+        state = PackingState(tuple(self.placed), self.pallet)
+        assert got == rank_and_cut(scored_candidates(state, unit, self.params),
+                                   self.params.max_branches)
+        return got
+
+    get = dict.get
+
+    class Counted(dict):
+        def get(self, key, default=None):
+            nonlocal hits
+            value = get(self, key, default)
+            hits += value is not default
+            return value
+
+    sibling_memo = FlatState._sibling_memo
+
+    def counted_memo(self, w, d, h):
+        memo = sibling_memo(self, w, d, h)
+        if type(memo) is not Counted:
+            memo = self._memos[len(self.boxes) - 1][(w, d, h)] = Counted(memo)
+        return memo
+
+    monkeypatch.setattr(search._Searcher, "_ranked_candidates", ranked)
+    monkeypatch.setattr(FlatState, "_sibling_memo", counted_memo)
+    units, pallet = _deep_instance(5)
+    for params in ODD_PARAMS:
+        # 30 units: the first dive ends early, and most nodes after it are siblings.
+        searcher = _Budgeted(units[:30], pallet,
+                             dataclasses.replace(params, max_branches=10**6), None)
+        searcher.budget = 150
+        searcher.run()
+    assert hits > 8000
+
+
 def test_trace_single_unit(pallet_4x3x10):
     _, trace = solve_with_trace([_unit(0, 2, 2, 1)], pallet_4x3x10, P0)
     kinds = [e.kind for e in trace]
