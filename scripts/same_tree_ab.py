@@ -9,12 +9,17 @@ per side and B/A for each round, the median and interquartile range of
 B/A over the rounds, and whether placements, prunes and
 ``candidates_evaluated`` match instance for instance in every round.
 ``--reps N`` runs N rounds per workload and alternates which side starts
-a round, for a change too small for one round to resolve. ``--nodes N``
-stops every solve at N nodes instead of the workload's own budget
-(exact-small has none: its trees are searched to completion).
+a round, for a change too small for one round to resolve. ``--seeds S
+[S ...]`` runs those rounds on the instances of each seed in turn and then
+prints, per workload, the median and interquartile range of B/A pooled
+over every round of every seed, and whether the trees were identical on
+every seed: a difference of 1-2% needs several seeds to tell from the
+instances' own spread. ``--nodes N`` stops every solve at N nodes instead
+of the workload's own budget (exact-small has none: its trees are
+searched to completion).
 
 Example (the parent commit checked out into ../parent):
-    python scripts/same_tree_ab.py ../parent/src src --seed 1 --reps 5
+    python scripts/same_tree_ab.py ../parent/src src --seeds 4 5 6 --reps 4
 """
 
 import argparse
@@ -90,11 +95,21 @@ def solve_round(sides, searchers, texts_, first):
     return [nodes[s] / secs[s] for s in (0, 1)], trees
 
 
+def summary(ratios):
+    """The median of ``ratios`` and, for two or more, their quartiles and IQR."""
+    text = f"B/A median {statistics.median(ratios):.3f}"
+    if len(ratios) >= 2:
+        q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        text += f", quartiles {q1:.3f}-{q3:.3f} (IQR {q3 - q1:.3f})"
+    return text
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a", help="source directory of side A (holds palletpack/)")
     ap.add_argument("b", help="source directory of side B")
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1],
+                    help="instance seeds, each run in turn and then pooled")
     ap.add_argument("--workloads", nargs="+", default=list(SHAPES), choices=list(SHAPES))
     ap.add_argument("--reps", type=int, default=1,
                     help="rounds per workload, alternating which side starts a round")
@@ -109,22 +124,26 @@ def main():
     for name in args.workloads:
         budget = SHAPES[name][5] if args.nodes is None else args.nodes
         searchers = [budgeted(search, budget) for _, search in sides]
-        cases = texts(name, args.seed)
-        ratios, rounds = [], []
-        for r in range(args.reps):
-            rate, trees = solve_round(sides, searchers, cases, r % 2)
-            ratios.append(rate[1] / rate[0])
-            rounds += trees
-            print(f"{name:13} seed {args.seed} round {r + 1}: A {rate[0]:9,.0f} nodes/s  "
-                  f"B {rate[1]:9,.0f} nodes/s  B/A {ratios[-1]:.3f}")
-        same = all(trees == rounds[0] for trees in rounds)
-        summary = f"B/A median {statistics.median(ratios):.3f}"
-        if args.reps >= 2:
-            q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-            summary += f", quartiles {q1:.3f}-{q3:.3f} (IQR {q3 - q1:.3f})"
-        print(f"{name:13} seed {args.seed}: {summary} over {args.reps} round(s), "
-              f"trees {'identical' if same else 'DIFFERENT'} ({len(cases)} instances, "
-              f"{sum(t[1] for t in rounds[0]):,} nodes per side a round)")
+        pooled, all_same = [], True
+        for seed in args.seeds:
+            cases = texts(name, seed)
+            ratios, rounds = [], []
+            for r in range(args.reps):
+                rate, trees = solve_round(sides, searchers, cases, r % 2)
+                ratios.append(rate[1] / rate[0])
+                rounds += trees
+                print(f"{name:13} seed {seed} round {r + 1}: A {rate[0]:9,.0f} nodes/s  "
+                      f"B {rate[1]:9,.0f} nodes/s  B/A {ratios[-1]:.3f}")
+            same = all(trees == rounds[0] for trees in rounds)
+            print(f"{name:13} seed {seed}: {summary(ratios)} over {args.reps} round(s), "
+                  f"trees {'identical' if same else 'DIFFERENT'} ({len(cases)} instances, "
+                  f"{sum(t[1] for t in rounds[0]):,} nodes per side a round)")
+            pooled += ratios
+            all_same = all_same and same
+        if len(args.seeds) >= 2:
+            print(f"{name:13} seeds {' '.join(map(str, args.seeds))}: {summary(pooled)} over "
+                  f"{len(pooled)} rounds, trees "
+                  f"{'identical on every seed' if all_same else 'DIFFERENT on some seed'}")
     return 0
 
 

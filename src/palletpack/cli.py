@@ -5,7 +5,8 @@
 
 Exit codes: 0 success (a timed-out solve still exits 0 and records
 timed_out in the output), 1 failed validation or failed --seed-check,
-2 unparseable input.
+2 an input that cannot be read or parsed (not UTF-8 included), or an
+output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .files import (
     InstanceFormatError,
@@ -81,7 +82,7 @@ def _effective_params(file_params, args):
 def _cmd_solve(args) -> int:
     try:
         text = args.instance.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.instance}: {exc}", file=sys.stderr)
         return 2
     try:
@@ -93,9 +94,9 @@ def _cmd_solve(args) -> int:
 
     if args.trace:
         solution, trace = solve_with_trace(instance.units, instance.pallet, params)
-        with args.trace.open("w", encoding="utf-8") as fh:
-            for ev in trace:
-                fh.write(json.dumps(ev.as_dict(), sort_keys=True) + "\n")
+        lines = (json.dumps(ev.as_dict(), sort_keys=True) + "\n" for ev in trace)
+        if not _write(args.trace, lines):
+            return 2
     else:
         solution = solve(instance.units, instance.pallet, params)
 
@@ -109,11 +110,12 @@ def _cmd_solve(args) -> int:
         print("seed-check: ok, reruns identical", file=sys.stderr)
 
     if args.out:
-        args.out.write_text(payload, encoding="utf-8")
+        if not _write(args.out, [payload]):
+            return 2
     else:
         sys.stdout.write(payload)
-    if args.svg:
-        args.svg.write_text(render_svg(solution), encoding="utf-8")
+    if args.svg and not _write(args.svg, [render_svg(solution)]):
+        return 2
     if solution.stats.timed_out:
         print(
             f"time limit reached after {solution.stats.elapsed_ms} ms; "
@@ -123,11 +125,23 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _write(path: Path, chunks: Iterable[str]) -> bool:
+    """Write ``chunks`` to ``path``; if that fails, print one error line
+    and return False."""
+    try:
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_validate(args) -> int:
     try:
         sol_text = args.solution.read_text(encoding="utf-8")
         inst_text = args.instance.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
     try:

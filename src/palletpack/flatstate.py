@@ -21,32 +21,41 @@ Every change to the maxima and the ray map goes into one undo journal of
 mark its push left and restores the envelope volume and the last synced
 depth saved with it; a sync at depth k journals after push k's mark.
 
-A state that holds many boxes indexes them on its first ``fits`` or
-``score``, and a push or pop drops the index. ``fits`` then takes the
-boxes in its height slab, and the tops just below it, from a bisect range
-of the boxes sorted by top instead of a scan; ``score`` takes its coplanar
-sets from bisect ranges of the far faces z2, x2 and y2. The answers do not
+``scored`` is the one candidate loop: it asks ``fits`` and ``score`` about
+every (point, orientation) pair of one unit, and it alone decides, from
+the number of boxes on the state, which fast paths the state takes. None
+of them changes an answer; each pays only on deep enough states:
+
+- From _SCREEN_BOXES (8) boxes, the candidates come from ``free_rays``
+  instead of ``pallet_rays``, so a pair longer than its ray is rejected
+  without asking ``fits``.
+- From _INDEX_BOXES (16) boxes, the state indexes its boxes on its first
+  ``fits`` or ``score``, and shares those answers with its siblings
+  through the sibling memo.
+
+On an indexed state, ``fits`` takes the boxes in its height slab, and the
+tops just below it, from a bisect range of the boxes sorted by top instead
+of a scan; ``score`` takes its coplanar sets from bisect ranges of the far
+faces z2, x2 and y2; a push or pop drops the index. The answers do not
 change. ``fits`` gives the same answer in any order of those boxes, since
 overlap is an any-test and support areas are exact integers. ``score``
 fills each set in ascending index order, as ``evaluate`` does, so the sets
 iterate and the float terms add in the same order.
 
-``scored`` asks ``fits`` and ``score`` about every (point, orientation)
-pair of one unit. A state of k + 1 >= _INDEX_BOXES boxes shares those
-answers with its siblings, the states that hold the same first k boxes
-and another last one, through the memo of prefix k: one dict per unit's
-dims from a packed (point, rotated) key to the pair's score, or to None
-where it does not fit. The memo lives as long as those k boxes: a pop that
-leaves m boxes drops the memo of prefix m + 1, and a push keeps every
-memo. An entry is read or written only where the last box ``b`` cannot
-change the answer: ``b`` misses the pair's halo, the pair grown by the gap
-on its low x, y and z sides, and no far face of ``b`` is coplanar, within
-p, with the pair's top, +x or +y face. Every box that ``fits`` looks at
-lies in the halo: one that overlaps the pair, one whose top lies within
-the gap below it, and one whose +x or +y face backs its -x or -y face
-within the gap. So ``fits`` takes the same boxes as on the prefix, and
-``score`` fills the same index sets in the same order: the answer is the
-prefix's, bit for bit, whichever sibling asked first.
+The siblings of a state of k + 1 boxes are the states that hold the same
+first k boxes and another last one; they share the memo of prefix k: one
+dict per unit's dims from a packed (point, rotated) key to the pair's
+score, or to None where it does not fit. The memo lives as long as those k
+boxes: a pop that leaves m boxes drops the memo of prefix m + 1, and a
+push keeps every memo. An entry is read or written only where the last box
+``b`` cannot change the answer: ``b`` misses the pair's halo, the pair
+grown by the gap on its low x, y and z sides, and no far face of ``b`` is
+coplanar, within p, with the pair's top, +x or +y face. Every box that
+``fits`` looks at lies in the halo: one that overlaps the pair, one whose
+top lies within the gap below it, and one whose +x or +y face backs its -x
+or -y face within the gap. So ``fits`` takes the same boxes as on the
+prefix, and ``score`` fills the same index sets in the same order: the
+answer is the prefix's, bit for bit, whichever sibling asked first.
 """
 
 from __future__ import annotations
@@ -70,6 +79,11 @@ Faces = tuple[list[int], list[int]]
 Memo = dict[int, Optional[float]]
 _ABSENT = object()  # journal value of a key its container did not hold
 _UNASKED = object()  # a sibling memo's answer to a pair no sibling has asked about
+# A state with this many boxes screens its candidates by their free rays.
+# Timed per box count (the same tree either way), screening cost 10-25% on
+# states of 1-5 boxes (exact-small has no more) and paid from 8 boxes up on
+# tight-bound and from about 30 up on anytime-deep.
+_SCREEN_BOXES = 8
 # A state with this many boxes indexes them for fits() and score(). Timed
 # per box count (the same tree either way), the scan's time over the
 # index's for one state's candidates was 0.49-0.85 at 0-5 boxes
@@ -200,82 +214,72 @@ class FlatState:
         self._candidates = self._free_rays = self._slab_key = self._index = None
         self._memos.pop(len(self.boxes) + 1, None)
 
-    def scored(
-        self, rays: list[Ray], w: int, d: int, h: int, tick: Callable[[], None]
-    ) -> list[Ranked]:
-        """The pairs of a w×d×h unit at ``rays`` that fit, unrotated before
-        rotated at each point, with their negated scores: for the rays of
-        ``pallet_rays`` or ``free_rays``, the pairs and scores of
-        ``scoring.scored_candidates``. ``tick`` is called once per ray. A box
-        longer than a ray meets what the ray met, so ``fits`` is not asked
-        there."""
-        n = len(self.boxes)
+    def scored(self, w: int, d: int, h: int, tick: Callable[[], None]) -> list[Ranked]:
+        """The pairs of a w×d×h unit that fit, unrotated before rotated at
+        each candidate, with their negated scores: the pairs and scores of
+        ``scoring.scored_candidates``. ``tick`` is called once per ray and
+        once per point that ``free_rays`` computes anew.
+
+        A state of _SCREEN_BOXES boxes or more takes its candidates from
+        ``free_rays``, a smaller one from ``pallet_rays``; a box longer than
+        a ray meets what the ray met, so ``fits`` is not asked there. A
+        state of _INDEX_BOXES boxes or more answers a pair that its last
+        box cannot change from the sibling memo, or fills it."""
+        boxes = self.boxes
+        n = len(boxes)
+        rays = self.free_rays(tick) if n >= _SCREEN_BOXES else self.pallet_rays()
+        fits, score = self.fits, self.score
+        memo: Optional[Memo] = None
         if n and n >= _INDEX_BOXES:
-            return self._scored_with_memo(rays, self._sibling_memo(w, d, h), w, d, h, tick)
+            memo = self._sibling_memo(w, d, h)
+            get = memo.get
+            bx, by, bz, bx2, by2, bz2 = boxes[-1]
+            g = self._gap
+            p_x, p_y, p_z = self._p
+            row = self.pallet.width + 1
+            plane = row * (self.pallet.depth + 1)
         scored: list[Ranked] = []
         for x, y, z, ex, ey, ez in rays:
             tick()
             if h > ez:
                 continue
-            if w <= ex and d <= ey and self.fits(x, y, z, w, d, h):
-                scored.append((-self.score(x, y, z, w, d, h), z, y, x, False))
-            if d <= ex and w <= ey and self.fits(x, y, z, d, w, h):
-                scored.append((-self.score(x, y, z, d, w, h), z, y, x, True))
+            if memo is not None:
+                top = z + h
+                # The last box misses the pair's halo (the pair grown by the
+                # gap on its low sides) if it is clear of it along z, or lies
+                # more than the gap behind it along x or y, or starts past its
+                # far x or y face. None of its far faces may be coplanar with
+                # the pair's.
+                top_far = abs(bz2 - top) > p_z
+                clear = bz >= top or bz2 < z - g or bx2 < x - g or by2 < y - g
+                key = (z * plane + y * row + x) * 2
+            if w <= ex and d <= ey:
+                if (memo is not None and top_far and (clear or bx >= x + w or by >= y + d)
+                        and abs(bx2 - x - w) > p_x and abs(by2 - y - d) > p_y):
+                    s = get(key, _UNASKED)
+                    if s is _UNASKED:
+                        s = memo[key] = score(x, y, z, w, d, h) if fits(x, y, z, w, d, h) else None
+                    if s is not None:
+                        scored.append((-s, z, y, x, False))
+                elif fits(x, y, z, w, d, h):
+                    scored.append((-score(x, y, z, w, d, h), z, y, x, False))
+            if d <= ex and w <= ey:
+                if (memo is not None and top_far and (clear or bx >= x + d or by >= y + w)
+                        and abs(bx2 - x - d) > p_x and abs(by2 - y - w) > p_y):
+                    s = get(key + 1, _UNASKED)
+                    if s is _UNASKED:
+                        s = memo[key + 1] = (
+                            score(x, y, z, d, w, h) if fits(x, y, z, d, w, h) else None)
+                    if s is not None:
+                        scored.append((-s, z, y, x, True))
+                elif fits(x, y, z, d, w, h):
+                    scored.append((-score(x, y, z, d, w, h), z, y, x, True))
         return scored
 
     def _sibling_memo(self, w: int, d: int, h: int) -> Memo:
         """The memo a state of at least one box shares with its siblings
         for a w×d×h unit."""
         return self._memos.setdefault(len(self.boxes) - 1, {}).setdefault((w, d, h), {})
-
-    def _scored_with_memo(
-        self, rays: list[Ray], memo: Memo, w: int, d: int, h: int, tick: Callable[[], None]
-    ) -> list[Ranked]:
-        """``scored`` on a deep state: a pair whose answer the last box
-        cannot change is answered from the sibling ``memo``, or fills it."""
-        fits, score, get = self.fits, self.score, memo.get
-        bx, by, bz, bx2, by2, bz2 = self.boxes[-1]
-        g = self._gap
-        p_x, p_y, p_z = self._p
-        row = self.pallet.width + 1
-        plane = row * (self.pallet.depth + 1)
-        scored: list[Ranked] = []
-        for x, y, z, ex, ey, ez in rays:
-            tick()
-            if h > ez:
-                continue
-            top = z + h
-            # The last box misses the pair's halo (the pair grown by the gap
-            # on its low sides) if it is clear of it along z, or lies more
-            # than the gap behind it along x or y, or starts past its far x
-            # or y face. None of its far faces may be coplanar with the pair's.
-            top_far = abs(bz2 - top) > p_z
-            clear = bz >= top or bz2 < z - g or bx2 < x - g or by2 < y - g
-            key = (z * plane + y * row + x) * 2
-            if w <= ex and d <= ey:
-                fx, fy = x + w, y + d
-                if (top_far and (clear or bx >= fx or by >= fy)
-                        and abs(bx2 - fx) > p_x and abs(by2 - fy) > p_y):
-                    s = get(key, _UNASKED)
-                    if s is _UNASKED:
-                        s = memo[key] = score(x, y, z, w, d, h) if fits(x, y, z, w, d, h) else None
-                else:
-                    s = score(x, y, z, w, d, h) if fits(x, y, z, w, d, h) else None
-                if s is not None:
-                    scored.append((-s, z, y, x, False))
-            if d <= ex and w <= ey:
-                fx, fy = x + d, y + w
-                if (top_far and (clear or bx >= fx or by >= fy)
-                        and abs(bx2 - fx) > p_x and abs(by2 - fy) > p_y):
-                    s = get(key + 1, _UNASKED)
-                    if s is _UNASKED:
-                        s = memo[key + 1] = (
-                            score(x, y, z, d, w, h) if fits(x, y, z, d, w, h) else None)
-                else:
-                    s = score(x, y, z, d, w, h) if fits(x, y, z, d, w, h) else None
-                if s is not None:
-                    scored.append((-s, z, y, x, True))
-        return scored
 
     def candidates(self) -> list[Point]:
         """Extreme points inside the pallet, deduplicated, ascending by

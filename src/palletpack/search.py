@@ -16,19 +16,14 @@ its candidates or re-checks its parent's placements. Branching nodes are
 kept on an explicit stack, so the depth of the tree is not bounded by the
 interpreter's recursion limit.
 
-Three exact shortcuts leave every decision as it was. The search needs
-only whether the bound can beat the incumbent, and any feasible filling of
-the remaining volumes is a lower bound on it, so a first-fit fill that
-already beats the incumbent answers "no prune". A fill that skipped no unit
-is the bound itself in either bound mode, so the knapsack bound is computed
-only when the fill skipped a unit and still fails. On a state that holds
-many boxes, or that skips have retried with further units, the state's
-free rays (how far each candidate can run along +x, +y and +z) reject the
-pairs that would overlap a box before ``fits`` is asked. And on a deep
-state, a pair whose answer the state's last box cannot change takes its
-``fits`` and ``score`` from the memo the state shares with its siblings
-(``FlatState.scored``), which the first sibling to ask fills: after the
-first dive, most nodes are siblings that rank the same next unit.
+Two exact shortcuts leave every prune decision as it was. The search
+needs only whether the bound can beat the incumbent, and any feasible
+filling of the remaining volumes is a lower bound on it, so a first-fit
+fill that already beats the incumbent answers "no prune". A fill that
+skipped no unit is the bound itself in either bound mode, so the knapsack
+bound is computed only when the fill skipped a unit and still fails. The
+state ranks a unit's candidates itself (``FlatState.scored``), and alone
+decides which of its fast paths a state of a given depth takes.
 """
 
 from __future__ import annotations
@@ -74,13 +69,6 @@ class TraceEvent:
 
     def as_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
-
-
-# A state with this many boxes screens its candidates by their free rays.
-# Timed per box count (the same tree either way), screening cost 10-25% on
-# states of 1-5 boxes (exact-small has no more) and paid from 8 boxes up on
-# tight-bound and from about 30 up on anytime-deep.
-_SCREEN_BOXES = 8
 
 
 class _Deadline(Exception):
@@ -137,17 +125,11 @@ class _Searcher:
         if self.trace is not None:
             self.trace.append(TraceEvent(kind, **fields))
 
-    def _ranked_candidates(self, unit: TransportUnit, tries: int) -> list[Ranked]:
+    def _ranked_candidates(self, unit: TransportUnit) -> list[Ranked]:
         """Feasible (position, orientation) pairs for ``unit``, best first,
-        cut to max_branches. ``tries``: units already tried on this state.
-
-        The free rays screen a state with _SCREEN_BOXES boxes or more, or
-        one retried twice."""
-        state = self.state
-        w, d, h = unit.dims.w, unit.dims.d, unit.dims.h
-        screen = tries >= 2 or len(state.boxes) >= _SCREEN_BOXES
-        rays = state.free_rays(self._tick) if screen else state.pallet_rays()
-        scored = state.scored(rays, w, d, h, self._tick)
+        cut to max_branches."""
+        dims = unit.dims
+        scored = self.state.scored(dims.w, dims.d, dims.h, self._tick)
         self.candidates_evaluated += len(scored)
         return rank_and_cut(scored, self.params.max_branches)
 
@@ -167,11 +149,10 @@ class _Searcher:
         of a node that branches, with its best candidate left on the state,
         or None when the node is done: a leaf, pruned, or out of units."""
         n = len(self.units)
-        tries = 0
         while idx < n:
             self._tick()
             unit = self.units[idx]
-            ranked = self._ranked_candidates(unit, tries)
+            ranked = self._ranked_candidates(unit)
             self.nodes_expanded += 1
             self._log("expand", unit_id=unit.id, order_index=idx,
                       candidates=len(ranked), depth=depth)
@@ -181,7 +162,6 @@ class _Searcher:
                     return None
                 self._log("skip", unit_id=unit.id, order_index=idx, depth=depth)
                 idx += 1
-                tries += 1
                 continue
 
             best = ranked[0]

@@ -90,6 +90,31 @@ def test_deeply_nested_json_exits_2(instance_path, tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("which", ["solve", "validate-solution", "validate-instance"])
+def test_non_utf8_input_exits_2(instance_path, tmp_path, capsys, which):
+    # A UTF-16 file with its byte order mark: the first byte is not UTF-8.
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + json.dumps(INSTANCE).encode("utf-16-le"))
+    out = tmp_path / "solution.json"
+    assert cli_main(["solve", str(instance_path), "--out", str(out)]) == 0
+    argv = {"solve": ["solve", str(bad)],
+            "validate-solution": ["validate", str(bad), str(instance_path)],
+            "validate-instance": ["validate", str(out), str(bad)]}[which]
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace", "--svg"])
+def test_unwritable_output_exits_2(instance_path, tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "file"
+    assert cli_main(["solve", str(instance_path), flag, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
 def test_bad_value_is_shown_shortened(instance_path, tmp_path, capsys):
     # a 300-deep list parses fine; its full repr would be 600 characters
     deep = json.loads("[" * 300 + "]" * 300)

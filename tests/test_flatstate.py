@@ -42,12 +42,14 @@ def assert_matches_reference(state: FlatState, params: SolverParams, units) -> N
                 if expected:
                     assert state.score(*pos, dims.w, dims.d, dims.h) == evaluate(
                         ref, pos, dims, params)
-    # scored, on either kind of rays, as scored_candidates; a sibling that
-    # asked before may have left answers in the memo.
+    # scored, screened by free rays or not, as scored_candidates; a sibling
+    # that asked before may have left answers in the memo.
     for w, d, h in units:
         expected = scored_candidates(ref, TransportUnit("u", Dims(w, d, h), 0), params)
-        for rays in (state.pallet_rays(), state.free_rays(lambda: None)):
-            assert state.scored(rays, w, d, h, lambda: None) == expected
+        for screen_boxes in (0, 10**9):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(flatstate, "_SCREEN_BOXES", screen_boxes)
+                assert state.scored(w, d, h, lambda: None) == expected
 
 
 def drive(data, check) -> None:
@@ -91,18 +93,13 @@ def drive(data, check) -> None:
         check(state, params, units)
 
 
+# drive() stays below _INDEX_BOXES boxes, so "indexed" indexes every state.
+@pytest.mark.parametrize("index_boxes", [flatstate._INDEX_BOXES, 0], ids=["default", "indexed"])
 @settings(max_examples=150)
 @given(st.data())
-def test_push_pop_sequences_match_reference(data):
-    drive(data, assert_matches_reference)
-
-
-@settings(max_examples=150)
-@given(st.data())
-def test_indexed_push_pop_sequences_match_reference(data):
-    # drive() stays below _INDEX_BOXES boxes, so index every state instead.
+def test_push_pop_sequences_match_reference(index_boxes, data):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flatstate, "_INDEX_BOXES", 0)
+        mp.setattr(flatstate, "_INDEX_BOXES", index_boxes)
         drive(data, assert_matches_reference)
 
 

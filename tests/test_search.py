@@ -173,15 +173,15 @@ def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
     free_rays = FlatState.free_rays
     checked = screened = incremental = 0
 
-    def ranked(self, unit, tries):
+    def ranked(self, unit):
         nonlocal checked, screened
-        got = fast(self, unit, tries)
+        got = fast(self, unit)
         state = PackingState(tuple(self.placed), self.pallet)
         reference = rank_and_cut(scored_candidates(state, unit, self.params),
                                  self.params.max_branches)
         assert got == reference
         checked += 1
-        screened += tries >= 2 or len(self.placed) >= search._SCREEN_BOXES
+        screened += len(self.placed) >= flatstate._SCREEN_BOXES
         return got
 
     def rays(self, tick):
@@ -300,8 +300,8 @@ def test_sibling_memo_answers_rank_as_the_reference(monkeypatch):
     fast = search._Searcher._ranked_candidates
     hits = 0
 
-    def ranked(self, unit, tries):
-        got = fast(self, unit, tries)
+    def ranked(self, unit):
+        got = fast(self, unit)
         state = PackingState(tuple(self.placed), self.pallet)
         assert got == rank_and_cut(scored_candidates(state, unit, self.params),
                                    self.params.max_branches)
