@@ -7,7 +7,10 @@ side goes first per instance. Each solve stops at a fixed node count, not
 on the clock, so both sides should search the same tree. Prints nodes/s
 per side and B/A for each round, the median and interquartile range of
 B/A over the rounds, and whether placements, prunes and
-``candidates_evaluated`` match instance for instance in every round.
+``candidates_evaluated`` match instance for instance in every round. For
+a change that is meant to alter the tree, it also prints on how many
+instances B loads less, the same or more volume than A, and B's total
+volume over A's.
 ``--reps N`` runs N rounds per workload and alternates which side starts
 a round, for a change too small for one round to resolve. ``--seeds S
 [S ...]`` runs those rounds on the instances of each seed in turn and then
@@ -91,7 +94,8 @@ def solve_round(sides, searchers, texts_, first):
             nodes[s] += st.nodes_expanded
             trees[s].append((
                 [(p.unit_id, p.position, p.rotated) for p in sol.placements],
-                st.nodes_expanded, st.nodes_pruned_by_bound, st.candidates_evaluated))
+                st.nodes_expanded, st.nodes_pruned_by_bound, st.candidates_evaluated,
+                sol.placed_volume))
     return [nodes[s] / secs[s] for s in (0, 1)], trees
 
 
@@ -102,6 +106,23 @@ def summary(ratios):
         q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
         text += f", quartiles {q1:.3f}-{q3:.3f} (IQR {q3 - q1:.3f})"
     return text
+
+
+def nodes(a, b):
+    """The nodes each side expanded over one round's trees ``a`` and ``b``."""
+    na, nb = (sum(t[1] for t in trees) for trees in (a, b))
+    return f"{na:,} nodes per side" if na == nb else f"A {na:,} nodes, B {nb:,} nodes"
+
+
+def volumes(pairs):
+    """How many (A, B) volume pairs have B lower, equal and higher, and B's
+    total over A's."""
+    lower = sum(b < a for a, b in pairs)
+    higher = sum(b > a for a, b in pairs)
+    total_a = sum(a for a, _ in pairs)
+    ratio = sum(b for _, b in pairs) / total_a if total_a else float("nan")
+    return (f"volume B lower on {lower}, equal on {len(pairs) - lower - higher}, "
+            f"higher on {higher} of {len(pairs)} instances, total B/A {ratio:.4f}")
 
 
 def main():
@@ -124,7 +145,7 @@ def main():
     for name in args.workloads:
         budget = SHAPES[name][5] if args.nodes is None else args.nodes
         searchers = [budgeted(search, budget) for _, search in sides]
-        pooled, all_same = [], True
+        pooled, all_same, all_volumes = [], True, []
         for seed in args.seeds:
             cases = texts(name, seed)
             ratios, rounds = [], []
@@ -135,15 +156,19 @@ def main():
                 print(f"{name:13} seed {seed} round {r + 1}: A {rate[0]:9,.0f} nodes/s  "
                       f"B {rate[1]:9,.0f} nodes/s  B/A {ratios[-1]:.3f}")
             same = all(trees == rounds[0] for trees in rounds)
+            pairs = [(a[-1], b[-1]) for a, b in zip(rounds[0], rounds[1])]
             print(f"{name:13} seed {seed}: {summary(ratios)} over {args.reps} round(s), "
                   f"trees {'identical' if same else 'DIFFERENT'} ({len(cases)} instances, "
-                  f"{sum(t[1] for t in rounds[0]):,} nodes per side a round)")
+                  f"{nodes(rounds[0], rounds[1])} a round); "
+                  f"{volumes(pairs)}")
             pooled += ratios
+            all_volumes += pairs
             all_same = all_same and same
         if len(args.seeds) >= 2:
             print(f"{name:13} seeds {' '.join(map(str, args.seeds))}: {summary(pooled)} over "
                   f"{len(pooled)} rounds, trees "
-                  f"{'identical on every seed' if all_same else 'DIFFERENT on some seed'}")
+                  f"{'identical on every seed' if all_same else 'DIFFERENT on some seed'}; "
+                  f"{volumes(all_volumes)}")
     return 0
 
 

@@ -55,17 +55,19 @@ class SupportReport:
 
 
 def check_overlap_bounds(state: PackingState, pos: tuple[int, int, int], dims: Dims) -> bool:
-    """True iff the box at ``pos`` stays inside the pallet and shares no
-    positive volume with any placed box (face contact is fine)."""
+    """True iff the box at ``pos`` stays inside the pallet and lies in and
+    under no placed box: no box whose top is above its bottom overlaps its
+    footprint. Units are loaded from above, so this rules out both shared
+    volume (face contact is fine) and a unit under an overhang."""
     x, y, z = pos
     if x < 0 or y < 0 or z < 0:
         return False
     p = state.pallet
     if x + dims.w > p.width or y + dims.d > p.depth or z + dims.h > p.max_height:
         return False
-    x2, y2, z2 = x + dims.w, y + dims.d, z + dims.h
+    x2, y2 = x + dims.w, y + dims.d
     for pl in state.placements:
-        if x < pl.x2 and pl.x < x2 and y < pl.y2 and pl.y < y2 and z < pl.z2 and pl.z < z2:
+        if x < pl.x2 and pl.x < x2 and y < pl.y2 and pl.y < y2 and z < pl.z2:
             return False
     return True
 

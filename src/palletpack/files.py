@@ -308,7 +308,7 @@ def validate_solution(
         pos = (sp.x, sp.y, sp.z)
         if not check_overlap_bounds(state, pos, dims):
             violations.append(
-                f"{named}: overlaps another unit or exceeds pallet bounds"
+                f"{named}: overlaps another unit, lies under one, or exceeds pallet bounds"
             )
             continue
         report = check_placement(state, pos, dims, params)

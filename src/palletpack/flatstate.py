@@ -12,35 +12,43 @@ equivalent ``PackingState``: ``candidates`` as ``extreme_points.generate``,
 ``fits`` as ``feasibility.check_placement(...).feasible``, ``score`` as
 ``scoring.evaluate``, float for float, and ``scored`` as
 ``scoring.scored_candidates``. Those functions stay the reference
-that the replay checker and the oracle use. ``free_rays`` is a necessary
-condition of ``fits`` that is cheap to test: a state asked for it updates
-a point-to-ray map from the last ancestor asked.
+that the replay checker and the oracle use.
 
-Every change to the maxima and the ray map goes into one undo journal of
+Units are loaded from above: no placed box whose top lies above a pair's
+z may overlap its footprint. So a point inside or under a box takes no
+pair, and stays so for as long as that box does. The state keeps two maps
+of points across push and pop:
+
+- The count map: per extreme point, how many box corners project onto
+  it. A push moves the corners whose maxima it changes and adds the new
+  box's; ``candidates`` are the points counted.
+- The live map: per counted point that lies inside or under no box, how
+  far a ray runs from it along +x and along +y before it meets a box
+  whose top lies above the point, or a pallet side. A push drops the live
+  points that now lie inside or under the new box and shortens the other
+  rays against it; a point the push adds runs against every box. A pair
+  longer than a ray overlaps the box the ray met, or leaves the pallet,
+  so ``fits`` holds only where ``w <= ex`` and ``d <= ey``.
+
+Every change to the maxima and the two maps goes into one undo journal of
 ``(container, key, old value)`` entries. A pop unwinds the journal to the
-mark its push left and restores the envelope volume and the last synced
-depth saved with it; a sync at depth k journals after push k's mark.
+mark its push left and restores the envelope volume saved with it.
 
 ``scored`` is the one candidate loop: it asks ``fits`` and ``score`` about
-every (point, orientation) pair of one unit, and it alone decides, from
-the number of boxes on the state, which fast paths the state takes. None
-of them changes an answer; each pays only on deep enough states:
+the (live point, orientation) pairs of one unit that the rays admit, and
+it alone decides, from the number of boxes on the state, which fast paths
+the state takes. Neither changes an answer. From _INDEX_BOXES (16) boxes,
+the state indexes its boxes on its first ``fits`` or ``score``, and shares
+those answers with its siblings through the sibling memo.
 
-- From _SCREEN_BOXES (8) boxes, the candidates come from ``free_rays``
-  instead of ``pallet_rays``, so a pair longer than its ray is rejected
-  without asking ``fits``.
-- From _INDEX_BOXES (16) boxes, the state indexes its boxes on its first
-  ``fits`` or ``score``, and shares those answers with its siblings
-  through the sibling memo.
-
-On an indexed state, ``fits`` takes the boxes in its height slab, and the
-tops just below it, from a bisect range of the boxes sorted by top instead
-of a scan; ``score`` takes its coplanar sets from bisect ranges of the far
-faces z2, x2 and y2; a push or pop drops the index. The answers do not
-change. ``fits`` gives the same answer in any order of those boxes, since
-overlap is an any-test and support areas are exact integers. ``score``
-fills each set in ascending index order, as ``evaluate`` does, so the sets
-iterate and the float terms add in the same order.
+On an indexed state, ``fits`` takes the boxes whose tops lie above z, and
+the tops just below it, from bisect ranges of the boxes sorted by top
+instead of a scan; ``score`` takes its coplanar sets from bisect ranges of
+the far faces z2, x2 and y2; a push or pop drops the index. The answers do
+not change. ``fits`` gives the same answer in any order of those boxes,
+since overlap is an any-test and support areas are exact integers.
+``score`` fills each set in ascending index order, as ``evaluate`` does,
+so the sets iterate and the float terms add in the same order.
 
 The siblings of a state of k + 1 boxes are the states that hold the same
 first k boxes and another last one; they share the memo of prefix k: one
@@ -48,14 +56,18 @@ dict per unit's dims from a packed (point, rotated) key to the pair's
 score, or to None where it does not fit. The memo lives as long as those k
 boxes: a pop that leaves m boxes drops the memo of prefix m + 1, and a
 push keeps every memo. An entry is read or written only where the last box
-``b`` cannot change the answer: ``b`` misses the pair's halo, the pair
-grown by the gap on its low x, y and z sides, and no far face of ``b`` is
-coplanar, within p, with the pair's top, +x or +y face. Every box that
-``fits`` looks at lies in the halo: one that overlaps the pair, one whose
-top lies within the gap below it, and one whose +x or +y face backs its -x
-or -y face within the gap. So ``fits`` takes the same boxes as on the
-prefix, and ``score`` fills the same index sets in the same order: the
-answer is the prefix's, bit for bit, whichever sibling asked first.
+``b`` cannot change the answer. ``b`` is clear of the pair if it lies
+wholly above the pair, or more than the gap below it, or more than the gap
+behind its -x or -y face, or starts past its far x or y face. A clear
+``b`` above the pair that overlaps its footprint leaves no room for the
+pair, so neither ``fits`` nor the memo is asked. Any other clear ``b``
+whose far faces are not coplanar, within p, with the pair's top, +x or +y
+face changes nothing: every box that ``fits`` looks at overlaps the
+pair's footprint above its z, or has its top within the gap below it, or
+backs its -x or -y face within the gap. So ``fits`` takes the same boxes
+as on the prefix, and ``score`` fills the same index sets in the same
+order: the answer is the prefix's, bit for bit, whichever sibling asked
+first.
 """
 
 from __future__ import annotations
@@ -70,8 +82,6 @@ from .scoring import DISTANCE_CLAMP, Ranked
 
 Box = tuple[int, int, int, int, int, int]  # x, y, z, x2, y2, z2
 Point = tuple[int, int, int]
-# A candidate (x, y, z) and how far it can run along +x, +y and +z.
-Ray = tuple[int, int, int, int, int, int]
 # Far faces on one axis, ascending, and the indices of their boxes in the same order.
 Faces = tuple[list[int], list[int]]
 # A sibling memo: ((z * (D + 1) + y) * (W + 1) + x) * 2 + rotated, on a pallet
@@ -79,11 +89,6 @@ Faces = tuple[list[int], list[int]]
 Memo = dict[int, Optional[float]]
 _ABSENT = object()  # journal value of a key its container did not hold
 _UNASKED = object()  # a sibling memo's answer to a pair no sibling has asked about
-# A state with this many boxes screens its candidates by their free rays.
-# Timed per box count (the same tree either way), screening cost 10-25% on
-# states of 1-5 boxes (exact-small has no more) and paid from 8 boxes up on
-# tight-bound and from about 30 up on anytime-deep.
-_SCREEN_BOXES = 8
 # A state with this many boxes indexes them for fits() and score(). Timed
 # per box count (the same tree either way), the scan's time over the
 # index's for one state's candidates was 0.49-0.85 at 0-5 boxes
@@ -117,23 +122,22 @@ class FlatState:
         # Per box, the maxima of the projections xy, xz, yx, yz, zx, zy
         # (extreme_points.KINDS): the coordinate each corner slides back to.
         self._maxima: list[list[int]] = []
-        # Runs (ex, ey, ez), or None inside a box, of the candidates of the
-        # last synced state: the one at depth _synced, this or an ancestor.
-        self._rays: dict[Point, Optional[tuple[int, int, int]]] = {}
-        self._synced: Optional[int] = None
+        # Per extreme point, how many box corners project onto it; on an
+        # empty pallet, the origin once.
+        self._counts: dict[Point, int] = {(0, 0, 0): 1}
+        # Per counted point inside or under no box, its runs (ex, ey).
+        self._live: dict[Point, tuple[int, int]] = {(0, 0, 0): (pallet.width, pallet.depth)}
         self._undo: list[tuple[object, object, object]] = []  # (container, key, old)
-        # (journal length, envelope volume, synced depth) before each push
-        self._marks: list[tuple[int, int, Optional[int]]] = []
-        self._candidates: Optional[list[Point]] = None
-        self._free_rays: Optional[list[Ray]] = None
+        self._marks: list[tuple[int, int]] = []  # (journal length, envelope volume) per push
         # fits() memo of _layers() for one (z, height), cleared by push/pop
         self._slab_key: Optional[tuple[int, int]] = None
+        self._above: list[Box] = []
         self._slab: list[Box] = []
         self._below: list[tuple[int, int, int, int]] = []
         # Index of the boxes for fits() and score() (_build_index): built by the
         # first ask on a state of at least _INDEX_BOXES boxes, dropped by
-        # push/pop. It fills _slab and _below in top order, not box order;
-        # fits() answers the same either way (an any-test, exact areas).
+        # push/pop. It fills _above, _slab and _below in top order, not box
+        # order; fits() answers the same either way (any-tests, exact areas).
         self._index: Optional[tuple[list[Box], Faces, Faces, Faces]] = None
         # Sibling memos by prefix length k (_sibling_memo), each by unit dims:
         # valid while the first k boxes stay, so a pop that leaves m boxes
@@ -151,7 +155,9 @@ class FlatState:
         overlap no placed box."""
         x2, y2, z2 = x + w, y + d, z + h
         undo = self._undo
-        self._marks.append((len(undo), self._envelope_volume, self._synced))
+        mark = len(undo)
+        self._marks.append((mark, self._envelope_volume))
+        moved: list[Box] = []  # the box of each maxima change, in journal order
         mxy = mxz = myx = myz = mzx = mzy = 0
         for (bx, by, bz, bx2, by2, bz2), m in zip(self.boxes, self._maxima):
             # The new box's corners slide back against this box ...
@@ -174,29 +180,109 @@ class FlatState:
             if bx2 < x2:
                 if by >= y2 and y2 > m[0]:
                     undo.append((m, 0, m[0]))
+                    moved.append((bx, by, bz, bx2, by2, bz2))
                     m[0] = y2
                 if bz >= z2 and z2 > m[1]:
                     undo.append((m, 1, m[1]))
+                    moved.append((bx, by, bz, bx2, by2, bz2))
                     m[1] = z2
             if by2 < y2:
                 if bx >= x2 and x2 > m[2]:
                     undo.append((m, 2, m[2]))
+                    moved.append((bx, by, bz, bx2, by2, bz2))
                     m[2] = x2
                 if bz >= z2 and z2 > m[3]:
                     undo.append((m, 3, m[3]))
+                    moved.append((bx, by, bz, bx2, by2, bz2))
                     m[3] = z2
             if bz2 < z2:
                 if bx >= x2 and x2 > m[4]:
                     undo.append((m, 4, m[4]))
+                    moved.append((bx, by, bz, bx2, by2, bz2))
                     m[4] = x2
                 if by >= y2 and y2 > m[5]:
                     undo.append((m, 5, m[5]))
+                    moved.append((bx, by, bz, bx2, by2, bz2))
                     m[5] = y2
+        # The counts: a moved corner leaves its old point for its new one (a
+        # corner moves only where its far face lies below the new box's, so
+        # it stays inside the pallet), the new box adds its corners inside
+        # the pallet, and the first box takes the origin's place. A point
+        # that leaves may come back within the same push.
+        p = self.pallet
+        counts, live = self._counts, self._live
+        left = [(0, 0, 0)] if not self.boxes else []
+        came = []
+        if moved:
+            for b, (m, k, old) in zip(moved, undo[mark:]):
+                left.append(_corner(b, k, old))
+                came.append(_corner(b, k, m[k]))
+        if x2 < p.width:
+            came += (x2, mxy, z), (x2, y, mxz)
+        if y2 < p.depth:
+            came += (myx, y2, z), (x, y2, myz)
+        if z2 < p.max_height:
+            came += (mzx, y, z2), (x, mzy, z2)
+        for pt in left:
+            n = counts[pt]
+            undo.append((counts, pt, n))
+            if n > 1:
+                counts[pt] = n - 1
+            else:
+                del counts[pt]
+        born = []
+        for pt in came:
+            n = counts.get(pt, _ABSENT)
+            undo.append((counts, pt, n))
+            if n is _ABSENT:
+                counts[pt] = 1
+                born.append(pt)
+            else:
+                counts[pt] = n + 1
+        for pt in left:
+            if pt in live and pt not in counts:
+                undo.append((live, pt, live.pop(pt)))
+        # A live point under the new box's top dies inside or under it, or
+        # its rays stop at it.
+        dead = []
+        for pt, ray in live.items():
+            px, py, pz = pt
+            if pz < z2:
+                if y <= py < y2:
+                    if x <= px < x2:
+                        dead.append(pt)
+                    elif px < x and x - px < ray[0]:
+                        undo.append((live, pt, ray))
+                        live[pt] = (x - px, ray[1])
+                elif x <= px < x2 and py < y and y - py < ray[1]:
+                    undo.append((live, pt, ray))
+                    live[pt] = (ray[0], y - py)
+        for pt in dead:
+            undo.append((live, pt, live.pop(pt)))
         self._envelope_volume += self._envelope_rise(x, y, x2, y2, z2)
-        self.boxes.append((x, y, z, x2, y2, z2))
+        boxes = self.boxes
+        boxes.append((x, y, z, x2, y2, z2))
         self._maxima.append([mxy, mxz, myx, myz, mzx, mzy])
         self.volume += w * d * h
-        self._candidates = self._free_rays = self._slab_key = self._index = None
+        self._slab_key = self._index = None
+        # A new point runs against every box.
+        for pt in born:
+            if pt in live:
+                continue  # it left and came back
+            px, py, pz = pt
+            ex, ey = p.width - px, p.depth - py
+            for bx, by, _, bx2, by2, bz2 in boxes:
+                if bz2 > pz:
+                    if by <= py < by2:
+                        if bx <= px < bx2:
+                            break
+                        if px < bx and bx - px < ex:
+                            ex = bx - px
+                    elif bx <= px < bx2 and py < by and by - py < ey:
+                        ey = by - py
+            else:
+                undo.append((live, pt, _ABSENT))
+                live[pt] = (ex, ey)
 
     def pop(self) -> None:
         """Remove the last pushed box and restore the state before it."""
@@ -204,31 +290,31 @@ class FlatState:
         self._maxima.pop()
         self.volume -= (x2 - x) * (y2 - y) * (z2 - z)
         undo = self._undo
-        mark, self._envelope_volume, self._synced = self._marks.pop()
-        while len(undo) > mark:
-            c, key, old = undo.pop()
+        mark, self._envelope_volume = self._marks.pop()
+        entries = undo[mark:]
+        del undo[mark:]
+        for c, key, old in reversed(entries):
             if old is _ABSENT:
                 del c[key]
             else:
                 c[key] = old
-        self._candidates = self._free_rays = self._slab_key = self._index = None
+        self._slab_key = self._index = None
         self._memos.pop(len(self.boxes) + 1, None)
 
     def scored(self, w: int, d: int, h: int, tick: Callable[[], None]) -> list[Ranked]:
-        """The pairs of a w×d×h unit that fit, unrotated before rotated at
-        each candidate, with their negated scores: the pairs and scores of
-        ``scoring.scored_candidates``. ``tick`` is called once per ray and
-        once per point that ``free_rays`` computes anew.
+        """The pairs of a w×d×h unit that fit, with their negated scores:
+        the pairs and scores of ``scoring.scored_candidates``, in the live
+        map's order (the ranking sorts them). ``tick`` is called once per
+        live point.
 
-        A state of _SCREEN_BOXES boxes or more takes its candidates from
-        ``free_rays``, a smaller one from ``pallet_rays``; a box longer than
-        a ray meets what the ray met, so ``fits`` is not asked there. A
-        state of _INDEX_BOXES boxes or more answers a pair that its last
-        box cannot change from the sibling memo, or fills it."""
+        Only live points are asked, and a box longer than a ray meets what
+        the ray met, so ``fits`` is not asked there. A state of
+        _INDEX_BOXES boxes or more answers a pair that its last box cannot
+        change from the sibling memo, or fills it."""
         boxes = self.boxes
         n = len(boxes)
-        rays = self.free_rays(tick) if n >= _SCREEN_BOXES else self.pallet_rays()
         fits, score = self.fits, self.score
+        ceiling = self.pallet.max_height - h
         memo: Optional[Memo] = None
         if n and n >= _INDEX_BOXES:
             memo = self._sibling_memo(w, d, h)
@@ -239,22 +325,27 @@ class FlatState:
             row = self.pallet.width + 1
             plane = row * (self.pallet.depth + 1)
         scored: list[Ranked] = []
-        for x, y, z, ex, ey, ez in rays:
+        for (x, y, z), (ex, ey) in self._live.items():
             tick()
-            if h > ez:
+            if z > ceiling:
                 continue
             if memo is not None:
                 top = z + h
-                # The last box misses the pair's halo (the pair grown by the
-                # gap on its low sides) if it is clear of it along z, or lies
-                # more than the gap behind it along x or y, or starts past its
-                # far x or y face. None of its far faces may be coplanar with
-                # the pair's.
+                # The last box is clear of the pair if it lies wholly above
+                # it, or more than the gap below it, or more than the gap
+                # behind it along x or y, or starts past its far x or y
+                # face. A clear box above the pair that overlaps its
+                # footprint leaves no room for it; any other clear box leaves
+                # the answer as it was, unless one of its far faces is
+                # coplanar with the pair's.
                 top_far = abs(bz2 - top) > p_z
-                clear = bz >= top or bz2 < z - g or bx2 < x - g or by2 < y - g
+                above = bz >= top
+                clear = above or bz2 < z - g or bx2 < x - g or by2 < y - g
                 key = (z * plane + y * row + x) * 2
             if w <= ex and d <= ey:
-                if (memo is not None and top_far and (clear or bx >= x + w or by >= y + d)
+                if memo is not None and above and x < bx2 and bx < x + w and y < by2 and by < y + d:
+                    pass  # under the last box
+                elif (memo is not None and top_far and (clear or bx >= x + w or by >= y + d)
                         and abs(bx2 - x - w) > p_x and abs(by2 - y - d) > p_y):
                     s = get(key, _UNASKED)
                     if s is _UNASKED:
@@ -264,7 +355,9 @@ class FlatState:
                 elif fits(x, y, z, w, d, h):
                     scored.append((-score(x, y, z, w, d, h), z, y, x, False))
             if d <= ex and w <= ey:
-                if (memo is not None and top_far and (clear or bx >= x + d or by >= y + w)
+                if memo is not None and above and x < bx2 and bx < x + d and y < by2 and by < y + w:
+                    pass  # under the last box
+                elif (memo is not None and top_far and (clear or bx >= x + d or by >= y + w)
                         and abs(bx2 - x - d) > p_x and abs(by2 - y - w) > p_y):
                     s = get(key + 1, _UNASKED)
                     if s is _UNASKED:
@@ -284,112 +377,24 @@ class FlatState:
     def candidates(self) -> list[Point]:
         """Extreme points inside the pallet, deduplicated, ascending by
         (z, y, x); the origin alone on an empty pallet."""
-        if self._candidates is None:
-            if not self.boxes:
-                self._candidates = [(0, 0, 0)]
-            else:
-                p = self.pallet
-                w, d, h = p.width, p.depth, p.max_height
-                pts = set()
-                for (x, y, z, x2, y2, z2), (mxy, mxz, myx, myz, mzx, mzy) in zip(
-                    self.boxes, self._maxima
-                ):
-                    # (z, y, x) so that the set sorts in candidate order
-                    if x2 < w:
-                        pts.add((z, mxy, x2))
-                        pts.add((mxz, y, x2))
-                    if y2 < d:
-                        pts.add((z, y2, myx))
-                        pts.add((myz, y2, x))
-                    if z2 < h:
-                        pts.add((z2, y, mzx))
-                        pts.add((z2, mzy, x))
-                self._candidates = [(x, y, z) for z, y, x in sorted(pts)]
-        return self._candidates
-
-    def pallet_rays(self) -> list[Ray]:
-        """Every candidate with its run to the pallet sides: the rays of
-        :meth:`free_rays` before any box is looked at."""
-        p = self.pallet
-        w, d, h = p.width, p.depth, p.max_height
-        return [(x, y, z, w - x, d - y, h - z) for x, y, z in self.candidates()]
-
-    def free_rays(self, tick: Callable[[], None]) -> list[Ray]:
-        """The candidates that lie inside no box, each with how far a ray
-        runs from it along +x, +y and +z before it meets a box or a pallet
-        side; ``tick`` is called once per newly computed point.
-
-        A box at the candidate that is longer than a ray on that axis
-        overlaps the box the ray met, or leaves the pallet, so ``fits``
-        holds only where ``w <= ex``, ``d <= ey`` and ``h <= ez``. The rays
-        are brought up to date from the last synced ancestor: a point it
-        already held only shrinks against the boxes pushed since, a new
-        point is run against every box. That costs O(candidates + new
-        points × boxes) per state."""
-        if self._free_rays is None:
-            cands = self.candidates()
-            if self._synced != len(self.boxes):
-                self._sync_rays(cands, tick)
-            rays = self._rays
-            self._free_rays = [pt + r for pt in cands if (r := rays[pt]) is not None]
-        return self._free_rays
-
-    def _sync_rays(self, cands: list[Point], tick: Callable[[], None]) -> None:
-        """Bring the ray map from the last synced state to this one."""
-        rays, undo, boxes = self._rays, self._undo, self.boxes
-        new_boxes = boxes[self._synced:]  # all of them if none was synced
-        self._synced = len(boxes)
-        live = set(cands)
-        for pt in [pt for pt in rays if pt not in live]:
-            undo.append((rays, pt, rays.pop(pt)))
-        p = self.pallet
-        for pt in cands:
-            old = rays.get(pt, _ABSENT)
-            if old is None:  # inside a box it stays inside
-                continue
-            x, y, z = pt
-            if old is _ABSENT:
-                tick()
-                ex, ey, ez = p.width - x, p.depth - y, p.max_height - z
-                against = boxes
-            else:
-                ex, ey, ez = old
-                against = new_boxes
-            for bx, by, bz, bx2, by2, bz2 in against:
-                if bz <= z < bz2:
-                    if by <= y < by2:
-                        if bx <= x < bx2:
-                            ray = None
-                            break
-                        if x < bx and bx - x < ex:
-                            ex = bx - x
-                    elif bx <= x < bx2 and y < by and by - y < ey:
-                        ey = by - y
-                elif z < bz and bx <= x < bx2 and by <= y < by2 and bz - z < ez:
-                    ez = bz - z
-            else:
-                ray = (ex, ey, ez)
-                if ray == old:
-                    continue
-            undo.append((rays, pt, old))
-            rays[pt] = ray
+        return sorted(self._counts, key=lambda pt: (pt[2], pt[1], pt[0]))
 
     def fits(self, x: int, y: int, z: int, w: int, d: int, h: int) -> bool:
         """Whether a w×d×h box at (x, y, z) meets every placement rule:
-        bounds, overlap, vertical support, then horizontal support, stopping
-        at the first that fails."""
+        bounds, no box above z over its footprint, vertical support, then
+        horizontal support, stopping at the first that fails."""
         p = self.pallet
         x2, y2, z2 = x + w, y + d, z + h
         if x2 > p.width or y2 > p.depth or z2 > p.max_height:
             return False
         if self._slab_key != (z, h):
             self._slab_key = (z, h)
-            self._slab, self._below = self._layers(z, z2)
-        # Only boxes in the slab z..z2 can overlap the box or back its sides.
-        slab = self._slab
-        for bx, by, _, bx2, by2, _ in slab:
+            self._above, self._slab, self._below = self._layers(z, z2)
+        # No box whose top lies above z may overlap the footprint.
+        for bx, by, _, bx2, by2, _ in self._above:
             if x < bx2 and bx < x2 and y < by2 and by < y2:
                 return False
+        slab = self._slab
         gap = self._gap
         num, den = self._vertical
         if num and z > gap:
@@ -420,24 +425,31 @@ class FlatState:
                 return False
         return True
 
-    def _layers(self, z: int, z2: int) -> tuple[list[Box], list[tuple[int, int, int, int]]]:
-        """Boxes that share height with z..z2, and the footprints (x, y, x2,
-        y2) of boxes whose tops lie within the gap below z."""
+    def _layers(
+        self, z: int, z2: int
+    ) -> tuple[list[Box], list[Box], list[tuple[int, int, int, int]]]:
+        """Boxes whose tops lie above z, those of them that share height
+        with z..z2, and the footprints (x, y, x2, y2) of boxes whose tops
+        lie within the gap below z."""
         gap = self._gap
         if len(self.boxes) >= _INDEX_BOXES:
             by_top, (tops, _), _, _ = self._index or self._build_index()
             lo = bisect_right(tops, z)
+            above = by_top[lo:]
             below = [(b[0], b[1], b[3], b[4]) for b in by_top[bisect_left(tops, z - gap):lo]]
-            return [b for b in by_top[lo:] if b[2] < z2], below
+            return above, [b for b in above if b[2] < z2], below
+        above = []
         slab = []
         below = []
         for b in self.boxes:
-            bz, bz2 = b[2], b[5]
-            if bz < z2 and z < bz2:
-                slab.append(b)
-            elif 0 <= z - bz2 <= gap:
+            bz2 = b[5]
+            if bz2 > z:
+                above.append(b)
+                if b[2] < z2:
+                    slab.append(b)
+            elif z - bz2 <= gap:
                 below.append((b[0], b[1], b[3], b[4]))
-        return slab, below
+        return above, slab, below
 
     def _build_index(self) -> tuple[list[Box], Faces, Faces, Faces]:
         """Index the state's boxes: the boxes sorted by top, and the far
@@ -529,6 +541,17 @@ class FlatState:
             for b, h in enumerate(row):
                 rise += (top - h) * wa * (ys[b + 1] - ys[b])
         return rise
+
+
+def _corner(box: Box, kind: int, maximum: int) -> Point:
+    """The extreme point of ``box``'s corner of projection ``kind`` (an
+    index into extreme_points.KINDS) when it slides back to ``maximum``."""
+    x, y, z, x2, y2, z2 = box
+    if kind < 2:
+        return (x2, maximum, z) if kind == 0 else (x2, y, maximum)
+    if kind < 4:
+        return (maximum, y2, z) if kind == 2 else (x, y2, maximum)
+    return (maximum, y, z2) if kind == 4 else (x, maximum, z2)
 
 
 def _covers(rects: list[tuple[int, int, int, int]], face: int, num: int, den: int) -> bool:

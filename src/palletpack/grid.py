@@ -5,10 +5,10 @@ giving cut arrays along x and y. The cells of the resulting mesh carry the
 height envelope: the top of the tallest unit whose footprint covers the
 cell. The unused volume is everything between that envelope and the pallet
 ceiling, and the knapsack bound takes it as the capacity left for later
-units. That assumes later units land at or above the envelope. The fixed
-loading order suggests it, but no feasibility rule enforces it yet: a unit
-may be placed in the space under an overhang, where the bound does not count
-it (ROADMAP item 1).
+units. Later units land at or above the envelope because the feasibility
+rules load from above: no placed unit whose top lies above a unit's bottom
+may overlap its footprint (``feasibility.check_overlap_bounds``). So the
+space under an overhang, which the bound does not count, takes no unit.
 """
 
 from __future__ import annotations

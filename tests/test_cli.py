@@ -207,6 +207,33 @@ def test_violating_unit_id_is_shown_shortened(tmp_path, capsys, tamper, violatio
     assert all(len(line) < 200 for line in lines)
 
 
+def test_validate_rejects_a_unit_loaded_under_an_overhang(tmp_path, capsys):
+    # Two posts, a bridge across them, and a unit in the gap under the
+    # bridge: each unit is supported, but the last one could only have gone
+    # in from the side. Units are loaded from above.
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps({
+        "pallet": {"width": 4, "depth": 1, "max_height": 2},
+        "units": [{"id": "a", "w": 1, "d": 1, "h": 1}, {"id": "b", "w": 1, "d": 1, "h": 1},
+                  {"id": "bridge", "w": 4, "d": 1, "h": 1}, {"id": "c", "w": 2, "d": 1, "h": 1}],
+        "params": {"vertical_support_min": 0.5},
+    }))
+    out = tmp_path / "solution.json"
+    assert cli_main(["solve", str(inst), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["placements"] = [{"id": i, "x": x, "y": 0, "z": z, "rotated": False}
+                         for i, x, z in (("a", 0, 0), ("b", 3, 0), ("bridge", 0, 1), ("c", 1, 0))]
+    doc["placed_volume"] = 8
+    doc["utilization"] = 1.0
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["validate", str(out), str(inst)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "under" in line] == [
+        "INVALID: placement 3 ('c'): overlaps another unit, lies under one, "
+        "or exceeds pallet bounds"]
+
+
 def test_flag_overrides_are_echoed(instance_path, tmp_path):
     out = tmp_path / "solution.json"
     code = cli_main([

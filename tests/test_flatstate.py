@@ -42,14 +42,11 @@ def assert_matches_reference(state: FlatState, params: SolverParams, units) -> N
                 if expected:
                     assert state.score(*pos, dims.w, dims.d, dims.h) == evaluate(
                         ref, pos, dims, params)
-    # scored, screened by free rays or not, as scored_candidates; a sibling
-    # that asked before may have left answers in the memo.
+    # scored as scored_candidates, in the live map's order; a sibling that
+    # asked before may have left answers in the memo.
     for w, d, h in units:
         expected = scored_candidates(ref, TransportUnit("u", Dims(w, d, h), 0), params)
-        for screen_boxes in (0, 10**9):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(flatstate, "_SCREEN_BOXES", screen_boxes)
-                assert state.scored(w, d, h, lambda: None) == expected
+        assert sorted(state.scored(w, d, h, lambda: None)) == sorted(expected)
 
 
 def drive(data, check) -> None:
@@ -103,115 +100,98 @@ def test_push_pop_sequences_match_reference(index_boxes, data):
         drive(data, assert_matches_reference)
 
 
-def inside(pos, box) -> bool:
-    return all(box[i] <= pos[i] < box[i + 3] for i in range(3))
+def inside_or_under(pos, box) -> bool:
+    x, y, z = pos
+    return box[0] <= x < box[3] and box[1] <= y < box[4] and z < box[5]
 
 
-def scratch_rays(state: FlatState) -> list:
-    """The free rays computed from scratch: every candidate against every
-    box, grouped by the candidates' heights."""
+def scratch_live(state: FlatState) -> dict:
+    """The live map computed from scratch: every candidate against every
+    box whose top lies above it."""
     p = state.pallet
-    rays = []
-    level_z = None
-    for x, y, z in state.candidates():  # grouped by z
-        if z != level_z:
-            level_z = z
-            level = [b for b in state.boxes if b[2] <= z < b[5]]
-            above = [b for b in state.boxes if b[2] > z]
-        ex, ey, ez = p.width - x, p.depth - y, p.max_height - z
-        for bx, by, _, bx2, by2, _ in level:
+    live = {}
+    for x, y, z in state.candidates():
+        ex, ey = p.width - x, p.depth - y
+        for bx, by, _, bx2, by2, bz2 in state.boxes:
+            if bz2 <= z:
+                continue
             if by <= y < by2:
                 if bx <= x < bx2:
-                    break  # inside this box
+                    break  # inside or under this box
                 if x < bx and bx - x < ex:
                     ex = bx - x
             elif bx <= x < bx2 and y < by and by - y < ey:
                 ey = by - y
         else:
-            for bx, by, bz, bx2, by2, _ in above:
-                if bx <= x < bx2 and by <= y < by2 and bz - z < ez:
-                    ez = bz - z
-            rays.append((x, y, z, ex, ey, ez))
-    return rays
+            live[(x, y, z)] = (ex, ey)
+    return live
 
 
-def assert_rays_sound(state: FlatState, params: SolverParams, units) -> None:
-    # Each kept candidate's rays admit every box that fits there; each
-    # dropped candidate lies inside a placed box. The pass ticks once per
-    # point the ray map did not hold, and a second ask is cached.
-    fresh = sum(pos not in state._rays for pos in state.candidates())
+def assert_live_map_sound(state: FlatState, params: SolverParams, units) -> None:
+    # Each live point's rays admit every box that fits there; each dropped
+    # candidate lies inside or under a placed box, so no box fits there.
+    # scored ticks once per live point.
+    live = state._live
+    assert set(live) <= set(state.candidates())
     ticks = []
-    rays = state.free_rays(lambda: ticks.append(1))
-    assert len(ticks) == fresh
-    assert state.free_rays(lambda: ticks.append(1)) is rays and len(ticks) == fresh
-    kept = {ray[:3]: ray[3:] for ray in rays}
-    assert [ray[:3] for ray in rays] == [p for p in state.candidates() if p in kept]
+    state.scored(*units[0], lambda: ticks.append(1))
+    assert len(ticks) == len(live)
     for pos in state.candidates():
-        if pos not in kept:
-            assert any(inside(pos, box) for box in state.boxes)
+        if pos not in live:
+            assert any(inside_or_under(pos, box) for box in state.boxes)
             continue
-        ex, ey, ez = kept[pos]
+        ex, ey = live[pos]
         for w, d, h in units:
             for dw, dd in ((w, d), (d, w)):
                 if state.fits(*pos, dw, dd, h):
-                    assert dw <= ex and dd <= ey and h <= ez
-    pallet = state.pallet
-    assert state.pallet_rays() == [
-        (x, y, z, pallet.width - x, pallet.depth - y, pallet.max_height - z)
-        for x, y, z in state.candidates()
-    ]
+                    assert dw <= ex and dd <= ey
 
 
 @settings(max_examples=150)
 @given(st.data())
 def test_free_rays_reject_only_what_fits_rejects(data):
-    drive(data, assert_rays_sound)
+    drive(data, assert_live_map_sound)
+
+
+def assert_maps_match_scratch(state: FlatState, params: SolverParams, units) -> None:
+    # The live map as computed from scratch over the candidates, and the
+    # count map as the corners of every box inside the pallet.
+    assert state._live == scratch_live(state)
+    p = state.pallet
+    counted = {} if state.boxes else {(0, 0, 0): 1}
+    for box, maxima in zip(state.boxes, state._maxima):
+        for kind, maximum in enumerate(maxima):
+            pt = flatstate._corner(box, kind, maximum)
+            if pt[0] < p.width and pt[1] < p.depth and pt[2] < p.max_height:
+                counted[pt] = counted.get(pt, 0) + 1
+    assert state._counts == counted
 
 
 @settings(max_examples=300)
 @given(st.data())
 def test_free_rays_match_a_computation_from_scratch(data):
-    # Rays are asked at random depths, so one update spans several pushes
-    # and some pops go below the depth of the last ask. An ask ticks once
-    # per candidate that the last ask still standing did not have.
-    asked = []  # (depth, candidates) of each ask that no pop has undone
-
-    def check(state, params, units):
-        depth = len(state.boxes)
-        while asked and asked[-1][0] > depth:
-            asked.pop()
-        if data.draw(st.integers(0, 2)) == 0:
-            return
-        held = asked[-1][1] if asked else set()
-        ticks = []
-        assert state.free_rays(lambda: ticks.append(1)) == scratch_rays(state)
-        assert len(ticks) == sum(pos not in held for pos in state.candidates())
-        if not asked or asked[-1][0] < depth:
-            asked.append((depth, set(state.candidates())))
-
-    drive(data, check)
+    # After every push and pop, whatever the depth and however many pops
+    # in a row.
+    drive(data, assert_maps_match_scratch)
 
 
 def journaled(state: FlatState):
-    """Everything a pop must restore: the ray map, the maxima of every box,
-    the envelope volume and the depth the rays were last synced at."""
-    return (dict(state._rays), [list(m) for m in state._maxima],
-            state._envelope_volume, state._synced)
+    """Everything a pop must restore: the count and live maps, the maxima
+    of every box and the envelope volume."""
+    return (dict(state._counts), dict(state._live), [list(m) for m in state._maxima],
+            state._envelope_volume)
 
 
 @settings(max_examples=300)
 @given(st.data())
 def test_pop_restores_the_journaled_state(data):
-    # saved[k]: the state at depth k just before the push to depth k + 1,
-    # taken after any ray asks at depth k.
+    # saved[k]: the state at depth k just before the push to depth k + 1.
     saved = []
 
     def check(state, params, units):
         depth = len(state.boxes)
         if depth < len(saved):  # back from depth + 1 by a pop
             assert journaled(state) == saved[depth]
-        if data.draw(st.booleans()):
-            state.free_rays(lambda: None)
         saved[depth:] = [journaled(state)]
 
     drive(data, check)
@@ -221,11 +201,26 @@ def test_free_rays_stop_at_the_first_box_and_skip_covered_points():
     state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
     state.push(0, 0, 0, 4, 10, 2)  # a slab along y
     state.push(4, 0, 0, 3, 3, 3)  # beside it, touching at x = 4
-    rays = {ray[:3]: ray[3:] for ray in state.free_rays(lambda: None)}
     assert (4, 0, 0) in state.candidates()  # the slab's corner ...
-    assert (4, 0, 0) not in rays  # ... is the second box's own corner
-    assert rays[(4, 3, 0)] == (6, 7, 10)  # in front of the second box
-    assert rays[(0, 0, 2)] == (4, 10, 8)  # on the slab, runs into the box's side
+    assert (4, 0, 0) not in state._live  # ... is the second box's own corner
+    assert state._live[(4, 3, 0)] == (6, 7)  # in front of the second box
+    assert state._live[(0, 0, 2)] == (4, 10)  # on the slab, runs into the box's side
+
+
+def test_a_point_under_an_overhang_is_dropped_and_blocks_no_ray_below_its_top():
+    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
+    state.push(0, 0, 0, 2, 2, 2)
+    state.push(0, 0, 2, 6, 2, 1)  # a bridge over x = 2..6
+    assert (2, 0, 0) in state.candidates()  # the first box's corner ...
+    assert (2, 0, 0) not in state._live  # ... now lies under the bridge
+    assert not state.fits(2, 0, 0, 1, 1, 1)  # nothing goes under the bridge
+    assert state._live[(0, 2, 0)] == (10, 8)
+    # A ray at the bridge's top runs over it; one below stops at a box
+    # whose top lies above the point, however high its bottom.
+    assert state._live[(0, 0, 3)] == (10, 10)
+    state.push(7, 0, 5, 2, 2, 2)  # floating at x = 7..9, from z = 5
+    assert state._live[(0, 0, 3)] == (7, 10)
+    assert state.fits(0, 0, 3, 7, 2, 1) and not state.fits(0, 0, 3, 8, 2, 1)
 
 
 def test_a_candidate_that_comes_back_is_run_against_the_boxes_pushed_meanwhile():
@@ -237,9 +232,9 @@ def test_a_candidate_that_comes_back_is_run_against_the_boxes_pushed_meanwhile()
     for box in [(1, 0, 3, 2, 5, 5), (1, 5, 0, 5, 3, 2), (1, 0, 0, 2, 4, 2)]:
         state.push(*box)
         present.append((3, 0, 0) in state.candidates())
-        assert state.free_rays(lambda: None) == scratch_rays(state)
+        assert state._live == scratch_live(state)
     assert present == [True, False, True]
-    assert (3, 0, 0, 3, 5, 11) in state.free_rays(lambda: None)
+    assert state._live[(3, 0, 0)] == (3, 5)
 
 
 BASE = {"vertical_support_min": 0.0, "horizontal_support_min_x": 0.0,
@@ -333,3 +328,24 @@ def test_sibling_memo_lives_as_long_as_its_prefix():
     state.push(0, 0, 0, 2, 2, 2)
     state.push(2, 0, 0, 2, 2, 2)
     assert state._sibling_memo(1, 1, 1) == {}
+
+
+def test_sibling_memo_is_not_read_under_the_last_box(monkeypatch):
+    # The pair (2, 0, 0) with a 3x3x1 unit fits beside the first box, and a
+    # sibling leaves that answer in the memo. The next sibling's last box
+    # floats above the pair's footprint, off both rays of its point: the
+    # pair does not fit there, whatever the memo holds.
+    monkeypatch.setattr(flatstate, "_INDEX_BOXES", 0)
+    params = SolverParams(vertical_support_min=0.0, p_x=0, p_y=0, p_z=0)
+    state = FlatState(Pallet(10, 10, 10), params)
+    state.push(0, 0, 0, 2, 2, 2)
+    state.push(6, 6, 0, 1, 1, 3)
+    assert (-state.score(2, 0, 0, 3, 3, 1), 0, 0, 2, False) in state.scored(3, 3, 1, lambda: None)
+    assert (0 * 11 + 2) * 2 in state._sibling_memo(3, 3, 1)  # the pair's key
+    state.pop()
+    state.push(3, 1, 5, 1, 1, 1)
+    assert state._live[(2, 0, 0)] == (8, 10)
+    expected = scored_candidates(reference_state(state), TransportUnit("u", Dims(3, 3, 1), 0),
+                                 params)
+    assert all(pair[1:4] != (0, 0, 2) for pair in expected)
+    assert sorted(state.scored(3, 3, 1, lambda: None)) == sorted(expected)

@@ -29,8 +29,8 @@ PALLET = (600, 400, 600)
 # (units, seed, params, solution sha256, trace sha256)
 CASES = [
     (8, 1, {"vertical_support_min": 0.7},
-     "17ff7461ad06e53428e1bb88b1688fe63ee01d1446add43d2f970a44211d72ae",
-     "782debdea8380e8dc9e03d3b681693e2be0ad81aa5acda8cdfb8606f76a2b3f1"),
+     "a9b49c9b0b9b8b907c4be6c9014f2c76a5595aac54251a7cee61545d8e9f7fbb",
+     "40f41145b4e692741845b987e71ed32c8054ff4b02c5730709769e860ec96b5c"),
     (8, 2, {"vertical_support_min": 0.7, "bound_mode": "lp_relaxation"},
      "b34d8e1a55f3057364a2a7d361d779ae78b277ff8c337354957b82e84fe49f45",
      "f4c711aad1052471bac198bbe5846071c4a7b4a6b5a6130fc0a1e9a758ba3669"),
@@ -39,16 +39,16 @@ CASES = [
      "01f9285f1b86f4e712764417106825ea84ef153454fa7994c3c4b189245d8560",
      "8da1356286d65fc3317f1e010f81325e07cb100a2ce2d8410d87ce66bab749ee"),
     (8, 4, {"vertical_support_min": 0.8, "gap_tolerance": 10},
-     "17f9473967aaf09a79411d636c08c054dceb6318307bdcabf38faf8fa9167c67",
+     "a2711d686cc7860d32f4946b538b5704652dc80a4a04fd06bba6993161ddea6c",
      "339640ff771fbaf1256d422b7012ea9a7851bd8b22bc914b9d7806aaf1db31da"),
     (8, 5, {"vertical_support_min": 0.7, "p_x": 20, "p_y": 20, "p_z": 30},
-     "b1b8c90b4b4c632f0e47beae15a82f9967b0a5fd42e7e9724a08345a3a11e46c",
-     "88b66b2000feaf1a3ce58f10139af86dd5f6623a6e70ab76c574e828ef7cf40a"),
+     "fd12b2fc2ad55569912d8da8d623c6fab72716c24dfb3efbe82c730e3905ee1a",
+     "1141dfe499d88d6bf316e5d700c31ff469dd264ac2792019e54f37ec7e78dcc4"),
     (10, 6, {"vertical_support_min": 0.7, "max_branches": 1},
      "6fb5d1959ef7b02dfe397e9f9f0a6e85f1a5c59c213f6d78b37ad5a9e7fb4c2a",
      "bd228dcbe2ddb1ed57e212238b5210bb9e80fe8613343e4ace973a95ab4e6cc2"),
     (6, 7, {"vertical_support_min": 0.0, "gap_tolerance": 5, "horizontal_support_min_x": 0.5},
-     "4a7ba6e3bb22b7743bc2ff75505eaa5b37c004b99ec0e4dda62fd417c99bf01d",
+     "fc65e3e7811707fb705aaecc7f6194ecd625924b83ceb38adfcb052ec72ccd9c",
      "1f44e6649608545af1a217763fabd8a1114f328c593702f7bd2d70ca975db3b2"),
     (9, 8, {"vertical_support_min": 1.0, "bound_mode": "lp_relaxation", "p_z": 15,
             "max_branches": 2},

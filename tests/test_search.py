@@ -6,7 +6,9 @@ import random
 import sys
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from palletpack import flatstate, model, search
 from palletpack.bounds import node_upper_bound
@@ -105,6 +107,25 @@ def test_every_solution_revalidates():
             state = state.with_placement(pl)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_placement_lies_at_or_above_the_envelope_before_it(data):
+    # Units are loaded from above: no earlier unit whose top lies above a
+    # placement's bottom overlaps its footprint.
+    pallet = Pallet(*(data.draw(st.integers(2, 8)) for _ in range(3)))
+    side = st.integers(1, 5)
+    units = [_unit(i, *data.draw(st.tuples(side, side, side)))
+             for i in range(data.draw(st.integers(1, 6)))]
+    params = dataclasses.replace(
+        P0, vertical_support_min=data.draw(st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0])),
+        max_branches=data.draw(st.sampled_from([1, 2, 4, 10**6])))
+    placements = solve(units, pallet, params).placements
+    for k, p in enumerate(placements):
+        for q in placements[:k]:
+            if p.x < q.x2 and q.x < p.x2 and p.y < q.y2 and q.y < p.y2:
+                assert p.z >= q.z2
+
+
 def test_solve_matches_exhaustive_oracle_small_batch():
     rng = random.Random(21)
     for _ in range(15):
@@ -170,8 +191,7 @@ def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
     # must rank exactly as generate/check_placement/evaluate on a
     # PackingState of the same placements do.
     fast = search._Searcher._ranked_candidates
-    free_rays = FlatState.free_rays
-    checked = screened = incremental = 0
+    checked = screened = 0
 
     def ranked(self, unit):
         nonlocal checked, screened
@@ -181,45 +201,28 @@ def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
                                  self.params.max_branches)
         assert got == reference
         checked += 1
-        screened += len(self.placed) >= flatstate._SCREEN_BOXES
-        return got
-
-    def rays(self, tick):
-        # An incremental ask computes fewer points anew than it has
-        # candidates: the rest it carries over from an earlier state.
-        nonlocal incremental
-        fresh = 0
-
-        def counted():
-            nonlocal fresh
-            fresh += 1
-            tick()
-
-        got = free_rays(self, counted)
-        incremental += fresh < len(self.candidates())
+        # a state whose live map holds fewer points than its candidates
+        screened += len(self.state._live) < len(self.state.candidates())
         return got
 
     monkeypatch.setattr(search._Searcher, "_ranked_candidates", ranked)
-    monkeypatch.setattr(FlatState, "free_rays", rays)
     rng = random.Random(303)  # criterion 3's instances
     nodes = 0
     for _ in range(100):
         units, pallet, params = random_solver_instance(rng, max_units=6)
         nodes += solve(units, pallet, params).stats.nodes_expanded
     assert checked == nodes > 1000
-    # Few of those states are screened; most tight-bound and deep ones are.
+    # Most tight-bound and deep states have candidates inside or under a box.
     for (units, pallet), params, budget in (
         (_tight_instance(27), SolverParams(vertical_support_min=1.0), 300),
         (_deep_instance(8), DEEP_PARAMS, 120),
     ):
-        before = checked, screened, incremental
+        before = checked, screened
         searcher = _Budgeted(units, pallet, params, None)
         searcher.budget = budget
         searcher.run()
-        asks = screened - before[1]
         assert checked - before[0] == budget
-        assert asks > budget * 9 // 10
-        assert incremental - before[2] > asks * 9 // 10
+        assert screened - before[1] > budget * 9 // 10
 
 
 def _tree_digest(sol):
@@ -231,17 +234,18 @@ def _tree_digest(sol):
 
 
 @pytest.mark.parametrize("instance,params,budget,digest", [
-    # 149 of 150 units placed, 91 prunes, 7,286 candidates evaluated
+    # 149 of 150 units placed, 89 prunes, 7,217 candidates evaluated
     (_deep_instance(8), DEEP_PARAMS, 300,
-     "8b5224df3ab6d6666b516b547affc612dd1b53de501eafdb8663cb1d4a77d808"),
+     "b24c819d1b81e9efa932f31b24e056dc8c15448507119e4901d77d4444a32241"),
     # 14 units placed, 137 prunes, 847 candidates evaluated
     (_tight_instance(27), SolverParams(vertical_support_min=1.0), 3000,
      "81cf79e2ca6b322585721bc74c33b99ff26fbb60a9e8c19e94ad1decaf2ad5b5"),
 ], ids=["anytime-deep", "tight-bound"])
 def test_deep_budgeted_tree_is_pinned(instance, params, budget, digest):
-    # Digests recorded before the free rays were kept up to date across
-    # push and pop, when only a state retried twice was screened: screening
-    # deep states must leave the tree exactly as it was.
+    # The anytime-deep digest was recorded when nothing could be loaded
+    # under an overhang any more, the tight-bound one before the free rays
+    # were kept up to date across push and pop (full support leaves no
+    # overhang): the state's fast paths must leave the tree exactly as it was.
     units, pallet = instance
     searcher = _Budgeted(units, pallet, params, None)
     searcher.budget = budget
@@ -331,7 +335,7 @@ def test_sibling_memo_answers_rank_as_the_reference(monkeypatch):
         # 30 units: the first dive ends early, and most nodes after it are siblings.
         searcher = _Budgeted(units[:30], pallet,
                              dataclasses.replace(params, max_branches=10**6), None)
-        searcher.budget = 150
+        searcher.budget = 200
         searcher.run()
     assert hits > 8000
 
@@ -578,9 +582,7 @@ def test_failed_fill_leaves_the_decision_to_the_bound(mode):
 def _bound_pressed_instance(rng):
     """Up to the oracle's limit of units, each up to the pallet's size, on a
     2-5 x 2-5 x 2-4 pallet at full support: the units seldom all fit, so
-    first-fit fills often fail and the knapsack bound decides. Below full
-    support a unit can go under an overhang, which the bound does not
-    count (ROADMAP item 1, the xfail below)."""
+    first-fit fills often fail and the knapsack bound decides."""
     pallet = Pallet(rng.randint(2, 5), rng.randint(2, 5), rng.randint(2, 4))
     units = [
         _unit(i, rng.randint(1, pallet.width), rng.randint(1, pallet.depth),
@@ -606,12 +608,39 @@ def test_pruning_is_safe_where_the_knapsack_decides(mode):
     assert kernel > 100
 
 
-@pytest.mark.xfail(strict=True, reason="pruning is unsafe under an overhang (ROADMAP item 1)")
+def _overhang_instance(rng):
+    """A _bound_pressed_instance below full support: a unit may stand on
+    part of another and overhang it, and the space under the overhang is
+    what the bound leaves out."""
+    units, pallet, params = _bound_pressed_instance(rng)
+    return units, pallet, dataclasses.replace(
+        params, vertical_support_min=rng.choice([0.0, 0.25, 0.5, 0.7]))
+
+
+@pytest.mark.parametrize("max_branches", [4, 10**6])
+def test_pruning_is_safe_below_full_support(max_branches):
+    # Every decision must be node_upper_bound <= incumbent, and the result
+    # the oracle's, with units that overhang in many of the solutions.
+    rng = random.Random(707)
+    overhanging = 0
+    for _ in range(100):
+        units, pallet, params = _overhang_instance(rng)
+        params = dataclasses.replace(params, max_branches=max_branches)
+        sol, _ = _CheckedBound(units, pallet, params, None).run()
+        assert sol.placements == exhaustive_solve(units, pallet, params).placements
+        state = PackingState.empty(pallet)
+        for pl in sol.placements:
+            support = check_placement(state, pl.position, pl.oriented_dims, params)
+            overhanging += support.vertical_fraction < 1
+            state = state.with_placement(pl)
+    assert overhanging > 20
+
+
 @pytest.mark.parametrize("mode", ["exact_knapsack", "lp_relaxation"])
 def test_unit_under_an_overhang_is_not_pruned_away(mode):
-    # The oracle stands A and B at both ends, spans them with the bridge and
-    # fits C in the gap underneath. The bound counts only the space above
-    # the envelope, so the search prunes that branch and returns 6, not 8.
+    # A and B stand at both ends and the bridge spans them. C would fit in
+    # the gap underneath, where the bound counts no space; units are loaded
+    # from above, so the oracle does not put it there either.
     units = [_unit(0, 1, 1, 1), _unit(1, 1, 1, 1), _unit(2, 4, 1, 1), _unit(3, 2, 1, 1)]
     pallet = Pallet(4, 1, 2)
     params = dataclasses.replace(P0, vertical_support_min=0.5, bound_mode=mode)
