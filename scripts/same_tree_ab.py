@@ -3,10 +3,11 @@
 
 Loads ``palletpack`` from two source directories into one process and
 solves the same benchmark-shaped instances with both, alternating which
-side goes first per instance. Each solve stops at a fixed node count, not
-on the clock, so both sides should search the same tree. Prints nodes/s
-per side and B/A for each round, the median and interquartile range of
-B/A over the rounds, and whether placements, prunes and
+side goes first per instance. Each solve stops at a fixed node count
+(the ``max_nodes`` parameter, so both trees must know it), not on the
+clock, so both sides should search the same tree. Prints nodes/s per side
+and B/A for each round, the median and interquartile range of B/A over
+the rounds, and whether placements, prunes and
 ``candidates_evaluated`` match instance for instance in every round. For
 a change that is meant to alter the tree, it also prints on how many
 instances B loads less, the same or more volume than A, and B's total
@@ -60,16 +61,12 @@ def load(src):
     return files, search
 
 
-def budgeted(search, budget):
-    """The side's searcher, stopped after ``budget`` nodes and never by the clock."""
-    def tick(self):
-        if budget is not None and self.nodes_expanded >= budget:
-            raise search._Deadline
-    return type("Budgeted", (search._Searcher,), {"_tick": tick})
-
-
-def texts(name, seed):
+def texts(name, seed, budget):
+    """The workload's instances of ``seed``, each solve stopped after
+    ``budget`` nodes (``max_nodes``) if it is set."""
     (w, d, h), n, (lo, hi), params, count, _ = SHAPES[name]
+    if budget is not None:
+        params = {**params, "max_nodes": budget}
     rng = random.Random(f"{name}:{seed}")
     return [json.dumps({
         "pallet": {"width": w, "depth": d, "max_height": h},
@@ -79,16 +76,16 @@ def texts(name, seed):
     }) for _ in range(count)]
 
 
-def solve_round(sides, searchers, texts_, first):
+def solve_round(sides, texts_, first):
     """Solve every instance on both sides, side ``first`` first on even
     instances; nodes/s per side and each side's trees."""
     nodes, secs, trees = [0, 0], [0.0, 0.0], [[], []]
     for i, text in enumerate(texts_):
         for s in ((first, 1 - first) if i % 2 == 0 else (1 - first, first)):
-            inst = sides[s][0].parse_instance(text)
-            searcher = searchers[s](inst.units, inst.pallet, inst.params, None)
+            files, search = sides[s]
+            inst = files.parse_instance(text)
             started = time.perf_counter()
-            sol, _ = searcher.run()
+            sol = search.solve(inst.units, inst.pallet, inst.params)
             secs[s] += time.perf_counter() - started
             st = sol.stats
             nodes[s] += st.nodes_expanded
@@ -144,13 +141,12 @@ def main():
     sides = [load(args.a), load(args.b)]
     for name in args.workloads:
         budget = SHAPES[name][5] if args.nodes is None else args.nodes
-        searchers = [budgeted(search, budget) for _, search in sides]
         pooled, all_same, all_volumes = [], True, []
         for seed in args.seeds:
-            cases = texts(name, seed)
+            cases = texts(name, seed, budget)
             ratios, rounds = [], []
             for r in range(args.reps):
-                rate, trees = solve_round(sides, searchers, cases, r % 2)
+                rate, trees = solve_round(sides, cases, r % 2)
                 ratios.append(rate[1] / rate[0])
                 rounds += trees
                 print(f"{name:13} seed {seed} round {r + 1}: A {rate[0]:9,.0f} nodes/s  "

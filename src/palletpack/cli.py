@@ -43,6 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--trace", type=Path, help="write search events here, one JSON per line")
     ps.add_argument("--time-limit-ms", type=int)
     ps.add_argument("--max-branches", type=int)
+    ps.add_argument("--max-nodes", type=int, help="stop the search after this many expanded nodes")
     ps.add_argument("--bound-mode", choices=sorted(_BOUND_MODES))
     ps.add_argument("--vertical-support", type=float, help="minimum bottom-face support fraction")
     ps.add_argument("--horizontal-support-x", type=float)
@@ -66,6 +67,7 @@ def _effective_params(file_params, args):
     overrides = {
         "time_limit_ms": args.time_limit_ms,
         "max_branches": args.max_branches,
+        "max_nodes": args.max_nodes,
         "bound_mode": _BOUND_MODES[args.bound_mode] if args.bound_mode else None,
         "vertical_support_min": args.vertical_support,
         "horizontal_support_min_x": args.horizontal_support_x,
@@ -116,10 +118,11 @@ def _cmd_solve(args) -> int:
         sys.stdout.write(payload)
     if args.svg and not _write(args.svg, [render_svg(solution)]):
         return 2
-    if solution.stats.timed_out:
+    stats = solution.stats
+    if stats.timed_out:
+        limit = "node budget" if stats.nodes_expanded == params.max_nodes else "time limit"
         print(
-            f"time limit reached after {solution.stats.elapsed_ms} ms; "
-            "best configuration so far written",
+            f"{limit} reached after {stats.elapsed_ms} ms; best configuration so far written",
             file=sys.stderr,
         )
     return 0

@@ -47,6 +47,7 @@ PARAM_TYPES = {
     "max_branches": _INTEGER,
     "time_limit_ms": _INTEGER,
     "bound_mode": (str, "a string"),
+    "max_nodes": ((int, type(None)), "an integer or null"),
 }
 
 
@@ -235,7 +236,9 @@ def solution_to_json(sf: SolutionFile) -> str:
         "placed_volume": sf.placed_volume,
         "utilization": sf.utilization,
         "stats": sf.stats,
-        "params_echo": asdict(sf.params_echo),
+        # An unset max_nodes is left out, so a file from before it existed
+        # and one from a run without it are the same bytes.
+        "params_echo": {k: v for k, v in asdict(sf.params_echo).items() if v is not None},
         "instance_digest": sf.instance_digest,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

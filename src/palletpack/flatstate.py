@@ -8,7 +8,7 @@ push updates every box's maxima against the new box (the insertion update
 of Crainic, Perboli & Tadei, INFORMS J. Computing 20(3), 2008).
 
 Every answer is the same as the reference functions give on the
-equivalent ``PackingState``: ``candidates`` as ``extreme_points.generate``,
+equivalent ``PackingState``: the count map's points as ``generate``'s,
 ``fits`` as ``feasibility.check_placement(...).feasible``, ``score`` as
 ``scoring.evaluate``, float for float, and ``scored`` as
 ``scoring.scored_candidates``. Those functions stay the reference
@@ -21,7 +21,7 @@ of points across push and pop:
 
 - The count map: per extreme point, how many box corners project onto
   it. A push moves the corners whose maxima it changes and adds the new
-  box's; ``candidates`` are the points counted.
+  box's; the points counted are the candidates.
 - The live map: per counted point that lies inside or under no box, how
   far a ray runs from it along +x and along +y before it meets a box
   whose top lies above the point, or a pallet side. A push drops the live
@@ -31,8 +31,14 @@ of points across push and pop:
   so ``fits`` holds only where ``w <= ex`` and ``d <= ey``.
 
 Every change to the maxima and the two maps goes into one undo journal of
-``(container, key, old value)`` entries. A pop unwinds the journal to the
-mark its push left and restores the envelope volume saved with it.
+``(container, key, old value)`` entries; a pop unwinds it to the mark its
+push left. Beyond that, a state computes only what a node asks of it.
+``fits`` tests bounds, then vertical support (which most pairs fail), then
+the boxes above z, then horizontal support: an AND, the same in any order.
+It takes its boxes from the layers of the pair's z (Layers), found on the
+first ask at z and kept until the next push or pop. The envelope volume is
+kept per depth in a list that ``unused_volume`` extends and a pop cuts
+back, so a push below which no node asks for a bound computes none.
 
 ``scored`` is the one candidate loop: it asks ``fits`` and ``score`` about
 the (live point, orientation) pairs of one unit that the rays admit, and
@@ -41,14 +47,14 @@ the state takes. Neither changes an answer. From _INDEX_BOXES (16) boxes,
 the state indexes its boxes on its first ``fits`` or ``score``, and shares
 those answers with its siblings through the sibling memo.
 
-On an indexed state, ``fits`` takes the boxes whose tops lie above z, and
-the tops just below it, from bisect ranges of the boxes sorted by top
-instead of a scan; ``score`` takes its coplanar sets from bisect ranges of
-the far faces z2, x2 and y2; a push or pop drops the index. The answers do
-not change. ``fits`` gives the same answer in any order of those boxes,
-since overlap is an any-test and support areas are exact integers.
-``score`` fills each set in ascending index order, as ``evaluate`` does,
-so the sets iterate and the float terms add in the same order.
+On an indexed state, ``fits`` takes its layers from bisect ranges of the
+boxes sorted by top instead of a scan; ``score`` takes its coplanar sets
+from bisect ranges of the far faces z2, x2 and y2; a push or pop drops the
+index. The answers do not change. ``fits`` gives the same answer in any
+order of those boxes, since overlap is an any-test and support areas are
+exact integers. ``score`` fills each set in ascending index order, as
+``evaluate`` does, so the sets iterate and the float terms add in the same
+order.
 
 The siblings of a state of k + 1 boxes are the states that hold the same
 first k boxes and another last one; they share the memo of prefix k: one
@@ -82,6 +88,9 @@ from .scoring import DISTANCE_CLAMP, Ranked
 
 Box = tuple[int, int, int, int, int, int]  # x, y, z, x2, y2, z2
 Point = tuple[int, int, int]
+# The layers of a height z: the boxes whose tops lie above z, and the
+# footprints (x, y, x2, y2) of the boxes whose tops lie within the gap below z.
+Layers = tuple[list[Box], list[tuple[int, int, int, int]]]
 # Far faces on one axis, ascending, and the indices of their boxes in the same order.
 Faces = tuple[list[int], list[int]]
 # A sibling memo: ((z * (D + 1) + y) * (W + 1) + x) * 2 + rotated, on a pallet
@@ -89,18 +98,15 @@ Faces = tuple[list[int], list[int]]
 Memo = dict[int, Optional[float]]
 _ABSENT = object()  # journal value of a key its container did not hold
 _UNASKED = object()  # a sibling memo's answer to a pair no sibling has asked about
-# A state with this many boxes indexes them for fits() and score(). Timed
-# per box count (the same tree either way), the scan's time over the
-# index's for one state's candidates was 0.49-0.85 at 0-5 boxes
-# (exact-small has no more) and 0.86-0.99 on the 8-18-box states of
-# tight-bound, whose low pallet keeps most boxes in any slab; on
-# anytime-deep it passed 1 at about 13 boxes, was 1.05-1.19 at 16-23 and
-# 1.2-1.75 from 24 up. Such a state also shares its fits() and score()
-# answers with its siblings (scored()). Swept over this threshold on
-# node-budgeted solves (the same tree either way), the memo from 1, 8, 12
-# and 16 boxes up ran tight-bound at 0.89, 0.88, 0.91 and 1.00 of its
-# nodes/s without it, and anytime-deep at 1.24-1.26 for any threshold from
-# 8 to 32.
+# A state with this many boxes indexes them for fits() and score(), and
+# shares its fits() and score() answers with its siblings (scored()).
+# Swept on node-budgeted solves (the same tree either way), with fits()
+# testing support first and keeping its layers per height, as nodes/s over
+# this threshold's: 8 and 12 ran tight-bound, whose low pallet keeps most
+# boxes in any layer, at 0.82 and 0.85, and anytime-deep at 0.99 and 0.97;
+# 24 and 32 ran both within the rounds' spread (0.95-1.05, quartile ranges
+# up to 0.10). At 16, no index ran anytime-deep at 0.78 and no memo at
+# 0.82; exact-small never reaches 16 boxes.
 _INDEX_BOXES = 16
 
 
@@ -116,9 +122,10 @@ class FlatState:
         self.pallet = pallet
         self.boxes: list[Box] = []
         self.volume = 0
-        # Volume under the height envelope (the top of the tallest box over
-        # each point of the floor).
-        self._envelope_volume = 0
+        # Per depth k computed so far, the volume under the height envelope
+        # (the top of the tallest box over each point of the floor) of the
+        # first k boxes: unused_volume() extends it, pop() cuts it back.
+        self._envelopes = [0]
         # Per box, the maxima of the projections xy, xz, yx, yz, zx, zy
         # (extreme_points.KINDS): the coordinate each corner slides back to.
         self._maxima: list[list[int]] = []
@@ -128,16 +135,13 @@ class FlatState:
         # Per counted point inside or under no box, its runs (ex, ey).
         self._live: dict[Point, tuple[int, int]] = {(0, 0, 0): (pallet.width, pallet.depth)}
         self._undo: list[tuple[object, object, object]] = []  # (container, key, old)
-        self._marks: list[tuple[int, int]] = []  # (journal length, envelope volume) per push
-        # fits() memo of _layers() for one (z, height), cleared by push/pop
-        self._slab_key: Optional[tuple[int, int]] = None
-        self._above: list[Box] = []
-        self._slab: list[Box] = []
-        self._below: list[tuple[int, int, int, int]] = []
+        self._marks: list[int] = []  # journal length per push
+        # fits() layers per height z (_new_layers), cleared by push/pop
+        self._layers: dict[int, Layers] = {}
         # Index of the boxes for fits() and score() (_build_index): built by the
         # first ask on a state of at least _INDEX_BOXES boxes, dropped by
-        # push/pop. It fills _above, _slab and _below in top order, not box
-        # order; fits() answers the same either way (any-tests, exact areas).
+        # push/pop. It fills the layers in top order, not box order; fits()
+        # answers the same either way (any-tests, exact areas).
         self._index: Optional[tuple[list[Box], Faces, Faces, Faces]] = None
         # Sibling memos by prefix length k (_sibling_memo), each by unit dims:
         # valid while the first k boxes stay, so a pop that leaves m boxes
@@ -156,7 +160,7 @@ class FlatState:
         x2, y2, z2 = x + w, y + d, z + h
         undo = self._undo
         mark = len(undo)
-        self._marks.append((mark, self._envelope_volume))
+        self._marks.append(mark)
         moved: list[Box] = []  # the box of each maxima change, in journal order
         mxy = mxz = myx = myz = mzx = mzy = 0
         for (bx, by, bz, bx2, by2, bz2), m in zip(self.boxes, self._maxima):
@@ -259,12 +263,12 @@ class FlatState:
                     live[pt] = (ray[0], y - py)
         for pt in dead:
             undo.append((live, pt, live.pop(pt)))
-        self._envelope_volume += self._envelope_rise(x, y, x2, y2, z2)
         boxes = self.boxes
         boxes.append((x, y, z, x2, y2, z2))
         self._maxima.append([mxy, mxz, myx, myz, mzx, mzy])
         self.volume += w * d * h
-        self._slab_key = self._index = None
+        self._layers.clear()
+        self._index = None
         # A new point runs against every box.
         for pt in born:
             if pt in live:
@@ -290,7 +294,7 @@ class FlatState:
         self._maxima.pop()
         self.volume -= (x2 - x) * (y2 - y) * (z2 - z)
         undo = self._undo
-        mark, self._envelope_volume = self._marks.pop()
+        mark = self._marks.pop()
         entries = undo[mark:]
         del undo[mark:]
         for c, key, old in reversed(entries):
@@ -298,8 +302,11 @@ class FlatState:
                 del c[key]
             else:
                 c[key] = old
-        self._slab_key = self._index = None
-        self._memos.pop(len(self.boxes) + 1, None)
+        self._layers.clear()
+        self._index = None
+        n = len(self.boxes)
+        del self._envelopes[n + 1:]
+        self._memos.pop(n + 1, None)
 
     def scored(self, w: int, d: int, h: int, tick: Callable[[], None]) -> list[Ranked]:
         """The pairs of a w×d×h unit that fit, with their negated scores:
@@ -374,43 +381,35 @@ class FlatState:
         for a w×d×h unit."""
         return self._memos.setdefault(len(self.boxes) - 1, {}).setdefault((w, d, h), {})
 
-    def candidates(self) -> list[Point]:
-        """Extreme points inside the pallet, deduplicated, ascending by
-        (z, y, x); the origin alone on an empty pallet."""
-        return sorted(self._counts, key=lambda pt: (pt[2], pt[1], pt[0]))
-
     def fits(self, x: int, y: int, z: int, w: int, d: int, h: int) -> bool:
         """Whether a w×d×h box at (x, y, z) meets every placement rule:
-        bounds, no box above z over its footprint, vertical support, then
+        bounds, vertical support, no box above z over its footprint, then
         horizontal support, stopping at the first that fails."""
         p = self.pallet
         x2, y2, z2 = x + w, y + d, z + h
         if x2 > p.width or y2 > p.depth or z2 > p.max_height:
             return False
-        if self._slab_key != (z, h):
-            self._slab_key = (z, h)
-            self._above, self._slab, self._below = self._layers(z, z2)
-        # No box whose top lies above z may overlap the footprint.
-        for bx, by, _, bx2, by2, _ in self._above:
-            if x < bx2 and bx < x2 and y < by2 and by < y2:
-                return False
-        slab = self._slab
+        above, below = self._layers.get(z) or self._new_layers(z)
         gap = self._gap
         num, den = self._vertical
         if num and z > gap:
             rects = [
                 (max(x, bx), max(y, by), min(x2, bx2), min(y2, by2))
-                for bx, by, bx2, by2 in self._below
+                for bx, by, bx2, by2 in below
                 if x < bx2 and bx < x2 and y < by2 and by < y2
             ]
             if not _covers(rects, w * d, num, den):
+                return False
+        # No box whose top lies above z may overlap the footprint.
+        for bx, by, _, bx2, by2, _ in above:
+            if x < bx2 and bx < x2 and y < by2 and by < y2:
                 return False
         num, den = self._horiz_x
         if num and x > gap:
             rects = [
                 (max(y, by), max(z, bz), min(y2, by2), min(z2, bz2))
-                for bx, by, bz, bx2, by2, bz2 in slab
-                if 0 <= x - bx2 <= gap and y < by2 and by < y2
+                for bx, by, bz, bx2, by2, bz2 in above
+                if bz < z2 and 0 <= x - bx2 <= gap and y < by2 and by < y2
             ]
             if not _covers(rects, d * h, num, den):
                 return False
@@ -418,38 +417,32 @@ class FlatState:
         if num and y > gap:
             rects = [
                 (max(x, bx), max(z, bz), min(x2, bx2), min(z2, bz2))
-                for bx, by, bz, bx2, by2, bz2 in slab
-                if 0 <= y - by2 <= gap and x < bx2 and bx < x2
+                for bx, by, bz, bx2, by2, bz2 in above
+                if bz < z2 and 0 <= y - by2 <= gap and x < bx2 and bx < x2
             ]
             if not _covers(rects, w * h, num, den):
                 return False
         return True
 
-    def _layers(
-        self, z: int, z2: int
-    ) -> tuple[list[Box], list[Box], list[tuple[int, int, int, int]]]:
-        """Boxes whose tops lie above z, those of them that share height
-        with z..z2, and the footprints (x, y, x2, y2) of boxes whose tops
-        lie within the gap below z."""
+    def _new_layers(self, z: int) -> Layers:
+        """The layers of height z, kept until the next push or pop."""
         gap = self._gap
         if len(self.boxes) >= _INDEX_BOXES:
             by_top, (tops, _), _, _ = self._index or self._build_index()
             lo = bisect_right(tops, z)
             above = by_top[lo:]
             below = [(b[0], b[1], b[3], b[4]) for b in by_top[bisect_left(tops, z - gap):lo]]
-            return above, [b for b in above if b[2] < z2], below
-        above = []
-        slab = []
-        below = []
-        for b in self.boxes:
-            bz2 = b[5]
-            if bz2 > z:
-                above.append(b)
-                if b[2] < z2:
-                    slab.append(b)
-            elif z - bz2 <= gap:
-                below.append((b[0], b[1], b[3], b[4]))
-        return above, slab, below
+        else:
+            above = []
+            below = []
+            for b in self.boxes:
+                bz2 = b[5]
+                if bz2 > z:
+                    above.append(b)
+                elif z - bz2 <= gap:
+                    below.append((b[0], b[1], b[3], b[4]))
+        layers = self._layers[z] = above, below
+        return layers
 
     def _build_index(self) -> tuple[list[Box], Faces, Faces, Faces]:
         """Index the state's boxes: the boxes sorted by top, and the far
@@ -512,15 +505,19 @@ class FlatState:
 
     def unused_volume(self) -> int:
         """Pallet volume above the height envelope, as ``grid.unused_volume``."""
-        return self.pallet.volume() - self._envelope_volume
+        envelopes = self._envelopes
+        for k in range(len(envelopes) - 1, len(self.boxes)):
+            envelopes.append(envelopes[k] + self._envelope_rise(k))
+        return self.pallet.volume() - envelopes[-1]
 
-    def _envelope_rise(self, x: int, y: int, x2: int, y2: int, top: int) -> int:
-        """Volume the envelope gains from a box with footprint x..x2, y..y2
-        and top ``top``: over each part of the footprint, how far ``top``
-        rises above the tallest box already there."""
+    def _envelope_rise(self, k: int) -> int:
+        """Volume the envelope gains from box k over the boxes before it:
+        over each part of its footprint, how far its top rises above the
+        tallest of them there."""
+        x, y, _, x2, y2, top = self.boxes[k]
         rects = [
             (max(x, bx), max(y, by), min(x2, bx2), min(y2, by2), min(bz2, top))
-            for bx, by, _, bx2, by2, bz2 in self.boxes
+            for bx, by, _, bx2, by2, bz2 in self.boxes[:k]
             if x < bx2 and bx < x2 and y < by2 and by < y2
         ]
         if not rects:

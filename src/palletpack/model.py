@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,6 +172,9 @@ class SolverParams:
     ``gap_tolerance`` is the permissible distance in mm between supporting
     and supported surfaces (deformability allowance). ``p_x``/``p_y``/``p_z``
     are the coplanarity tolerances used by the scoring step.
+    ``max_nodes``, when set, stops the search after that many expanded
+    nodes, as ``time_limit_ms`` stops it on the clock; unlike the clock, it
+    stops every run of an instance at the same node.
     """
 
     vertical_support_min: float = 0.8
@@ -183,6 +187,7 @@ class SolverParams:
     max_branches: int = 4
     time_limit_ms: int = 300_000
     bound_mode: str = "exact_knapsack"
+    max_nodes: Optional[int] = None
 
     def __post_init__(self):
         for name in ("vertical_support_min", "horizontal_support_min_x", "horizontal_support_min_y"):
@@ -196,6 +201,8 @@ class SolverParams:
             raise ValueError("max_branches must be >= 1")
         if self.time_limit_ms <= 0:
             raise ValueError("time_limit_ms must be positive")
+        if self.max_nodes is not None and self.max_nodes < 1:
+            raise ValueError("max_nodes must be >= 1")
         if self.bound_mode not in BOUND_MODES:
             raise ValueError(
                 f"bound_mode must be one of {BOUND_MODES}, got {reprlib.repr(self.bound_mode)}"

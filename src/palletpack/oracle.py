@@ -10,6 +10,7 @@ directness; all three are only meant for desk-scale inputs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import gcd
 from typing import Sequence
 
@@ -82,9 +83,9 @@ def exhaustive_solve(
     Same candidates, feasibility rules, orientations, picking order with
     skipping, candidate ordering and incumbent tie-break as ``solve``; it
     differs only in never pruning on the knapsack bound and never stopping
-    on ``time_limit_ms``.
+    on ``time_limit_ms`` or ``max_nodes``.
     """
     if len(units) > MAX_UNITS:
         raise ValueError(f"instance exceeds oracle limit of {MAX_UNITS} units")
-    sol, _ = _Unbounded(units, pallet, params, trace=None).run()
+    sol, _ = _Unbounded(units, pallet, replace(params, max_nodes=None), trace=None).run()
     return sol

@@ -8,7 +8,8 @@ cannot beat the incumbent, or, if the unit fits nowhere, is skipped so the
 same state is retried with the next unit. A skipped unit stays skipped for
 the rest of its branch. Exhausted branches backtrack; at the root the
 first-placed unit itself advances through the picking order. The search is
-fully deterministic; a wall-clock limit makes it an anytime solver.
+fully deterministic; a wall-clock limit makes it an anytime solver, and a
+node budget (``max_nodes``) stops it at the same node on every run.
 
 The searcher owns one incremental state (``flatstate.FlatState``): a
 descent pushes a box onto it and a backtrack pops it, so no node rebuilds
@@ -157,26 +158,32 @@ class _Searcher:
             self._log("expand", unit_id=unit.id, order_index=idx,
                       candidates=len(ranked), depth=depth)
 
+            if ranked:
+                best = ranked[0]
+                self._push(unit, best)
+                b = self.state.volume
+                if b > self.incumbent_volume:
+                    self.incumbent = tuple(self.placed)
+                    self.incumbent_volume = b
+                    self._log("place", unit_id=unit.id, order_index=idx,
+                              position=(best[3], best[2], best[1]), rotated=best[4],
+                              purpose="incumbent", depth=depth)
+                    if self.trace is not None:
+                        self._log("incumbent", volume=b, placements=tuple(
+                            (pl.unit_id, pl.position, pl.rotated) for pl in self.incumbent
+                        ))
+
+            # The node budget (never equal when unset) ends the search once
+            # the node's best candidate has been offered to the incumbent,
+            # before the node skips, branches or is pruned.
+            if self.nodes_expanded == self.params.max_nodes:
+                raise _Deadline
             if not ranked:
                 if not skippable:
                     return None
                 self._log("skip", unit_id=unit.id, order_index=idx, depth=depth)
                 idx += 1
                 continue
-
-            best = ranked[0]
-            self._push(unit, best)
-            b = self.state.volume
-            if b > self.incumbent_volume:
-                self.incumbent = tuple(self.placed)
-                self.incumbent_volume = b
-                self._log("place", unit_id=unit.id, order_index=idx,
-                          position=(best[3], best[2], best[1]), rotated=best[4],
-                          purpose="incumbent", depth=depth)
-                if self.trace is not None:
-                    self._log("incumbent", volume=b, placements=tuple(
-                        (pl.unit_id, pl.position, pl.rotated) for pl in self.incumbent
-                    ))
 
             if idx + 1 < n:
                 ub = self._pruning_bound(idx + 1)

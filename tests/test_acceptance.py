@@ -182,8 +182,16 @@ def test_criterion_8_anytime_behavior():
         sol = solve(units, pallet, params)
         walls.append((time.monotonic() - started) * 1000)
         volumes.append(sol.placed_volume)
-    nondecreasing = volumes == sorted(volumes)
+    # The same search under node budgets, which no clock can disturb.
+    budgets = [500, 3_000, 30_000]
+    budgeted = [
+        solve(units, pallet, SolverParams(vertical_support_min=0.7, max_branches=4,
+                                          max_nodes=budget)).placed_volume
+        for budget in budgets
+    ]
+    nondecreasing = volumes == sorted(volumes) and budgeted == sorted(budgeted)
     within_budget = all(w <= 1.5 * l for w, l in zip(walls, limits))
     ok = nondecreasing and within_budget
     assert _report(8, "anytime behavior", ok,
-                   f"volumes {volumes}, walls {[f'{w:.0f}ms' for w in walls]}")
+                   f"volumes {volumes}, walls {[f'{w:.0f}ms' for w in walls]}, "
+                   f"volumes at {budgets} nodes {budgeted}")

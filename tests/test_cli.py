@@ -250,7 +250,8 @@ def test_flag_overrides_are_echoed(instance_path, tmp_path):
     assert (echo["p_x"], echo["p_y"], echo["p_z"]) == (1, 2, 3)
 
 
-def test_time_limit_records_timeout(tmp_path):
+def _big_instance(tmp_path, **params):
+    """A 40-unit instance file whose search takes far more than a second."""
     units = [
         {"id": f"u{i}", "w": 37 + (i * 13) % 211, "d": 41 + (i * 29) % 173,
          "h": 23 + (i * 7) % 131}
@@ -260,12 +261,57 @@ def test_time_limit_records_timeout(tmp_path):
     inst.write_text(json.dumps({
         "pallet": {"width": 1200, "depth": 800, "max_height": 1500},
         "units": units,
-        "params": {"vertical_support_min": 0.7},
+        "params": {"vertical_support_min": 0.7, **params},
     }))
+    return inst
+
+
+def test_time_limit_records_timeout(tmp_path):
+    inst = _big_instance(tmp_path)
     out = tmp_path / "solution.json"
     code = cli_main(["solve", str(inst), "--out", str(out), "--time-limit-ms", "1"])
     assert code == 0
     assert json.loads(out.read_text())["stats"]["timed_out"] is True
+
+
+def test_node_budget_stops_at_its_node_and_reruns_identically(tmp_path, capsys):
+    inst = _big_instance(tmp_path)
+    out = tmp_path / "solution.json"
+    code = cli_main(["solve", str(inst), "--out", str(out), "--max-nodes", "50",
+                     "--seed-check"])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "seed-check: ok" in err and "node budget reached" in err
+    doc = json.loads(out.read_text())
+    assert doc["stats"]["nodes_expanded"] == 50 and doc["stats"]["timed_out"] is True
+    assert doc["params_echo"]["max_nodes"] == 50
+    assert cli_main(["validate", str(out), str(inst)]) == 0
+    # The same budget from the instance's params: the same solution.
+    again = tmp_path / "again.json"
+    assert cli_main(["solve", str(_big_instance(tmp_path, max_nodes=50)), "--out",
+                     str(again)]) == 0
+    docs = [json.loads(again.read_text()), doc]
+    for d in docs:
+        del d["instance_digest"]
+    assert docs[0] == docs[1]
+
+
+def test_unset_node_budget_is_not_echoed(instance_path, tmp_path):
+    out = tmp_path / "solution.json"
+    assert cli_main(["solve", str(instance_path), "--out", str(out)]) == 0
+    assert "max_nodes" not in json.loads(out.read_text())["params_echo"]
+
+
+@pytest.mark.parametrize("flag,params", [
+    (["--max-nodes", "0"], {}),
+    ([], {"max_nodes": 0}),
+    ([], {"max_nodes": 2.5}),
+    ([], {"max_nodes": True}),
+], ids=["flag-zero", "param-zero", "param-float", "param-bool"])
+def test_bad_node_budget_exits_2(tmp_path, capsys, flag, params):
+    inst = _big_instance(tmp_path, **params)
+    assert cli_main(["solve", str(inst), *flag]) == 2
+    assert "max_nodes" in capsys.readouterr().err
 
 
 def test_svg_and_trace_outputs(instance_path, tmp_path):

@@ -29,12 +29,18 @@ def reference_state(state: FlatState) -> PackingState:
     ), state.pallet)
 
 
+def candidates(state: FlatState) -> list:
+    """The state's extreme points (the points of its count map), ascending
+    by (z, y, x) as ``generate`` gives them."""
+    return sorted(state._counts, key=lambda pt: (pt[2], pt[1], pt[0]))
+
+
 def assert_matches_reference(state: FlatState, params: SolverParams, units) -> None:
     ref = reference_state(state)
-    assert state.candidates() == [c.coords for c in generate(ref)]
+    assert candidates(state) == [c.coords for c in generate(ref)]
     assert state.volume == ref.placed_volume()
     assert state.unused_volume() == unused_volume(ref)
-    for pos in state.candidates():
+    for pos in candidates(state):
         for w, d, h in units:
             for dims in (Dims(w, d, h), Dims(d, w, h)):
                 expected = check_placement(ref, pos, dims, params).feasible
@@ -49,13 +55,13 @@ def assert_matches_reference(state: FlatState, params: SolverParams, units) -> N
         assert sorted(state.scored(w, d, h, lambda: None)) == sorted(expected)
 
 
-def drive(data, check) -> None:
-    """Draw a pallet, params, units and a push/pop sequence; call
-    ``check(state, params, units)`` on the state before and after each step.
-    Each state asks for its sibling memo; after a pop no memo is left for a
-    prefix longer than the boxes on the state."""
+def drive(data, check, params=None) -> None:
+    """Draw a pallet, params (unless given), units and a push/pop sequence;
+    call ``check(state, params, units)`` on the state before and after each
+    step. Each state asks for its sibling memo; after a pop no memo is left
+    for a prefix longer than the boxes on the state."""
     pallet = Pallet(*(data.draw(st.integers(3, 12)) for _ in range(3)))
-    params = SolverParams(
+    params = params or SolverParams(
         vertical_support_min=data.draw(st.sampled_from(THRESHOLDS)),
         horizontal_support_min_x=data.draw(st.sampled_from(THRESHOLDS)),
         horizontal_support_min_y=data.draw(st.sampled_from(THRESHOLDS)),
@@ -78,8 +84,8 @@ def drive(data, check) -> None:
             # A box at a candidate position (as the search places them) or
             # anywhere free; support is not required for a push.
             w, d, h = data.draw(st.tuples(side, side, side))
-            if state.candidates() and data.draw(st.booleans()):
-                pos = data.draw(st.sampled_from(state.candidates()))
+            if candidates(state) and data.draw(st.booleans()):
+                pos = data.draw(st.sampled_from(candidates(state)))
             else:
                 pos = tuple(data.draw(st.integers(0, n - 1)) for n in
                             (pallet.width, pallet.depth, pallet.max_height))
@@ -110,7 +116,7 @@ def scratch_live(state: FlatState) -> dict:
     box whose top lies above it."""
     p = state.pallet
     live = {}
-    for x, y, z in state.candidates():
+    for x, y, z in candidates(state):
         ex, ey = p.width - x, p.depth - y
         for bx, by, _, bx2, by2, bz2 in state.boxes:
             if bz2 <= z:
@@ -132,11 +138,11 @@ def assert_live_map_sound(state: FlatState, params: SolverParams, units) -> None
     # candidate lies inside or under a placed box, so no box fits there.
     # scored ticks once per live point.
     live = state._live
-    assert set(live) <= set(state.candidates())
+    assert set(live) <= set(candidates(state))
     ticks = []
     state.scored(*units[0], lambda: ticks.append(1))
     assert len(ticks) == len(live)
-    for pos in state.candidates():
+    for pos in candidates(state):
         if pos not in live:
             assert any(inside_or_under(pos, box) for box in state.boxes)
             continue
@@ -176,20 +182,24 @@ def test_free_rays_match_a_computation_from_scratch(data):
 
 
 def journaled(state: FlatState):
-    """Everything a pop must restore: the count and live maps, the maxima
-    of every box and the envelope volume."""
-    return (dict(state._counts), dict(state._live), [list(m) for m in state._maxima],
-            state._envelope_volume)
+    """Everything a pop must restore: the count and live maps and the maxima
+    of every box."""
+    return dict(state._counts), dict(state._live), [list(m) for m in state._maxima]
 
 
 @settings(max_examples=300)
 @given(st.data())
 def test_pop_restores_the_journaled_state(data):
     # saved[k]: the state at depth k just before the push to depth k + 1.
+    # The unused volume is asked for at some depths only, so pushes run past
+    # the envelope volumes computed so far and pops cut below them.
     saved = []
 
     def check(state, params, units):
         depth = len(state.boxes)
+        assert len(state._envelopes) <= depth + 1
+        if data.draw(st.booleans()):
+            assert state.unused_volume() == unused_volume(reference_state(state))
         if depth < len(saved):  # back from depth + 1 by a pop
             assert journaled(state) == saved[depth]
         saved[depth:] = [journaled(state)]
@@ -197,11 +207,44 @@ def test_pop_restores_the_journaled_state(data):
     drive(data, check)
 
 
+def assert_heights_at_one_z_match(state: FlatState, params: SolverParams, units) -> None:
+    # One z at a time, every height in a row: the layers kept for z must
+    # answer for each height as check_placement does.
+    ref = reference_state(state)
+    points = candidates(state)
+    for z in sorted({pt[2] for pt in points}):
+        for h in (1, 2, 3, 5, 8):
+            for x, y, _ in (pt for pt in points if pt[2] == z):
+                for w, d, _ in units:
+                    expected = check_placement(ref, (x, y, z), Dims(w, d, h), params).feasible
+                    assert state.fits(x, y, z, w, d, h) == expected
+
+
+# drive() stays below _INDEX_BOXES boxes, so "indexed" indexes every state.
+@pytest.mark.parametrize("index_boxes", [flatstate._INDEX_BOXES, 0], ids=["default", "indexed"])
+@settings(max_examples=150)
+@given(st.data())
+def test_layers_answer_every_height_at_one_z(index_boxes, data):
+    # Horizontal support and a gap on, as no benchmark workload sets them:
+    # the horizontal tests take the boxes above z that start below each
+    # height's top, and the support tests look across the gap.
+    nonzero = [t for t in THRESHOLDS if t > 0]
+    params = SolverParams(
+        vertical_support_min=data.draw(st.sampled_from(THRESHOLDS)),
+        horizontal_support_min_x=data.draw(st.sampled_from(nonzero)),
+        horizontal_support_min_y=data.draw(st.sampled_from(nonzero)),
+        gap_tolerance=data.draw(st.integers(1, 3)),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flatstate, "_INDEX_BOXES", index_boxes)
+        drive(data, assert_heights_at_one_z_match, params)
+
+
 def test_free_rays_stop_at_the_first_box_and_skip_covered_points():
     state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
     state.push(0, 0, 0, 4, 10, 2)  # a slab along y
     state.push(4, 0, 0, 3, 3, 3)  # beside it, touching at x = 4
-    assert (4, 0, 0) in state.candidates()  # the slab's corner ...
+    assert (4, 0, 0) in candidates(state)  # the slab's corner ...
     assert (4, 0, 0) not in state._live  # ... is the second box's own corner
     assert state._live[(4, 3, 0)] == (6, 7)  # in front of the second box
     assert state._live[(0, 0, 2)] == (4, 10)  # on the slab, runs into the box's side
@@ -211,7 +254,7 @@ def test_a_point_under_an_overhang_is_dropped_and_blocks_no_ray_below_its_top():
     state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
     state.push(0, 0, 0, 2, 2, 2)
     state.push(0, 0, 2, 6, 2, 1)  # a bridge over x = 2..6
-    assert (2, 0, 0) in state.candidates()  # the first box's corner ...
+    assert (2, 0, 0) in candidates(state)  # the first box's corner ...
     assert (2, 0, 0) not in state._live  # ... now lies under the bridge
     assert not state.fits(2, 0, 0, 1, 1, 1)  # nothing goes under the bridge
     assert state._live[(0, 2, 0)] == (10, 8)
@@ -231,7 +274,7 @@ def test_a_candidate_that_comes_back_is_run_against_the_boxes_pushed_meanwhile()
     present = []
     for box in [(1, 0, 3, 2, 5, 5), (1, 5, 0, 5, 3, 2), (1, 0, 0, 2, 4, 2)]:
         state.push(*box)
-        present.append((3, 0, 0) in state.candidates())
+        present.append((3, 0, 0) in candidates(state))
         assert state._live == scratch_live(state)
     assert present == [True, False, True]
     assert state._live[(3, 0, 0)] == (3, 5)
@@ -264,11 +307,11 @@ def test_pop_restores_candidates_after_deep_pushes():
     state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
     seen = []
     for x in range(0, 10, 2):
-        seen.append(list(state.candidates()))
+        seen.append(list(candidates(state)))
         state.push(x, 0, 0, 2, 3, 2)
     for expected in reversed(seen):
         state.pop()
-        assert state.candidates() == expected
+        assert candidates(state) == expected
     assert state.unused_volume() == 1000 and state.volume == 0
 
 
@@ -280,7 +323,7 @@ def test_score_sums_in_reference_set_order():
     params = SolverParams(vertical_support_min=0.0)
     state = FlatState(Pallet(40, 40, 8), params)
     while len(state.boxes) < 30:
-        x, y, z = rng.choice(state.candidates())
+        x, y, z = rng.choice(candidates(state))
         w, d, h = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 4)
         if check_overlap_bounds(reference_state(state), (x, y, z), Dims(w, d, h)):
             state.push(x, y, z, w, d, h)

@@ -61,6 +61,15 @@ def test_exhaustive_explores_more_nodes_than_pruned_solve(pallet_4x3x10):
     assert oracle.stats.nodes_expanded > sol.stats.nodes_expanded
 
 
+def test_exhaustive_ignores_the_node_budget(pallet_4x3x10):
+    units = [TransportUnit(f"u{i}", Dims(1, 1, 1), i) for i in range(4)]
+    budgeted = SolverParams(vertical_support_min=0.0, max_branches=10**6, max_nodes=1)
+    assert solve(units, pallet_4x3x10, budgeted).stats.nodes_expanded == 1
+    got, full = (exhaustive_solve(units, pallet_4x3x10, p) for p in (budgeted, P0))
+    assert got.placements == full.placements
+    assert got.stats.nodes_expanded == full.stats.nodes_expanded > 1
+
+
 def test_exhaustive_enforces_unit_limit(pallet_4x3x10):
     units = [TransportUnit(f"u{i}", Dims(1, 1, 1), i) for i in range(7)]
     with pytest.raises(ValueError):

@@ -148,14 +148,9 @@ def test_pruning_is_safe_at_the_default_branch_cap(mode):
         assert sol.placements == oracle.placements
 
 
-class _Budgeted(search._Searcher):
-    """The searcher, stopped after ``budget`` expanded nodes."""
-
-    budget = 10**9
-
-    def _tick(self):
-        if self.nodes_expanded >= self.budget:
-            raise search._Deadline
+def _budgeted(units, pallet, params, budget):
+    """The solution of a search stopped after ``budget`` expanded nodes."""
+    return solve(units, pallet, dataclasses.replace(params, max_nodes=budget))
 
 
 def _tight_instance(seed):
@@ -202,7 +197,7 @@ def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
         assert got == reference
         checked += 1
         # a state whose live map holds fewer points than its candidates
-        screened += len(self.state._live) < len(self.state.candidates())
+        screened += len(self.state._live) < len(self.state._counts)
         return got
 
     monkeypatch.setattr(search._Searcher, "_ranked_candidates", ranked)
@@ -218,9 +213,7 @@ def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
         (_deep_instance(8), DEEP_PARAMS, 120),
     ):
         before = checked, screened
-        searcher = _Budgeted(units, pallet, params, None)
-        searcher.budget = budget
-        searcher.run()
+        _budgeted(units, pallet, params, budget)
         assert checked - before[0] == budget
         assert screened - before[1] > budget * 9 // 10
 
@@ -247,9 +240,7 @@ def test_deep_budgeted_tree_is_pinned(instance, params, budget, digest):
     # were kept up to date across push and pop (full support leaves no
     # overhang): the state's fast paths must leave the tree exactly as it was.
     units, pallet = instance
-    searcher = _Budgeted(units, pallet, params, None)
-    searcher.budget = budget
-    sol, _ = searcher.run()
+    sol = _budgeted(units, pallet, params, budget)
     assert sol.stats.nodes_expanded == budget
     assert _tree_digest(sol) == digest
 
@@ -260,9 +251,7 @@ def test_box_index_leaves_the_deep_tree_as_it_was(monkeypatch):
     digests = []
     for threshold in (0, 10**9):
         monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
-        searcher = _Budgeted(*_deep_instance(8), DEEP_PARAMS, None)
-        searcher.budget = 150
-        sol, _ = searcher.run()
+        sol = _budgeted(*_deep_instance(8), DEEP_PARAMS, 150)
         assert sol.stats.nodes_expanded == 150
         digests.append(_tree_digest(sol))
     assert digests[0] == digests[1]
@@ -288,9 +277,7 @@ def test_sibling_memo_leaves_the_deep_tree_as_it_was(monkeypatch, params):
     digests = []
     for threshold in (0, 10**9):
         monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
-        searcher = _Budgeted(*_deep_instance(3), params, None)
-        searcher.budget = 200
-        sol, _ = searcher.run()
+        sol = _budgeted(*_deep_instance(3), params, 200)
         assert sol.stats.nodes_expanded == 200
         digests.append(_tree_digest(sol))
     assert digests[0] == digests[1]
@@ -333,10 +320,7 @@ def test_sibling_memo_answers_rank_as_the_reference(monkeypatch):
     units, pallet = _deep_instance(5)
     for params in ODD_PARAMS:
         # 30 units: the first dive ends early, and most nodes after it are siblings.
-        searcher = _Budgeted(units[:30], pallet,
-                             dataclasses.replace(params, max_branches=10**6), None)
-        searcher.budget = 200
-        searcher.run()
+        _budgeted(units[:30], pallet, dataclasses.replace(params, max_branches=10**6), 200)
     assert hits > 8000
 
 
@@ -395,6 +379,37 @@ def test_trace_replays_to_the_solution():
         assert last == tuple(
             (pl.unit_id, pl.position, pl.rotated) for pl in sol.placements
         )
+
+
+def test_node_budget_stops_the_search_at_its_node():
+    # A search stopped after n nodes holds the incumbent the full search
+    # held when it began node n + 1, and the prunes of its first n - 1
+    # nodes: node n offers its best candidate to the incumbent and stops.
+    rng = random.Random(404)
+    for _ in range(10):
+        units, pallet, params = random_solver_instance(rng, max_units=6)
+        full, trace = solve_with_trace(units, pallet, params)
+        before = []  # per node, (incumbent volume, prunes) when it began
+        volume = prunes = 0
+        for ev in trace:
+            if ev.kind == "expand":
+                before.append((volume, prunes))
+            elif ev.kind == "incumbent":
+                volume = ev.volume
+            elif ev.kind == "prune":
+                prunes += 1
+        total = full.stats.nodes_expanded
+        assert len(before) == total
+        before.append((full.placed_volume, full.stats.nodes_pruned_by_bound))
+        for n in sorted({1, 2, 3, total // 2, total - 1, total, total + 1} - {0}):
+            sol = solve(units, pallet, dataclasses.replace(params, max_nodes=n))
+            assert sol.stats.nodes_expanded == min(n, total)
+            assert sol.stats.timed_out is (n <= total)
+            if n < total:
+                assert sol.placed_volume == before[n][0]
+                assert sol.stats.nodes_pruned_by_bound == before[n - 1][1]
+            else:
+                assert sol.placements == full.placements
 
 
 def test_time_limit_returns_incumbent_quickly():
@@ -516,7 +531,7 @@ def test_branch_cap_limits_children():
     assert b.placed_volume <= a.placed_volume
 
 
-class _CheckedBound(_Budgeted):
+class _CheckedBound(search._Searcher):
     """Checks each prune decision the searcher makes against the reference,
     and counts which path decided it."""
 
@@ -553,9 +568,8 @@ def test_searcher_bound_equals_the_reference_bound(mode):
     # Every decision must be node_upper_bound <= incumbent; the kernel path
     # is the next test's.
     units, pallet = _tight_instance(27)
-    params = SolverParams(vertical_support_min=1.0, bound_mode=mode)
+    params = SolverParams(vertical_support_min=1.0, bound_mode=mode, max_nodes=1000)
     searcher = _CheckedBound(units, pallet, params, None)
-    searcher.budget = 1000
     sol, _ = searcher.run()
     assert sol.stats.nodes_expanded == 1000
     assert sol.stats.nodes_pruned_by_bound > 0
