@@ -10,28 +10,10 @@ relaxation as its own pruning bound.
 
 from __future__ import annotations
 
-import reprlib
-from dataclasses import dataclass
 from typing import Sequence
 
 from .grid import unused_volume
 from .model import PackingState, TransportUnit, volume
-
-
-@dataclass(frozen=True)
-class BoundContext:
-    """Inputs of one bound computation: volumes of the still-eligible
-    units and the unused pallet volume as capacity."""
-
-    remaining_volumes: tuple[int, ...]
-    capacity: int
-
-    def __post_init__(self):
-        if any(v <= 0 for v in self.remaining_volumes):
-            raise ValueError("remaining volumes must be positive")
-        if self.capacity < 0:
-            raise ValueError("capacity must be >= 0")
-
 
 # Above this many items the subset-sum search is work-capped and may fall
 # back to the relaxation value; at or below it the result is always exact.
@@ -39,7 +21,7 @@ EXACT_ITEM_LIMIT = 15
 _WORK_CAP = 40_000
 
 
-def _subset_sum_max(volumes: Sequence[int], capacity: int) -> int:
+def subset_sum_max(volumes: Sequence[int], capacity: int) -> int:
     """Largest subset sum not exceeding capacity (the exact knapsack
     optimum when value equals weight).
 
@@ -98,23 +80,12 @@ def _subset_sum_max(volumes: Sequence[int], capacity: int) -> int:
                 best = cur
 
 
-def knapsack_upper_bound(ctx: BoundContext, mode: str = "exact_knapsack") -> int:
-    """Best additional volume obtainable from the remaining units within
-    the capacity, per the selected bound mode."""
-    if mode == "exact_knapsack":
-        return _subset_sum_max(ctx.remaining_volumes, ctx.capacity)
-    if mode == "lp_relaxation":
-        return min(sum(ctx.remaining_volumes), ctx.capacity)
-    raise ValueError(f"unknown bound mode {reprlib.repr(mode)}")
-
-
 def node_upper_bound(
     state: PackingState, remaining: Sequence[TransportUnit], mode: str = "exact_knapsack"
 ) -> int:
     """Upper bound for any completion of ``state`` using ``remaining``."""
-    loaded = state.placed_volume()
-    vols = tuple(volume(u.dims) for u in remaining)
-    if not vols:
-        return loaded
-    ctx = BoundContext(vols, unused_volume(state))
-    return loaded + knapsack_upper_bound(ctx, mode)
+    vols = [volume(u.dims) for u in remaining]
+    capacity = unused_volume(state)
+    if mode == "lp_relaxation":
+        return state.placed_volume() + min(sum(vols), capacity)
+    return state.placed_volume() + subset_sum_max(vols, capacity)

@@ -8,29 +8,29 @@ push updates every box's maxima against the new box (the insertion update
 of Crainic, Perboli & Tadei, INFORMS J. Computing 20(3), 2008).
 
 Every answer is the same as the reference functions give on the
-equivalent ``PackingState``: the count map's points as ``generate``'s,
-``fits`` as ``feasibility.check_placement(...).feasible``, ``score`` as
+equivalent ``PackingState``: the live map's points as those of
+``generate``'s that lie inside or under no box, ``fits`` as
+``feasibility.check_placement(...).feasible``, ``score`` as
 ``scoring.evaluate``, float for float, and ``scored`` as
-``scoring.scored_candidates``. Those functions stay the reference
-that the replay checker and the oracle use.
+``scoring.scored_candidates``. Those functions stay the reference that the
+replay checker and the oracle use.
 
 Units are loaded from above: no placed box whose top lies above a pair's
 z may overlap its footprint. So a point inside or under a box takes no
-pair, and stays so for as long as that box does. The state keeps two maps
-of points across push and pop:
+pair, and stays so for as long as that box does. The state keeps only the
+live points, in one map across push and pop: per extreme point that lies
+inside or under no box, how far a ray runs from it along +x and along +y
+before it meets a box whose top lies above the point, or a pallet side,
+and how many box corners project onto it. A push moves the corners whose
+maxima it changes and adds the new box's; a point whose count falls to
+zero leaves, and a corner that lands on or leaves a covered point is not
+counted. The push drops the live points that now lie inside or under the
+new box and shortens the other rays against it; a point it adds runs
+against every box. A pair longer than a ray overlaps the box the ray met,
+or leaves the pallet, so ``fits`` holds only where ``w <= ex`` and
+``d <= ey``.
 
-- The count map: per extreme point, how many box corners project onto
-  it. A push moves the corners whose maxima it changes and adds the new
-  box's; the points counted are the candidates.
-- The live map: per counted point that lies inside or under no box, how
-  far a ray runs from it along +x and along +y before it meets a box
-  whose top lies above the point, or a pallet side. A push drops the live
-  points that now lie inside or under the new box and shortens the other
-  rays against it; a point the push adds runs against every box. A pair
-  longer than a ray overlaps the box the ray met, or leaves the pallet,
-  so ``fits`` holds only where ``w <= ex`` and ``d <= ey``.
-
-Every change to the maxima and the two maps goes into one undo journal of
+Every change to the maxima and the live map goes into one undo journal of
 ``(container, key, old value)`` entries; a pop unwinds it to the mark its
 push left. Beyond that, a state computes only what a node asks of it.
 ``fits`` tests bounds, then vertical support (which most pairs fail), then
@@ -129,11 +129,10 @@ class FlatState:
         # Per box, the maxima of the projections xy, xz, yx, yz, zx, zy
         # (extreme_points.KINDS): the coordinate each corner slides back to.
         self._maxima: list[list[int]] = []
-        # Per extreme point, how many box corners project onto it; on an
-        # empty pallet, the origin once.
-        self._counts: dict[Point, int] = {(0, 0, 0): 1}
-        # Per counted point inside or under no box, its runs (ex, ey).
-        self._live: dict[Point, tuple[int, int]] = {(0, 0, 0): (pallet.width, pallet.depth)}
+        # Per extreme point inside or under no box, its runs (ex, ey) and how
+        # many box corners project onto it; on an empty pallet, the origin once.
+        self._live: dict[Point, tuple[int, int, int]] = {
+            (0, 0, 0): (pallet.width, pallet.depth, 1)}
         self._undo: list[tuple[object, object, object]] = []  # (container, key, old)
         self._marks: list[int] = []  # journal length per push
         # fits() layers per height z (_new_layers), cleared by push/pop
@@ -159,9 +158,13 @@ class FlatState:
         overlap no placed box."""
         x2, y2, z2 = x + w, y + d, z + h
         undo = self._undo
-        mark = len(undo)
-        self._marks.append(mark)
-        moved: list[Box] = []  # the box of each maxima change, in journal order
+        self._marks.append(len(undo))
+        # The points each corner whose maximum this push changes leaves and
+        # lands on (a corner moves only where its far face lies below the
+        # new box's, so it stays inside the pallet); the first box takes the
+        # origin's place.
+        left: list[Point] = [(0, 0, 0)] if not self.boxes else []
+        came: list[Point] = []
         mxy = mxz = myx = myz = mzx = mzy = 0
         for (bx, by, bz, bx2, by2, bz2), m in zip(self.boxes, self._maxima):
             # The new box's corners slide back against this box ...
@@ -184,68 +187,67 @@ class FlatState:
             if bx2 < x2:
                 if by >= y2 and y2 > m[0]:
                     undo.append((m, 0, m[0]))
-                    moved.append((bx, by, bz, bx2, by2, bz2))
+                    left.append((bx2, m[0], bz))
+                    came.append((bx2, y2, bz))
                     m[0] = y2
                 if bz >= z2 and z2 > m[1]:
                     undo.append((m, 1, m[1]))
-                    moved.append((bx, by, bz, bx2, by2, bz2))
+                    left.append((bx2, by, m[1]))
+                    came.append((bx2, by, z2))
                     m[1] = z2
             if by2 < y2:
                 if bx >= x2 and x2 > m[2]:
                     undo.append((m, 2, m[2]))
-                    moved.append((bx, by, bz, bx2, by2, bz2))
+                    left.append((m[2], by2, bz))
+                    came.append((x2, by2, bz))
                     m[2] = x2
                 if bz >= z2 and z2 > m[3]:
                     undo.append((m, 3, m[3]))
-                    moved.append((bx, by, bz, bx2, by2, bz2))
+                    left.append((bx, by2, m[3]))
+                    came.append((bx, by2, z2))
                     m[3] = z2
             if bz2 < z2:
                 if bx >= x2 and x2 > m[4]:
                     undo.append((m, 4, m[4]))
-                    moved.append((bx, by, bz, bx2, by2, bz2))
+                    left.append((m[4], by, bz2))
+                    came.append((x2, by, bz2))
                     m[4] = x2
                 if by >= y2 and y2 > m[5]:
                     undo.append((m, 5, m[5]))
-                    moved.append((bx, by, bz, bx2, by2, bz2))
+                    left.append((bx, m[5], bz2))
+                    came.append((bx, y2, bz2))
                     m[5] = y2
-        # The counts: a moved corner leaves its old point for its new one (a
-        # corner moves only where its far face lies below the new box's, so
-        # it stays inside the pallet), the new box adds its corners inside
-        # the pallet, and the first box takes the origin's place. A point
-        # that leaves may come back within the same push.
         p = self.pallet
-        counts, live = self._counts, self._live
-        left = [(0, 0, 0)] if not self.boxes else []
-        came = []
-        if moved:
-            for b, (m, k, old) in zip(moved, undo[mark:]):
-                left.append(_corner(b, k, old))
-                came.append(_corner(b, k, m[k]))
         if x2 < p.width:
             came += (x2, mxy, z), (x2, y, mxz)
         if y2 < p.depth:
             came += (myx, y2, z), (x, y2, myz)
         if z2 < p.max_height:
             came += (mzx, y, z2), (x, mzy, z2)
-        for pt in left:
-            n = counts[pt]
-            undo.append((counts, pt, n))
-            if n > 1:
-                counts[pt] = n - 1
-            else:
-                del counts[pt]
-        born = []
+        # A corner counts where it lands on or leaves a live point; landings
+        # go first, so a point that one corner leaves and another lands on
+        # keeps its entry. A point with corners but no entry lies inside or
+        # under a box, and stays so until that box's pop, which first unwinds
+        # every later change. So a point with no entry that no box covers
+        # after this push had no corner before it: it is born with the
+        # corners that land on it.
+        live = self._live
+        born: dict[Point, int] = {}
         for pt in came:
-            n = counts.get(pt, _ABSENT)
-            undo.append((counts, pt, n))
-            if n is _ABSENT:
-                counts[pt] = 1
-                born.append(pt)
+            entry = live.get(pt)
+            if entry is None:
+                born[pt] = born.get(pt, 0) + 1
             else:
-                counts[pt] = n + 1
+                undo.append((live, pt, entry))
+                live[pt] = (entry[0], entry[1], entry[2] + 1)
         for pt in left:
-            if pt in live and pt not in counts:
-                undo.append((live, pt, live.pop(pt)))
+            entry = live.get(pt)
+            if entry is not None:
+                undo.append((live, pt, entry))
+                if entry[2] > 1:
+                    live[pt] = (entry[0], entry[1], entry[2] - 1)
+                else:
+                    del live[pt]
         # A live point under the new box's top dies inside or under it, or
         # its rays stop at it.
         dead = []
@@ -257,10 +259,10 @@ class FlatState:
                         dead.append(pt)
                     elif px < x and x - px < ray[0]:
                         undo.append((live, pt, ray))
-                        live[pt] = (x - px, ray[1])
+                        live[pt] = (x - px, ray[1], ray[2])
                 elif x <= px < x2 and py < y and y - py < ray[1]:
                     undo.append((live, pt, ray))
-                    live[pt] = (ray[0], y - py)
+                    live[pt] = (ray[0], y - py, ray[2])
         for pt in dead:
             undo.append((live, pt, live.pop(pt)))
         boxes = self.boxes
@@ -270,9 +272,7 @@ class FlatState:
         self._layers.clear()
         self._index = None
         # A new point runs against every box.
-        for pt in born:
-            if pt in live:
-                continue  # it left and came back
+        for pt, n in born.items():
             px, py, pz = pt
             ex, ey = p.width - px, p.depth - py
             for bx, by, _, bx2, by2, bz2 in boxes:
@@ -286,7 +286,7 @@ class FlatState:
                         ey = by - py
             else:
                 undo.append((live, pt, _ABSENT))
-                live[pt] = (ex, ey)
+                live[pt] = (ex, ey, n)
 
     def pop(self) -> None:
         """Remove the last pushed box and restore the state before it."""
@@ -332,7 +332,7 @@ class FlatState:
             row = self.pallet.width + 1
             plane = row * (self.pallet.depth + 1)
         scored: list[Ranked] = []
-        for (x, y, z), (ex, ey) in self._live.items():
+        for (x, y, z), (ex, ey, _) in self._live.items():
             tick()
             if z > ceiling:
                 continue
@@ -538,17 +538,6 @@ class FlatState:
             for b, h in enumerate(row):
                 rise += (top - h) * wa * (ys[b + 1] - ys[b])
         return rise
-
-
-def _corner(box: Box, kind: int, maximum: int) -> Point:
-    """The extreme point of ``box``'s corner of projection ``kind`` (an
-    index into extreme_points.KINDS) when it slides back to ``maximum``."""
-    x, y, z, x2, y2, z2 = box
-    if kind < 2:
-        return (x2, maximum, z) if kind == 0 else (x2, y, maximum)
-    if kind < 4:
-        return (maximum, y2, z) if kind == 2 else (x, y2, maximum)
-    return (maximum, y, z2) if kind == 4 else (x, maximum, z2)
 
 
 def _covers(rects: list[tuple[int, int, int, int]], face: int, num: int, den: int) -> bool:

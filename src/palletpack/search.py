@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import Optional, Sequence
 
-from .bounds import BoundContext, knapsack_upper_bound
+from .bounds import subset_sum_max
 from .flatstate import FlatState
 from .model import (
     Pallet,
@@ -220,9 +220,9 @@ class _Searcher:
             else:
                 skipped = True
         bound = fill  # a fill that skipped no unit holds them all
-        if skipped:
-            ctx = BoundContext(tuple(self.volumes[first:]), capacity)
-            bound = knapsack_upper_bound(ctx, self.params.bound_mode)
+        if skipped:  # the units left sum past the capacity, the relaxation's value
+            bound = (capacity if self.params.bound_mode == "lp_relaxation"
+                     else subset_sum_max(self.volumes[first:], capacity))
         self._tick()
         return loaded + bound if bound <= need else None
 

@@ -8,7 +8,7 @@ import json
 import random
 import time
 
-from palletpack.bounds import BoundContext, knapsack_upper_bound
+from palletpack.bounds import subset_sum_max
 from palletpack.extreme_points import generate
 from palletpack.files import build_solution_file, parse_instance, solution_to_json, validate_solution
 from palletpack.grid import unused_volume
@@ -51,9 +51,8 @@ def test_criterion_2_knapsack_equivalence():
         n = rng.randint(0, 15)
         volumes = tuple(rng.randint(1, 8000) for _ in range(n))
         capacity = rng.randint(0, 100_000)
-        ctx = BoundContext(volumes, capacity)
-        exact = knapsack_upper_bound(ctx, "exact_knapsack")
-        relaxed = knapsack_upper_bound(ctx, "lp_relaxation")
+        exact = subset_sum_max(volumes, capacity)
+        relaxed = min(sum(volumes), capacity)
         if exact != dp_knapsack(volumes, capacity):
             bad_exact += 1
         if relaxed < exact:

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import example, given
 
 from palletpack import bounds
-from palletpack.bounds import (
-    BoundContext,
-    knapsack_upper_bound,
-    node_upper_bound,
-)
+from palletpack.bounds import node_upper_bound, subset_sum_max
 from palletpack.model import Dims, PackingState, TransportUnit
 from palletpack.oracle import dp_knapsack
 
@@ -28,26 +24,9 @@ def exhaustive_best_fill(volumes, capacity):
 
 
 def test_knapsack_examples():
-    assert knapsack_upper_bound(BoundContext((6, 5, 4), 10), "exact_knapsack") == 10
-    assert knapsack_upper_bound(BoundContext((7, 7), 10), "exact_knapsack") == 7
-    assert knapsack_upper_bound(BoundContext((7, 7), 10), "lp_relaxation") == 10
-    assert knapsack_upper_bound(BoundContext((), 10), "exact_knapsack") == 0
-    assert knapsack_upper_bound(BoundContext((), 10), "lp_relaxation") == 0
-
-
-def test_knapsack_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        knapsack_upper_bound(BoundContext((1,), 10), "simplex")
-    with pytest.raises(ValueError) as err:  # an outside string is shown shortened
-        knapsack_upper_bound(BoundContext((1,), 10), "k" * 5000)
-    assert "kkk" in str(err.value) and len(str(err.value)) < 200
-
-
-def test_bound_context_validation():
-    with pytest.raises(ValueError):
-        BoundContext((0,), 10)
-    with pytest.raises(ValueError):
-        BoundContext((1,), -1)
+    assert subset_sum_max((6, 5, 4), 10) == 10
+    assert subset_sum_max((7, 7), 10) == 7
+    assert subset_sum_max((), 10) == 0
 
 
 def test_lower_bound_examples(pallet_4x3x10):
@@ -81,6 +60,7 @@ def test_node_upper_bound_examples(pallet_4x3x10):
 def test_node_upper_bound_without_remaining(pallet_4x3x10):
     one = make_state(pallet_4x3x10, [(0, 0, 0, 2, 2, 1)])
     assert node_upper_bound(one, [], "exact_knapsack") == 4
+    assert node_upper_bound(one, [], "lp_relaxation") == 4
 
 
 @given(
@@ -88,8 +68,7 @@ def test_node_upper_bound_without_remaining(pallet_4x3x10):
     st.integers(0, 20000),
 )
 def test_exact_mode_matches_dp_oracle(volumes, capacity):
-    got = knapsack_upper_bound(BoundContext(tuple(volumes), capacity), "exact_knapsack")
-    assert got == dp_knapsack(volumes, capacity)
+    assert subset_sum_max(volumes, capacity) == dp_knapsack(volumes, capacity)
 
 
 @given(
@@ -97,10 +76,8 @@ def test_exact_mode_matches_dp_oracle(volumes, capacity):
     st.integers(0, 2000),
 )
 def test_relaxation_dominates_exact(volumes, capacity):
-    ctx = BoundContext(tuple(volumes), capacity)
-    exact = knapsack_upper_bound(ctx, "exact_knapsack")
-    relaxed = knapsack_upper_bound(ctx, "lp_relaxation")
-    assert relaxed >= exact
+    exact = subset_sum_max(volumes, capacity)
+    assert min(sum(volumes), capacity) >= exact
     assert exact == exhaustive_best_fill(volumes, capacity) if len(volumes) <= 8 else True
 
 
@@ -109,10 +86,7 @@ def test_exact_mode_random_against_subset_enumeration():
     for _ in range(60):
         volumes = [rng.randint(1, 400) for _ in range(rng.randint(0, 9))]
         capacity = rng.randint(0, 1200)
-        ctx = BoundContext(tuple(volumes), capacity)
-        assert knapsack_upper_bound(ctx, "exact_knapsack") == exhaustive_best_fill(
-            volumes, capacity
-        )
+        assert subset_sum_max(volumes, capacity) == exhaustive_best_fill(volumes, capacity)
 
 
 def test_exact_mode_has_no_recursion_ceiling():
@@ -121,7 +95,7 @@ def test_exact_mode_has_no_recursion_ceiling():
     rng = random.Random(1500)
     volumes = tuple(rng.randint(1, 1000) * 2 for _ in range(1500))
     capacity = sum(volumes) // 2 | 1
-    bound = knapsack_upper_bound(BoundContext(volumes, capacity), "exact_knapsack")
+    bound = subset_sum_max(volumes, capacity)
     assert dp_knapsack(volumes, capacity) <= bound <= capacity
 
 
@@ -181,7 +155,7 @@ def test_kernel_matches_the_reference_search(cap, volumes, capacity):
     with pytest.MonkeyPatch.context() as mp:
         if cap is not None:
             mp.setattr(bounds, "_WORK_CAP", cap)
-        assert bounds._subset_sum_max(volumes, capacity) == reference_subset_sum_max(
+        assert subset_sum_max(volumes, capacity) == reference_subset_sum_max(
             volumes, capacity
         )
 
@@ -225,6 +199,6 @@ def test_kernel_trips_the_cap_at_the_reference_step(inputs):
         for cap in (steps - 1, steps, steps + 1):
             if cap > 0:
                 mp.setattr(bounds, "_WORK_CAP", cap)
-                assert bounds._subset_sum_max(volumes, capacity) == (
+                assert subset_sum_max(volumes, capacity) == (
                     reference_subset_sum_max(volumes, capacity)
                 ), cap

@@ -30,17 +30,32 @@ def reference_state(state: FlatState) -> PackingState:
 
 
 def candidates(state: FlatState) -> list:
-    """The state's extreme points (the points of its count map), ascending
-    by (z, y, x) as ``generate`` gives them."""
-    return sorted(state._counts, key=lambda pt: (pt[2], pt[1], pt[0]))
+    """The state's extreme points, ascending by (z, y, x), from ``generate``."""
+    return [c.coords for c in generate(reference_state(state))]
+
+
+def corner_counts(state: FlatState) -> dict:
+    """Per point, how many box corners inside the pallet project onto it,
+    from the maxima of every box; on an empty pallet, the origin once."""
+    p = state.pallet
+    counted = {} if state.boxes else {(0, 0, 0): 1}
+    for (x, y, z, x2, y2, z2), (mxy, mxz, myx, myz, mzx, mzy) in zip(state.boxes, state._maxima):
+        for pt in ((x2, mxy, z), (x2, y, mxz), (myx, y2, z), (x, y2, myz), (mzx, y, z2),
+                   (x, mzy, z2)):
+            if pt[0] < p.width and pt[1] < p.depth and pt[2] < p.max_height:
+                counted[pt] = counted.get(pt, 0) + 1
+    return counted
 
 
 def assert_matches_reference(state: FlatState, params: SolverParams, units) -> None:
     ref = reference_state(state)
-    assert candidates(state) == [c.coords for c in generate(ref)]
+    points = candidates(state)
+    assert sorted(corner_counts(state)) == sorted(points)
+    assert set(state._live) == {
+        pt for pt in points if not any(inside_or_under(pt, b) for b in state.boxes)}
     assert state.volume == ref.placed_volume()
     assert state.unused_volume() == unused_volume(ref)
-    for pos in candidates(state):
+    for pos in points:
         for w, d, h in units:
             for dims in (Dims(w, d, h), Dims(d, w, h)):
                 expected = check_placement(ref, pos, dims, params).feasible
@@ -113,8 +128,9 @@ def inside_or_under(pos, box) -> bool:
 
 def scratch_live(state: FlatState) -> dict:
     """The live map computed from scratch: every candidate against every
-    box whose top lies above it."""
+    box whose top lies above it, with the corners counted from the maxima."""
     p = state.pallet
+    counts = corner_counts(state)
     live = {}
     for x, y, z in candidates(state):
         ex, ey = p.width - x, p.depth - y
@@ -129,7 +145,7 @@ def scratch_live(state: FlatState) -> dict:
             elif bx <= x < bx2 and y < by and by - y < ey:
                 ey = by - y
         else:
-            live[(x, y, z)] = (ex, ey)
+            live[(x, y, z)] = (ex, ey, counts[(x, y, z)])
     return live
 
 
@@ -146,7 +162,7 @@ def assert_live_map_sound(state: FlatState, params: SolverParams, units) -> None
         if pos not in live:
             assert any(inside_or_under(pos, box) for box in state.boxes)
             continue
-        ex, ey = live[pos]
+        ex, ey, _ = live[pos]
         for w, d, h in units:
             for dw, dd in ((w, d), (d, w)):
                 if state.fits(*pos, dw, dd, h):
@@ -160,17 +176,9 @@ def test_free_rays_reject_only_what_fits_rejects(data):
 
 
 def assert_maps_match_scratch(state: FlatState, params: SolverParams, units) -> None:
-    # The live map as computed from scratch over the candidates, and the
-    # count map as the corners of every box inside the pallet.
+    # The live map as computed from scratch over the candidates, with each
+    # point's corners counted from the maxima.
     assert state._live == scratch_live(state)
-    p = state.pallet
-    counted = {} if state.boxes else {(0, 0, 0): 1}
-    for box, maxima in zip(state.boxes, state._maxima):
-        for kind, maximum in enumerate(maxima):
-            pt = flatstate._corner(box, kind, maximum)
-            if pt[0] < p.width and pt[1] < p.depth and pt[2] < p.max_height:
-                counted[pt] = counted.get(pt, 0) + 1
-    assert state._counts == counted
 
 
 @settings(max_examples=300)
@@ -182,9 +190,9 @@ def test_free_rays_match_a_computation_from_scratch(data):
 
 
 def journaled(state: FlatState):
-    """Everything a pop must restore: the count and live maps and the maxima
-    of every box."""
-    return dict(state._counts), dict(state._live), [list(m) for m in state._maxima]
+    """Everything a pop must restore: the live map and the maxima of every
+    box."""
+    return dict(state._live), [list(m) for m in state._maxima]
 
 
 @settings(max_examples=300)
@@ -246,8 +254,8 @@ def test_free_rays_stop_at_the_first_box_and_skip_covered_points():
     state.push(4, 0, 0, 3, 3, 3)  # beside it, touching at x = 4
     assert (4, 0, 0) in candidates(state)  # the slab's corner ...
     assert (4, 0, 0) not in state._live  # ... is the second box's own corner
-    assert state._live[(4, 3, 0)] == (6, 7)  # in front of the second box
-    assert state._live[(0, 0, 2)] == (4, 10)  # on the slab, runs into the box's side
+    assert state._live[(4, 3, 0)] == (6, 7, 2)  # in front of the second box
+    assert state._live[(0, 0, 2)] == (4, 10, 2)  # on the slab, runs into the box's side
 
 
 def test_a_point_under_an_overhang_is_dropped_and_blocks_no_ray_below_its_top():
@@ -257,12 +265,12 @@ def test_a_point_under_an_overhang_is_dropped_and_blocks_no_ray_below_its_top():
     assert (2, 0, 0) in candidates(state)  # the first box's corner ...
     assert (2, 0, 0) not in state._live  # ... now lies under the bridge
     assert not state.fits(2, 0, 0, 1, 1, 1)  # nothing goes under the bridge
-    assert state._live[(0, 2, 0)] == (10, 8)
+    assert state._live[(0, 2, 0)] == (10, 8, 3)
     # A ray at the bridge's top runs over it; one below stops at a box
     # whose top lies above the point, however high its bottom.
-    assert state._live[(0, 0, 3)] == (10, 10)
+    assert state._live[(0, 0, 3)] == (10, 10, 2)
     state.push(7, 0, 5, 2, 2, 2)  # floating at x = 7..9, from z = 5
-    assert state._live[(0, 0, 3)] == (7, 10)
+    assert state._live[(0, 0, 3)] == (7, 10, 2)
     assert state.fits(0, 0, 3, 7, 2, 1) and not state.fits(0, 0, 3, 8, 2, 1)
 
 
@@ -277,8 +285,24 @@ def test_a_candidate_that_comes_back_is_run_against_the_boxes_pushed_meanwhile()
         present.append((3, 0, 0) in candidates(state))
         assert state._live == scratch_live(state)
     assert present == [True, False, True]
-    assert state._live[(3, 0, 0)] == (3, 5)
+    assert state._live[(3, 0, 0)] == (3, 5, 2)
 
+
+
+def test_a_corner_that_lands_on_a_covered_point_leaves_no_entry():
+    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
+    state.push(0, 0, 0, 2, 2, 2)
+    before = state._live[(2, 0, 0)]
+    assert before == (8, 10, 2)  # two of the box's corners project onto it
+    state.push(2, 0, 0, 2, 2, 3)  # a box on that point
+    assert (2, 0, 0) not in state._live
+    counted = corner_counts(state)[(2, 0, 0)]
+    state.push(0, 0, 2, 2, 2, 1)  # a box whose +x corner slides down onto it
+    assert corner_counts(state)[(2, 0, 0)] == counted + 1
+    assert (2, 0, 0) not in state._live
+    state.pop()
+    state.pop()  # the covering box is gone: the point and its count are back
+    assert state._live[(2, 0, 0)] == before
 
 BASE = {"vertical_support_min": 0.0, "horizontal_support_min_x": 0.0,
         "horizontal_support_min_y": 0.0}
@@ -307,11 +331,11 @@ def test_pop_restores_candidates_after_deep_pushes():
     state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
     seen = []
     for x in range(0, 10, 2):
-        seen.append(list(candidates(state)))
+        seen.append((corner_counts(state), dict(state._live)))
         state.push(x, 0, 0, 2, 3, 2)
     for expected in reversed(seen):
         state.pop()
-        assert candidates(state) == expected
+        assert (corner_counts(state), dict(state._live)) == expected
     assert state.unused_volume() == 1000 and state.volume == 0
 
 
@@ -387,7 +411,7 @@ def test_sibling_memo_is_not_read_under_the_last_box(monkeypatch):
     assert (0 * 11 + 2) * 2 in state._sibling_memo(3, 3, 1)  # the pair's key
     state.pop()
     state.push(3, 1, 5, 1, 1, 1)
-    assert state._live[(2, 0, 0)] == (8, 10)
+    assert state._live[(2, 0, 0)] == (8, 10, 2)
     expected = scored_candidates(reference_state(state), TransportUnit("u", Dims(3, 3, 1), 0),
                                  params)
     assert all(pair[1:4] != (0, 0, 2) for pair in expected)

@@ -147,19 +147,18 @@ def _best_fill(volumes, capacity):
 def test_golden_output_on_the_work_capped_path(monkeypatch, cap, solution_sha, trace_sha):
     calls = []
 
-    def recorded(ctx, mode):
-        value = bounds.knapsack_upper_bound(ctx, mode)
-        calls.append((ctx, value))
+    def recorded(volumes, capacity):
+        value = bounds.subset_sum_max(volumes, capacity)
+        calls.append((volumes, capacity, value))
         return value
 
     monkeypatch.setattr(bounds, "_WORK_CAP", cap)
-    monkeypatch.setattr(search, "knapsack_upper_bound", recorded)
+    monkeypatch.setattr(search, "subset_sum_max", recorded)
     sol, _, got_solution, got_trace = _solve(json.dumps(CAPPED_INSTANCE, sort_keys=True))
     assert not sol.stats.timed_out
     fallbacks = [
-        ctx for ctx, value in calls
-        if len(ctx.remaining_volumes) > bounds.EXACT_ITEM_LIMIT
-        and value > _best_fill(ctx.remaining_volumes, ctx.capacity)
+        volumes for volumes, capacity, value in calls
+        if len(volumes) > bounds.EXACT_ITEM_LIMIT and value > _best_fill(volumes, capacity)
     ]
     assert fallbacks
     assert got_solution == solution_sha

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 from palletpack import flatstate, model, search
 from palletpack.bounds import node_upper_bound
+from palletpack.extreme_points import generate
 from palletpack.feasibility import check_placement
 from palletpack.files import build_solution_file, parse_instance, validate_solution
 from palletpack.flatstate import FlatState
@@ -197,7 +198,7 @@ def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
         assert got == reference
         checked += 1
         # a state whose live map holds fewer points than its candidates
-        screened += len(self.state._live) < len(self.state._counts)
+        screened += len(self.state._live) < len(generate(state))
         return got
 
     monkeypatch.setattr(search._Searcher, "_ranked_candidates", ranked)
