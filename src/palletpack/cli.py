@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .files import (
+    InstanceFile,
     InstanceFormatError,
     build_solution_file,
     parse_instance,
@@ -26,7 +27,8 @@ from .files import (
     solution_to_json,
     validate_solution,
 )
-from .search import solve, solve_with_trace
+from .model import Solution, SolverParams
+from .search import TraceEvent, solve
 from .svg import render_svg
 
 _BOUND_MODES = {"exact": "exact_knapsack", "lp": "lp_relaxation"}
@@ -95,9 +97,8 @@ def _cmd_solve(args) -> int:
         return 2
 
     if args.trace:
-        solution, trace = solve_with_trace(instance.units, instance.pallet, params)
-        lines = (json.dumps(ev.as_dict(), sort_keys=True) + "\n" for ev in trace)
-        if not _write(args.trace, lines):
+        solution = _solve_traced(instance, params, args.trace)
+        if solution is None:
             return 2
     else:
         solution = solve(instance.units, instance.pallet, params)
@@ -126,6 +127,22 @@ def _cmd_solve(args) -> int:
             file=sys.stderr,
         )
     return 0
+
+
+def _solve_traced(instance: InstanceFile, params: SolverParams, path: Path
+                  ) -> Optional[Solution]:
+    """Solve, writing each search event to ``path`` as one JSON line as it
+    happens; if the file cannot be written, print one error line and
+    return None."""
+    try:
+        with path.open("w", encoding="utf-8") as fh:
+            def write(event: TraceEvent) -> None:
+                fh.write(json.dumps(event.as_dict(), sort_keys=True) + "\n")
+
+            return solve(instance.units, instance.pallet, params, write)
+    except OSError as exc:  # the solve does no I/O of its own
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def _write(path: Path, chunks: Iterable[str]) -> bool:

@@ -40,10 +40,21 @@ first ask at z and kept until the next push or pop. The envelope volume is
 kept per depth in a list that ``unused_volume`` extends and a pop cuts
 back, so a push below which no node asks for a bound computes none.
 
-``scored`` is the one candidate loop: it asks ``fits`` and ``score`` about
-the (live point, orientation) pairs of one unit that the rays admit, and
-it alone decides, from the number of boxes on the state, which fast paths
-the state takes. Neither changes an answer. From _INDEX_BOXES (16) boxes,
+``scored`` is the one candidate loop, and it alone decides, from the
+number of boxes on the state, which fast paths the state takes. None of
+them changes an answer. It puts each (live point, orientation) pair of one
+unit to the cheap tests first, in this order: the pallet's ceiling, the
+rays, the support bound, the sibling memo, and only then ``fits`` and
+``score``. Each test rejects only pairs that ``fits`` rejects. The support
+bound sums the areas in which the pair's footprint overlaps each footprint
+below its z (the layers' ``below``, what ``fits`` tests vertical support
+against). Where those footprints overlap each other the sum exceeds their
+union, never falls short of it, so a pair whose sum is below num/den of
+its footprint is not supported; ``fits`` stays the complete test of the
+pairs that pass. ``scored`` reads the clock (``tick``) once per call and
+once per point that passes the rays, just before that point's work that
+grows with the boxes (its layers, the bound, ``fits``), so no more than
+one point's O(n) runs between two reads. From _INDEX_BOXES (16) boxes,
 the state indexes its boxes on its first ``fits`` or ``score``, and shares
 those answers with its siblings through the sibling memo.
 
@@ -100,13 +111,14 @@ _ABSENT = object()  # journal value of a key its container did not hold
 _UNASKED = object()  # a sibling memo's answer to a pair no sibling has asked about
 # A state with this many boxes indexes them for fits() and score(), and
 # shares its fits() and score() answers with its siblings (scored()).
-# Swept on node-budgeted solves (the same tree either way), with fits()
-# testing support first and keeping its layers per height, as nodes/s over
-# this threshold's: 8 and 12 ran tight-bound, whose low pallet keeps most
-# boxes in any layer, at 0.82 and 0.85, and anytime-deep at 0.99 and 0.97;
-# 24 and 32 ran both within the rounds' spread (0.95-1.05, quartile ranges
-# up to 0.10). At 16, no index ran anytime-deep at 0.78 and no memo at
-# 0.82; exact-small never reaches 16 boxes.
+# Swept on node-budgeted solves (the same tree either way), with scored()
+# dropping unsupported pairs before fits(), as nodes/s over this
+# threshold's (same_tree_ab.py, seeds 4-6, 2 rounds each): 8 and 12 ran
+# tight-bound, whose low pallet keeps most boxes in any layer, at 0.94 and
+# 0.93, and anytime-deep at 0.98 and 1.00; 24 and 32 ran tight-bound at
+# 1.01 and 1.01, and anytime-deep at 1.05 and 1.01 (quartile ranges up to
+# 0.03). At 16, no index ran anytime-deep at 0.67 and no memo at 0.95;
+# exact-small never reaches 16 boxes.
 _INDEX_BOXES = 16
 
 
@@ -311,31 +323,54 @@ class FlatState:
     def scored(self, w: int, d: int, h: int, tick: Callable[[], None]) -> list[Ranked]:
         """The pairs of a w×d×h unit that fit, with their negated scores:
         the pairs and scores of ``scoring.scored_candidates``, in the live
-        map's order (the ranking sorts them). ``tick`` is called once per
-        live point.
+        map's order (the ranking sorts them).
 
-        Only live points are asked, and a box longer than a ray meets what
-        the ray met, so ``fits`` is not asked there. A state of
-        _INDEX_BOXES boxes or more answers a pair that its last box cannot
-        change from the sibling memo, or fills it."""
+        A pair meets, in order: the ceiling; the rays (a box longer than a
+        ray meets what the ray met); above the gap, the support bound (the
+        summed overlaps of its footprint with the ``below`` footprints of
+        its z, at least the supported area ``fits`` measures, must reach
+        num/den of it); on a state of _INDEX_BOXES boxes or more, the
+        sibling memo, for a pair that the last box cannot change; and then
+        ``fits`` and ``score``. No test before ``fits`` rejects a pair
+        that ``fits`` accepts. ``tick`` is called once per call, and once
+        per point that passes the rays, before the work that grows with
+        the number of boxes."""
+        tick()
         boxes = self.boxes
         n = len(boxes)
         fits, score = self.fits, self.score
         ceiling = self.pallet.max_height - h
+        layers = self._layers
+        gap = self._gap
+        num, den = self._vertical
+        need = num * w * d
         memo: Optional[Memo] = None
         if n and n >= _INDEX_BOXES:
             memo = self._sibling_memo(w, d, h)
             get = memo.get
             bx, by, bz, bx2, by2, bz2 = boxes[-1]
-            g = self._gap
             p_x, p_y, p_z = self._p
             row = self.pallet.width + 1
             plane = row * (self.pallet.depth + 1)
         scored: list[Ranked] = []
         for (x, y, z), (ex, ey, _) in self._live.items():
-            tick()
             if z > ceiling:
                 continue
+            flat = w <= ex and d <= ey
+            turned = d <= ex and w <= ey
+            if not (flat or turned):
+                continue
+            tick()
+            if num and z > gap:
+                below = (layers.get(z) or self._new_layers(z))[1]
+                if not below:
+                    continue
+                if flat:
+                    flat = _overlap_sum(below, x, y, x + w, y + d) * den >= need
+                if turned:
+                    turned = _overlap_sum(below, x, y, x + d, y + w) * den >= need
+                if not (flat or turned):
+                    continue
             if memo is not None:
                 top = z + h
                 # The last box is clear of the pair if it lies wholly above
@@ -347,9 +382,9 @@ class FlatState:
                 # coplanar with the pair's.
                 top_far = abs(bz2 - top) > p_z
                 above = bz >= top
-                clear = above or bz2 < z - g or bx2 < x - g or by2 < y - g
+                clear = above or bz2 < z - gap or bx2 < x - gap or by2 < y - gap
                 key = (z * plane + y * row + x) * 2
-            if w <= ex and d <= ey:
+            if flat:
                 if memo is not None and above and x < bx2 and bx < x + w and y < by2 and by < y + d:
                     pass  # under the last box
                 elif (memo is not None and top_far and (clear or bx >= x + w or by >= y + d)
@@ -361,7 +396,7 @@ class FlatState:
                         scored.append((-s, z, y, x, False))
                 elif fits(x, y, z, w, d, h):
                     scored.append((-score(x, y, z, w, d, h), z, y, x, False))
-            if d <= ex and w <= ey:
+            if turned:
                 if memo is not None and above and x < bx2 and bx < x + d and y < by2 and by < y + w:
                     pass  # under the last box
                 elif (memo is not None and top_far and (clear or bx >= x + d or by >= y + w)
@@ -538,6 +573,17 @@ class FlatState:
             for b, h in enumerate(row):
                 rise += (top - h) * wa * (ys[b + 1] - ys[b])
         return rise
+
+
+def _overlap_sum(below: list[tuple[int, int, int, int]], x: int, y: int, x2: int, y2: int
+                 ) -> int:
+    """The summed areas in which the footprint (x, y, x2, y2) overlaps each
+    of the footprints ``below``: at least the area of their union."""
+    area = 0
+    for bx, by, bx2, by2 in below:
+        if x < bx2 and bx < x2 and y < by2 and by < y2:
+            area += (min(x2, bx2) - max(x, bx)) * (min(y2, by2) - max(y, by))
+    return area
 
 
 def _covers(rects: list[tuple[int, int, int, int]], face: int, num: int, den: int) -> bool:

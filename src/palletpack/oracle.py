@@ -87,5 +87,4 @@ def exhaustive_solve(
     """
     if len(units) > MAX_UNITS:
         raise ValueError(f"instance exceeds oracle limit of {MAX_UNITS} units")
-    sol, _ = _Unbounded(units, pallet, replace(params, max_nodes=None), trace=None).run()
-    return sol
+    return _Unbounded(units, pallet, replace(params, max_nodes=None)).run()

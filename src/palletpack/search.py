@@ -34,7 +34,7 @@ import reprlib
 import time
 from dataclasses import asdict, dataclass
 from itertools import islice
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .bounds import subset_sum_max
 from .flatstate import FlatState
@@ -96,14 +96,15 @@ class _Searcher:
         units: Sequence[TransportUnit],
         pallet: Pallet,
         params: SolverParams,
-        trace: Optional[list[TraceEvent]],
+        on_event: Optional[Callable[[TraceEvent], None]] = None,
     ):
         _validate_instance(units)
         self.units = list(units)
         self.volumes = [volume(u.dims) for u in self.units]
         self.pallet = pallet
         self.params = params
-        self.trace = trace
+        # Takes each event as it happens; without it, no event is built.
+        self.on_event = on_event
         self.state = FlatState(pallet, params)
         self.placed: list[Placement] = []  # the state's boxes as placements
         self.incumbent: tuple[Placement, ...] = ()
@@ -121,10 +122,6 @@ class _Searcher:
     def _tick(self) -> None:
         if time.monotonic() >= self.deadline:
             raise _Deadline
-
-    def _log(self, kind: str, **fields) -> None:
-        if self.trace is not None:
-            self.trace.append(TraceEvent(kind, **fields))
 
     def _ranked_candidates(self, unit: TransportUnit) -> list[Ranked]:
         """Feasible (position, orientation) pairs for ``unit``, best first,
@@ -150,13 +147,15 @@ class _Searcher:
         of a node that branches, with its best candidate left on the state,
         or None when the node is done: a leaf, pruned, or out of units."""
         n = len(self.units)
+        emit = self.on_event
         while idx < n:
             self._tick()
             unit = self.units[idx]
             ranked = self._ranked_candidates(unit)
             self.nodes_expanded += 1
-            self._log("expand", unit_id=unit.id, order_index=idx,
-                      candidates=len(ranked), depth=depth)
+            if emit is not None:
+                emit(TraceEvent("expand", unit_id=unit.id, order_index=idx,
+                                candidates=len(ranked), depth=depth))
 
             if ranked:
                 best = ranked[0]
@@ -165,13 +164,13 @@ class _Searcher:
                 if b > self.incumbent_volume:
                     self.incumbent = tuple(self.placed)
                     self.incumbent_volume = b
-                    self._log("place", unit_id=unit.id, order_index=idx,
-                              position=(best[3], best[2], best[1]), rotated=best[4],
-                              purpose="incumbent", depth=depth)
-                    if self.trace is not None:
-                        self._log("incumbent", volume=b, placements=tuple(
+                    if emit is not None:
+                        emit(TraceEvent("place", unit_id=unit.id, order_index=idx,
+                                        position=(best[3], best[2], best[1]), rotated=best[4],
+                                        purpose="incumbent", depth=depth))
+                        emit(TraceEvent("incumbent", volume=b, placements=tuple(
                             (pl.unit_id, pl.position, pl.rotated) for pl in self.incumbent
-                        ))
+                        )))
 
             # The node budget (never equal when unset) ends the search once
             # the node's best candidate has been offered to the incumbent,
@@ -181,7 +180,8 @@ class _Searcher:
             if not ranked:
                 if not skippable:
                     return None
-                self._log("skip", unit_id=unit.id, order_index=idx, depth=depth)
+                if emit is not None:
+                    emit(TraceEvent("skip", unit_id=unit.id, order_index=idx, depth=depth))
                 idx += 1
                 continue
 
@@ -189,8 +189,10 @@ class _Searcher:
                 ub = self._pruning_bound(idx + 1)
                 if ub is not None:
                     self.nodes_pruned += 1
-                    self._log("prune", unit_id=unit.id, order_index=idx, upper_bound=ub,
-                              incumbent_volume=self.incumbent_volume, depth=depth)
+                    if emit is not None:
+                        emit(TraceEvent("prune", unit_id=unit.id, order_index=idx,
+                                        upper_bound=ub, incumbent_volume=self.incumbent_volume,
+                                        depth=depth))
                     self._pop()
                     return None
                 return [idx, depth, ranked, 0]
@@ -229,6 +231,7 @@ class _Searcher:
     def _search_from(self, root_idx: int) -> None:
         """Depth-first search of the tree whose first placed unit is
         ``root_idx``, on an explicit stack of branching nodes."""
+        emit = self.on_event
         frames = []
         frame = self._open(root_idx, 0, skippable=False)
         if frame is not None:
@@ -237,7 +240,8 @@ class _Searcher:
             frame = frames[-1]
             idx, depth, ranked, k = frame
             if k > 0:  # child k-1 has returned
-                self._log("backtrack", depth=depth)
+                if emit is not None:
+                    emit(TraceEvent("backtrack", depth=depth))
                 self._pop()
             if k == len(ranked):
                 frames.pop()
@@ -247,14 +251,15 @@ class _Searcher:
             if k > 0:  # the best candidate is already on the state
                 self._push(unit, cand)
             frame[3] = k + 1
-            self._log("place", unit_id=unit.id, order_index=idx,
-                      position=(cand[3], cand[2], cand[1]), rotated=cand[4],
-                      purpose="descend", depth=depth)
+            if emit is not None:
+                emit(TraceEvent("place", unit_id=unit.id, order_index=idx,
+                                position=(cand[3], cand[2], cand[1]), rotated=cand[4],
+                                purpose="descend", depth=depth))
             child = self._open(idx + 1, depth + 1, skippable=True)
             if child is not None:
                 frames.append(child)
 
-    def run(self) -> tuple[Solution, Optional[list[TraceEvent]]]:
+    def run(self) -> Solution:
         started = time.monotonic()
         try:
             for root_idx in range(len(self.units)):
@@ -269,26 +274,30 @@ class _Searcher:
             elapsed_ms=elapsed_ms,
             timed_out=self.timed_out,
         )
-        sol = Solution(
+        return Solution(
             placements=self.incumbent,
             placed_volume=self.incumbent_volume,
             utilization=self.incumbent_volume / self.pallet.volume(),
             stats=stats,
             pallet=self.pallet,
         )
-        return sol, self.trace
 
 
-def solve(units: Sequence[TransportUnit], pallet: Pallet, params: SolverParams) -> Solution:
-    """Best configuration found before the tree or the time limit runs out."""
-    sol, _ = _Searcher(units, pallet, params, trace=None).run()
-    return sol
+def solve(
+    units: Sequence[TransportUnit],
+    pallet: Pallet,
+    params: SolverParams,
+    on_event: Optional[Callable[[TraceEvent], None]] = None,
+) -> Solution:
+    """Best configuration found before the tree or the time limit runs out.
+    ``on_event``, if given, is called with each search event as it happens;
+    an exception it raises ends the solve and reaches the caller."""
+    return _Searcher(units, pallet, params, on_event).run()
 
 
 def solve_with_trace(
     units: Sequence[TransportUnit], pallet: Pallet, params: SolverParams
 ) -> tuple[Solution, list[TraceEvent]]:
     """Like :func:`solve`, also returning the ordered event log."""
-    sol, trace = _Searcher(units, pallet, params, trace=[]).run()
-    assert trace is not None
-    return sol, trace
+    events: list[TraceEvent] = []
+    return solve(units, pallet, params, events.append), events

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from palletpack import cli
 from palletpack.cli import cli_main
 from palletpack.files import build_solution_file, parse_instance, solution_to_json
-from palletpack.search import solve
+from palletpack.search import solve, solve_with_trace
 
 INSTANCE = {
     "pallet": {"width": 4, "depth": 3, "max_height": 10},
@@ -326,6 +326,33 @@ def test_svg_and_trace_outputs(instance_path, tmp_path):
     assert svg.read_text().startswith("<?xml")
     events = [json.loads(line) for line in trace.read_text().splitlines()]
     assert any(e["kind"] == "incumbent" for e in events)
+
+
+def test_trace_streams_the_events_of_solve_with_trace(tmp_path):
+    # A node-budgeted trace holds, line for line, the events solve_with_trace returns.
+    inst = _big_instance(tmp_path, max_nodes=300)
+    trace = tmp_path / "events.jsonl"
+    assert cli_main(["solve", str(inst), "--out", str(tmp_path / "s.json"),
+                     "--trace", str(trace)]) == 0
+    instance = parse_instance(inst.read_text())
+    _, events = solve_with_trace(instance.units, instance.pallet, instance.params)
+    assert trace.read_text() == "".join(
+        json.dumps(ev.as_dict(), sort_keys=True) + "\n" for ev in events)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_trace_write_error_partway_exits_2(tmp_path, capsys):
+    # /dev/full opens, and every write that reaches it fails. The trace of
+    # 300 nodes is many times the file buffer, so a flush fails mid-solve.
+    inst = _big_instance(tmp_path, max_nodes=300)
+    instance = parse_instance(inst.read_text())
+    _, events = solve_with_trace(instance.units, instance.pallet, instance.params)
+    assert sum(len(json.dumps(ev.as_dict())) for ev in events) > 10 * io.DEFAULT_BUFFER_SIZE
+    assert cli_main(["solve", str(inst), "--trace", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write /dev/full: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_seed_check_passes(instance_path, tmp_path, capsys):

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 
 from palletpack import flatstate
 from palletpack.extreme_points import generate
-from palletpack.feasibility import check_overlap_bounds, check_placement
+from palletpack.feasibility import check_overlap_bounds, check_placement, rect_union_area
 from palletpack.flatstate import FlatState
 from palletpack.grid import unused_volume
 from palletpack.model import Dims, PackingState, Pallet, Placement, SolverParams, TransportUnit
 from palletpack.scoring import evaluate, scored_candidates
+from palletpack.search import _Deadline
 
 THRESHOLDS = [0.0, 0.2, 0.25, 1 / 3, 0.5, 0.7, 0.75, 1.0]
 
@@ -152,12 +153,16 @@ def scratch_live(state: FlatState) -> dict:
 def assert_live_map_sound(state: FlatState, params: SolverParams, units) -> None:
     # Each live point's rays admit every box that fits there; each dropped
     # candidate lies inside or under a placed box, so no box fits there.
-    # scored ticks once per live point.
+    # scored ticks once per call, and once per live point under the ceiling
+    # whose rays admit one of the unit's pairs.
     live = state._live
     assert set(live) <= set(candidates(state))
+    w, d, h = units[0]
     ticks = []
-    state.scored(*units[0], lambda: ticks.append(1))
-    assert len(ticks) == len(live)
+    state.scored(w, d, h, lambda: ticks.append(1))
+    admitted = [pt for pt, (ex, ey, _) in live.items() if pt[2] + h <= state.pallet.max_height
+                and (w <= ex and d <= ey or d <= ex and w <= ey)]
+    assert len(ticks) == 1 + len(admitted)
     for pos in candidates(state):
         if pos not in live:
             assert any(inside_or_under(pos, box) for box in state.boxes)
@@ -173,6 +178,97 @@ def assert_live_map_sound(state: FlatState, params: SolverParams, units) -> None
 @given(st.data())
 def test_free_rays_reject_only_what_fits_rejects(data):
     drive(data, assert_live_map_sound)
+
+
+def test_support_bound_admits_every_pair_that_fits():
+    # Wherever fits accepts a pair above the gap, the summed overlaps of its
+    # footprint with the footprints below its z reach num/den of it. Boxes
+    # go onto candidates, about half of them no taller than the gap, so
+    # boxes stack on boxes, two footprints below a z overlap and the sum
+    # exceeds their union; there too, scored must answer as scored_candidates.
+    nonzero = [t for t in THRESHOLDS if t > 0]
+    overcounted = 0
+
+    def check(state, params, units):
+        nonlocal overcounted
+        num, den = state._vertical
+        for x, y, z in candidates(state):
+            if z <= params.gap_tolerance:
+                continue
+            below = (state._layers.get(z) or state._new_layers(z))[1]
+            for w, d, h in units:
+                for dw, dd in ((w, d), (d, w)):
+                    total = flatstate._overlap_sum(below, x, y, x + dw, y + dd)
+                    if state.fits(x, y, z, dw, dd, h):
+                        assert total * den >= num * dw * dd
+                    rects = [(max(x, bx), max(y, by), min(x + dw, bx2), min(y + dd, by2))
+                             for bx, by, bx2, by2 in below
+                             if x < bx2 and bx < x + dw and y < by2 and by < y + dd]
+                    overcounted += total > rect_union_area(rects)
+        ref = reference_state(state)
+        for w, d, h in units:
+            expected = scored_candidates(ref, TransportUnit("u", Dims(w, d, h), 0), params)
+            assert sorted(state.scored(w, d, h, lambda: None)) == sorted(expected)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def run(data):
+        gap = data.draw(st.integers(2, 3))
+        params = SolverParams(vertical_support_min=data.draw(st.sampled_from(nonzero)),
+                              gap_tolerance=gap)
+        state = FlatState(Pallet(*(data.draw(st.integers(3, 12)) for _ in range(3))), params)
+        side = st.integers(1, 5)
+        units = data.draw(st.lists(st.tuples(side, side, side), min_size=1, max_size=3))
+        for _ in range(data.draw(st.integers(1, 10))):
+            points = candidates(state)
+            if not points:  # the pallet is full
+                break
+            x, y, z = data.draw(st.sampled_from(points))
+            w, d, h = data.draw(side), data.draw(side), data.draw(st.integers(1, gap + 2))
+            if check_overlap_bounds(reference_state(state), (x, y, z), Dims(w, d, h)):
+                state.push(x, y, z, w, d, h)
+                check(state, params, units)
+
+    run()
+    assert overcounted > 0
+
+
+def test_support_bound_is_not_exact():
+    # A box one unit short stacked on a box of the same footprint: at z = 3,
+    # with a gap of 1, both tops lie below an 8x1 pair at (0, 0, 3), and
+    # their overlaps sum to its area while their union covers half of it.
+    # The bound admits the pair; fits rejects it.
+    params = SolverParams(vertical_support_min=1.0, gap_tolerance=1)
+    state = FlatState(Pallet(8, 1, 10), params)
+    state.push(0, 0, 0, 4, 1, 2)
+    state.push(0, 0, 2, 4, 1, 1)
+    below = state._new_layers(3)[1]
+    assert flatstate._overlap_sum(below, 0, 0, 8, 1) == 8
+    assert (0, 0, 3) in state._live and not state.fits(0, 0, 3, 8, 1, 1)
+    assert not check_placement(reference_state(state), (0, 0, 3), Dims(8, 1, 1),
+                               params).feasible
+    assert state.scored(8, 1, 1, lambda: None) == []
+
+
+def test_scored_checks_the_clock_inside_its_loop():
+    # 300 unit cubes in a row on the floor: 600 live points, on their tops
+    # and in front of them, most of which pass the rays of a 2x2x1 unit. A
+    # clock that runs out after the call's own tick stops the loop at the
+    # first point it admits.
+    state = FlatState(Pallet(300, 4, 10), SolverParams())
+    for x in range(300):
+        state.push(x, 0, 0, 1, 1, 1)
+    assert len(state._live) == 600
+    ticks = []
+
+    def tick():
+        ticks.append(1)
+        if len(ticks) > 1:
+            raise _Deadline
+
+    with pytest.raises(_Deadline):
+        state.scored(2, 2, 1, tick)
+    assert len(ticks) == 2
 
 
 def assert_maps_match_scratch(state: FlatState, params: SolverParams, units) -> None:

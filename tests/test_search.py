@@ -322,7 +322,9 @@ def test_sibling_memo_answers_rank_as_the_reference(monkeypatch):
     for params in ODD_PARAMS:
         # 30 units: the first dive ends early, and most nodes after it are siblings.
         _budgeted(units[:30], pallet, dataclasses.replace(params, max_branches=10**6), 200)
-    assert hits > 8000
+    # 3,803 hits on this code: pairs that the support bound drops never
+    # reach the memo.
+    assert hits > 3000
 
 
 def test_trace_single_unit(pallet_4x3x10):
@@ -571,7 +573,7 @@ def test_searcher_bound_equals_the_reference_bound(mode):
     units, pallet = _tight_instance(27)
     params = SolverParams(vertical_support_min=1.0, bound_mode=mode, max_nodes=1000)
     searcher = _CheckedBound(units, pallet, params, None)
-    sol, _ = searcher.run()
+    sol = searcher.run()
     assert sol.stats.nodes_expanded == 1000
     assert sol.stats.nodes_pruned_by_bound > 0
     assert searcher.paths["fill"] > 0 and searcher.paths["all fit"] > 0, searcher.paths
@@ -617,7 +619,7 @@ def test_pruning_is_safe_where_the_knapsack_decides(mode):
         units, pallet, params = _bound_pressed_instance(rng)
         params = dataclasses.replace(params, bound_mode=mode)
         searcher = _CheckedBound(units, pallet, params, None)
-        sol, _ = searcher.run()
+        sol = searcher.run()
         assert sol.placements == exhaustive_solve(units, pallet, params).placements
         kernel += searcher.paths["kernel"]
     assert kernel > 100
@@ -641,7 +643,7 @@ def test_pruning_is_safe_below_full_support(max_branches):
     for _ in range(100):
         units, pallet, params = _overhang_instance(rng)
         params = dataclasses.replace(params, max_branches=max_branches)
-        sol, _ = _CheckedBound(units, pallet, params, None).run()
+        sol = _CheckedBound(units, pallet, params, None).run()
         assert sol.placements == exhaustive_solve(units, pallet, params).placements
         state = PackingState.empty(pallet)
         for pl in sol.placements:
