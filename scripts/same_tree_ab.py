@@ -7,8 +7,9 @@ side goes first per instance. Each solve stops at a fixed node count
 (the ``max_nodes`` parameter, so both trees must know it), not on the
 clock, so both sides should search the same tree. Prints nodes/s per side
 and B/A for each round, the median and interquartile range of B/A over
-the rounds, and whether placements, prunes and
-``candidates_evaluated`` match instance for instance in every round. For
+the rounds, and whether placements, nodes, prunes, ``candidates_evaluated``
+and volume match instance for instance in every round, naming each of
+those fields that does not, so a change to the stats alone reads as one. For
 a change that is meant to alter the tree, it also prints on how many
 instances B loads less, the same or more volume than A, and B's total
 volume over A's.
@@ -34,6 +35,9 @@ import random
 import statistics
 import sys
 import time
+
+# The fields of one solve that both sides must match, in the order solve_round keeps them.
+FIELDS = ("placements", "nodes", "prunes", "candidates_evaluated", "volume")
 
 # name: (pallet, units, unit side range, params, instances, node budget or None)
 SHAPES = {
@@ -105,6 +109,18 @@ def summary(ratios):
     return text
 
 
+def differing(rounds):
+    """The FIELDS in which some round's trees differ from the first round's."""
+    return [name for i, name in enumerate(FIELDS)
+            if any(t[i] != f[i] for trees in rounds for t, f in zip(trees, rounds[0]))]
+
+
+def verdict(fields, where=""):
+    """'identical', or which of the FIELDS in ``fields`` differ."""
+    named = [name for name in FIELDS if name in fields]
+    return f"identical{where}" if not named else f"DIFFERENT in {', '.join(named)}"
+
+
 def nodes(a, b):
     """The nodes each side expanded over one round's trees ``a`` and ``b``."""
     na, nb = (sum(t[1] for t in trees) for trees in (a, b))
@@ -141,7 +157,7 @@ def main():
     sides = [load(args.a), load(args.b)]
     for name in args.workloads:
         budget = SHAPES[name][5] if args.nodes is None else args.nodes
-        pooled, all_same, all_volumes = [], True, []
+        pooled, all_differ, all_volumes = [], set(), []
         for seed in args.seeds:
             cases = texts(name, seed, budget)
             ratios, rounds = [], []
@@ -151,19 +167,19 @@ def main():
                 rounds += trees
                 print(f"{name:13} seed {seed} round {r + 1}: A {rate[0]:9,.0f} nodes/s  "
                       f"B {rate[1]:9,.0f} nodes/s  B/A {ratios[-1]:.3f}")
-            same = all(trees == rounds[0] for trees in rounds)
+            differ = differing(rounds)
             pairs = [(a[-1], b[-1]) for a, b in zip(rounds[0], rounds[1])]
             print(f"{name:13} seed {seed}: {summary(ratios)} over {args.reps} round(s), "
-                  f"trees {'identical' if same else 'DIFFERENT'} ({len(cases)} instances, "
+                  f"trees {verdict(differ)} ({len(cases)} instances, "
                   f"{nodes(rounds[0], rounds[1])} a round); "
                   f"{volumes(pairs)}")
             pooled += ratios
             all_volumes += pairs
-            all_same = all_same and same
+            all_differ.update(differ)
         if len(args.seeds) >= 2:
             print(f"{name:13} seeds {' '.join(map(str, args.seeds))}: {summary(pooled)} over "
                   f"{len(pooled)} rounds, trees "
-                  f"{'identical on every seed' if all_same else 'DIFFERENT on some seed'}; "
+                  f"{verdict(all_differ, ' on every seed')}; "
                   f"{volumes(all_volumes)}")
     return 0
 

@@ -11,9 +11,9 @@ Every answer is the same as the reference functions give on the
 equivalent ``PackingState``: the live map's points as those of
 ``generate``'s that lie inside or under no box, ``fits`` as
 ``feasibility.check_placement(...).feasible``, ``score`` as
-``scoring.evaluate``, float for float, and ``scored`` as
-``scoring.scored_candidates``. Those functions stay the reference that the
-replay checker and the oracle use.
+``scoring.evaluate``, float for float, and ``ranked`` as
+``scoring.rank_and_cut`` over ``scoring.scored_candidates``. Those
+functions stay the reference that the replay checker and the oracle use.
 
 Units are loaded from above: no placed box whose top lies above a pair's
 z may overlap its footprint. So a point inside or under a box takes no
@@ -40,23 +40,27 @@ first ask at z and kept until the next push or pop. The envelope volume is
 kept per depth in a list that ``unused_volume`` extends and a pop cuts
 back, so a push below which no node asks for a bound computes none.
 
-``scored`` is the one candidate loop, and it alone decides, from the
+``ranked`` is the one candidate loop, and it alone decides, from the
 number of boxes on the state, which fast paths the state takes. None of
-them changes an answer. It puts each (live point, orientation) pair of one
-unit to the cheap tests first, in this order: the pallet's ceiling, the
-rays, the support bound, the sibling memo, and only then ``fits`` and
-``score``. Each test rejects only pairs that ``fits`` rejects. The support
-bound sums the areas in which the pair's footprint overlaps each footprint
-below its z (the layers' ``below``, what ``fits`` tests vertical support
-against). Where those footprints overlap each other the sum exceeds their
-union, never falls short of it, so a pair whose sum is below num/den of
-its footprint is not supported; ``fits`` stays the complete test of the
-pairs that pass. ``scored`` reads the clock (``tick``) once per call and
-once per point that passes the rays, just before that point's work that
-grows with the boxes (its layers, the bound, ``fits``), so no more than
-one point's O(n) runs between two reads. From _INDEX_BOXES (16) boxes,
-the state indexes its boxes on its first ``fits`` or ``score``, and shares
-those answers with its siblings through the sibling memo.
+them changes an answer. It works in three steps. First it puts each (live
+point, orientation) pair of one unit to the cheap tests, in this order:
+the pallet's ceiling, the rays and the support bound, and scores each pair
+that passes them. Each test rejects only pairs that ``fits`` rejects. The
+support bound sums the areas in which the pair's footprint overlaps each
+footprint below its z (the layers' ``below``, what ``fits`` tests vertical
+support against). Where those footprints overlap each other the sum
+exceeds their union, never falls short of it, so a pair whose sum is below
+num/den of its footprint is not supported. Then it sorts the scored pairs
+by the ranking key (``scoring.Ranked``), and last it calls ``fits`` in that
+order until it has accepted ``cut`` pairs. The key is a total order and
+``score`` reads only far faces, not ``fits``, so the pairs it keeps are
+those of ``rank_and_cut`` over every pair that fits, and ``fits`` is not
+asked about the pairs ranked below the last one kept. ``ranked`` reads the
+clock (``tick``) once per call, once per point that passes the rays, just
+before that point's work that grows with the boxes (its layers, the bound,
+its scores), and once before each ``fits``, so no more than one O(n) step
+runs between two reads. From _INDEX_BOXES (16) boxes, the state indexes its
+boxes on its first ``fits`` or ``score``.
 
 On an indexed state, ``fits`` takes its layers from bisect ranges of the
 boxes sorted by top instead of a scan; ``score`` takes its coplanar sets
@@ -66,25 +70,6 @@ order of those boxes, since overlap is an any-test and support areas are
 exact integers. ``score`` fills each set in ascending index order, as
 ``evaluate`` does, so the sets iterate and the float terms add in the same
 order.
-
-The siblings of a state of k + 1 boxes are the states that hold the same
-first k boxes and another last one; they share the memo of prefix k: one
-dict per unit's dims from a packed (point, rotated) key to the pair's
-score, or to None where it does not fit. The memo lives as long as those k
-boxes: a pop that leaves m boxes drops the memo of prefix m + 1, and a
-push keeps every memo. An entry is read or written only where the last box
-``b`` cannot change the answer. ``b`` is clear of the pair if it lies
-wholly above the pair, or more than the gap below it, or more than the gap
-behind its -x or -y face, or starts past its far x or y face. A clear
-``b`` above the pair that overlaps its footprint leaves no room for the
-pair, so neither ``fits`` nor the memo is asked. Any other clear ``b``
-whose far faces are not coplanar, within p, with the pair's top, +x or +y
-face changes nothing: every box that ``fits`` looks at overlaps the
-pair's footprint above its z, or has its top within the gap below it, or
-backs its -x or -y face within the gap. So ``fits`` takes the same boxes
-as on the prefix, and ``score`` fills the same index sets in the same
-order: the answer is the prefix's, bit for bit, whichever sibling asked
-first.
 """
 
 from __future__ import annotations
@@ -104,21 +89,15 @@ Point = tuple[int, int, int]
 Layers = tuple[list[Box], list[tuple[int, int, int, int]]]
 # Far faces on one axis, ascending, and the indices of their boxes in the same order.
 Faces = tuple[list[int], list[int]]
-# A sibling memo: ((z * (D + 1) + y) * (W + 1) + x) * 2 + rotated, on a pallet
-# of width W and depth D, to the pair's score, or to None where it does not fit.
-Memo = dict[int, Optional[float]]
 _ABSENT = object()  # journal value of a key its container did not hold
-_UNASKED = object()  # a sibling memo's answer to a pair no sibling has asked about
-# A state with this many boxes indexes them for fits() and score(), and
-# shares its fits() and score() answers with its siblings (scored()).
-# Swept on node-budgeted solves (the same tree either way), with scored()
-# dropping unsupported pairs before fits(), as nodes/s over this
-# threshold's (same_tree_ab.py, seeds 4-6, 2 rounds each): 8 and 12 ran
-# tight-bound, whose low pallet keeps most boxes in any layer, at 0.94 and
-# 0.93, and anytime-deep at 0.98 and 1.00; 24 and 32 ran tight-bound at
-# 1.01 and 1.01, and anytime-deep at 1.05 and 1.01 (quartile ranges up to
-# 0.03). At 16, no index ran anytime-deep at 0.67 and no memo at 0.95;
-# exact-small never reaches 16 boxes.
+# A state with this many boxes indexes them for fits() and score().
+# Swept on node-budgeted solves (the same tree either way) as nodes/s over
+# this threshold's (same_tree_ab.py, seeds 4-6, 2 rounds each): 8 and 12
+# ran tight-bound, whose low pallet keeps most boxes in any layer, at 0.93
+# and 0.93, and anytime-deep at 0.99 and 0.97; 24 and 32 ran tight-bound
+# at 1.00 and 1.04, and anytime-deep at 1.05 and 0.97 (quartile ranges up
+# to 0.08). At 16, no index runs anytime-deep at 0.54; exact-small never
+# reaches 16 boxes.
 _INDEX_BOXES = 16
 
 
@@ -154,10 +133,8 @@ class FlatState:
         # push/pop. It fills the layers in top order, not box order; fits()
         # answers the same either way (any-tests, exact areas).
         self._index: Optional[tuple[list[Box], Faces, Faces, Faces]] = None
-        # Sibling memos by prefix length k (_sibling_memo), each by unit dims:
-        # valid while the first k boxes stay, so a pop that leaves m boxes
-        # drops prefix m + 1's.
-        self._memos: dict[int, dict[tuple[int, int, int], Memo]] = {}
+        # Pairs that ranked() has scored, over every call so far.
+        self.pairs_scored = 0
         self._gap = params.gap_tolerance
         self._p = (params.p_x, params.p_y, params.p_z)
         # A support minimum as an exact ratio num/den; num 0 means no test.
@@ -316,43 +293,31 @@ class FlatState:
                 c[key] = old
         self._layers.clear()
         self._index = None
-        n = len(self.boxes)
-        del self._envelopes[n + 1:]
-        self._memos.pop(n + 1, None)
+        del self._envelopes[len(self.boxes) + 1:]
 
-    def scored(self, w: int, d: int, h: int, tick: Callable[[], None]) -> list[Ranked]:
-        """The pairs of a w×d×h unit that fit, with their negated scores:
-        the pairs and scores of ``scoring.scored_candidates``, in the live
-        map's order (the ranking sorts them).
+    def ranked(self, w: int, d: int, h: int, cut: int, tick: Callable[[], None]
+               ) -> list[Ranked]:
+        """The ``cut`` best pairs of a w×d×h unit that fit, best first:
+        ``scoring.rank_and_cut`` over ``scoring.scored_candidates``.
 
         A pair meets, in order: the ceiling; the rays (a box longer than a
         ray meets what the ray met); above the gap, the support bound (the
         summed overlaps of its footprint with the ``below`` footprints of
         its z, at least the supported area ``fits`` measures, must reach
-        num/den of it); on a state of _INDEX_BOXES boxes or more, the
-        sibling memo, for a pair that the last box cannot change; and then
-        ``fits`` and ``score``. No test before ``fits`` rejects a pair
-        that ``fits`` accepts. ``tick`` is called once per call, and once
-        per point that passes the rays, before the work that grows with
-        the number of boxes."""
+        num/den of it). Each pair that passes is scored; the pairs are
+        sorted, and ``fits`` is asked in that order until ``cut`` pairs
+        are kept. No test before ``fits`` rejects a pair that ``fits``
+        accepts. ``tick`` is called once per call, once per point that
+        passes the rays, before the work that grows with the number of
+        boxes, and once before each ``fits``."""
         tick()
-        boxes = self.boxes
-        n = len(boxes)
-        fits, score = self.fits, self.score
+        score = self.score
         ceiling = self.pallet.max_height - h
         layers = self._layers
         gap = self._gap
         num, den = self._vertical
         need = num * w * d
-        memo: Optional[Memo] = None
-        if n and n >= _INDEX_BOXES:
-            memo = self._sibling_memo(w, d, h)
-            get = memo.get
-            bx, by, bz, bx2, by2, bz2 = boxes[-1]
-            p_x, p_y, p_z = self._p
-            row = self.pallet.width + 1
-            plane = row * (self.pallet.depth + 1)
-        scored: list[Ranked] = []
+        pairs: list[Ranked] = []
         for (x, y, z), (ex, ey, _) in self._live.items():
             if z > ceiling:
                 continue
@@ -369,52 +334,22 @@ class FlatState:
                     flat = _overlap_sum(below, x, y, x + w, y + d) * den >= need
                 if turned:
                     turned = _overlap_sum(below, x, y, x + d, y + w) * den >= need
-                if not (flat or turned):
-                    continue
-            if memo is not None:
-                top = z + h
-                # The last box is clear of the pair if it lies wholly above
-                # it, or more than the gap below it, or more than the gap
-                # behind it along x or y, or starts past its far x or y
-                # face. A clear box above the pair that overlaps its
-                # footprint leaves no room for it; any other clear box leaves
-                # the answer as it was, unless one of its far faces is
-                # coplanar with the pair's.
-                top_far = abs(bz2 - top) > p_z
-                above = bz >= top
-                clear = above or bz2 < z - gap or bx2 < x - gap or by2 < y - gap
-                key = (z * plane + y * row + x) * 2
             if flat:
-                if memo is not None and above and x < bx2 and bx < x + w and y < by2 and by < y + d:
-                    pass  # under the last box
-                elif (memo is not None and top_far and (clear or bx >= x + w or by >= y + d)
-                        and abs(bx2 - x - w) > p_x and abs(by2 - y - d) > p_y):
-                    s = get(key, _UNASKED)
-                    if s is _UNASKED:
-                        s = memo[key] = score(x, y, z, w, d, h) if fits(x, y, z, w, d, h) else None
-                    if s is not None:
-                        scored.append((-s, z, y, x, False))
-                elif fits(x, y, z, w, d, h):
-                    scored.append((-score(x, y, z, w, d, h), z, y, x, False))
+                pairs.append((-score(x, y, z, w, d, h), z, y, x, False))
             if turned:
-                if memo is not None and above and x < bx2 and bx < x + d and y < by2 and by < y + w:
-                    pass  # under the last box
-                elif (memo is not None and top_far and (clear or bx >= x + d or by >= y + w)
-                        and abs(bx2 - x - d) > p_x and abs(by2 - y - w) > p_y):
-                    s = get(key + 1, _UNASKED)
-                    if s is _UNASKED:
-                        s = memo[key + 1] = (
-                            score(x, y, z, d, w, h) if fits(x, y, z, d, w, h) else None)
-                    if s is not None:
-                        scored.append((-s, z, y, x, True))
-                elif fits(x, y, z, d, w, h):
-                    scored.append((-score(x, y, z, d, w, h), z, y, x, True))
-        return scored
-
-    def _sibling_memo(self, w: int, d: int, h: int) -> Memo:
-        """The memo a state of at least one box shares with its siblings
-        for a w×d×h unit."""
-        return self._memos.setdefault(len(self.boxes) - 1, {}).setdefault((w, d, h), {})
+                pairs.append((-score(x, y, z, d, w, h), z, y, x, True))
+        self.pairs_scored += len(pairs)
+        pairs.sort()
+        fits = self.fits
+        kept: list[Ranked] = []
+        for pair in pairs:
+            if len(kept) == cut:
+                break
+            _, z, y, x, rotated = pair
+            tick()
+            if fits(x, y, z, d, w, h) if rotated else fits(x, y, z, w, d, h):
+                kept.append(pair)
+        return kept
 
     def fits(self, x: int, y: int, z: int, w: int, d: int, h: int) -> bool:
         """Whether a w×d×h box at (x, y, z) meets every placement rule:

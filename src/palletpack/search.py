@@ -23,8 +23,8 @@ filling of the remaining volumes is a lower bound on it, so a first-fit
 fill that already beats the incumbent answers "no prune". A fill that
 skipped no unit is the bound itself in either bound mode, so the knapsack
 bound is computed only when the fill skipped a unit and still fails. The
-state ranks a unit's candidates itself (``FlatState.scored``), and alone
-decides which of its fast paths a state of a given depth takes.
+state ranks and cuts a unit's candidates itself (``FlatState.ranked``), and
+alone decides which of its fast paths a state of a given depth takes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .model import (
     oriented,
     volume,
 )
-from .scoring import Ranked, rank_and_cut
+from .scoring import Ranked
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,6 @@ class _Searcher:
         self.incumbent_volume = 0
         self.nodes_expanded = 0
         self.nodes_pruned = 0
-        self.candidates_evaluated = 0
         self.timed_out = False
         try:
             budget_s = params.time_limit_ms / 1000.0
@@ -127,9 +126,7 @@ class _Searcher:
         """Feasible (position, orientation) pairs for ``unit``, best first,
         cut to max_branches."""
         dims = unit.dims
-        scored = self.state.scored(dims.w, dims.d, dims.h, self._tick)
-        self.candidates_evaluated += len(scored)
-        return rank_and_cut(scored, self.params.max_branches)
+        return self.state.ranked(dims.w, dims.d, dims.h, self.params.max_branches, self._tick)
 
     def _push(self, unit: TransportUnit, cand: Ranked) -> None:
         _, z, y, x, rotated = cand
@@ -270,7 +267,7 @@ class _Searcher:
         stats = SearchStats(
             nodes_expanded=self.nodes_expanded,
             nodes_pruned_by_bound=self.nodes_pruned,
-            candidates_evaluated=self.candidates_evaluated,
+            candidates_evaluated=self.state.pairs_scored,
             elapsed_ms=elapsed_ms,
             timed_out=self.timed_out,
         )

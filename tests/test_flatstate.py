@@ -17,7 +17,7 @@ from palletpack.feasibility import check_overlap_bounds, check_placement, rect_u
 from palletpack.flatstate import FlatState
 from palletpack.grid import unused_volume
 from palletpack.model import Dims, PackingState, Pallet, Placement, SolverParams, TransportUnit
-from palletpack.scoring import evaluate, scored_candidates
+from palletpack.scoring import evaluate, rank_and_cut, scored_candidates
 from palletpack.search import _Deadline
 
 THRESHOLDS = [0.0, 0.2, 0.25, 1 / 3, 0.5, 0.7, 0.75, 1.0]
@@ -64,18 +64,23 @@ def assert_matches_reference(state: FlatState, params: SolverParams, units) -> N
                 if expected:
                     assert state.score(*pos, dims.w, dims.d, dims.h) == evaluate(
                         ref, pos, dims, params)
-    # scored as scored_candidates, in the live map's order; a sibling that
-    # asked before may have left answers in the memo.
     for w, d, h in units:
-        expected = scored_candidates(ref, TransportUnit("u", Dims(w, d, h), 0), params)
-        assert sorted(state.scored(w, d, h, lambda: None)) == sorted(expected)
+        assert_ranks_as_reference(state, params, w, d, h)
+
+
+def assert_ranks_as_reference(state: FlatState, params: SolverParams, w, d, h) -> None:
+    # ranked keeps the best pairs that fit, as rank_and_cut over
+    # scored_candidates, under a small cut and under one above the pair count.
+    expected = scored_candidates(reference_state(state), TransportUnit("u", Dims(w, d, h), 0),
+                                 params)
+    for cut in (1, 3, 10**6):
+        assert state.ranked(w, d, h, cut, lambda: None) == rank_and_cut(expected, cut)
 
 
 def drive(data, check, params=None) -> None:
     """Draw a pallet, params (unless given), units and a push/pop sequence;
     call ``check(state, params, units)`` on the state before and after each
-    step. Each state asks for its sibling memo; after a pop no memo is left
-    for a prefix longer than the boxes on the state."""
+    step."""
     pallet = Pallet(*(data.draw(st.integers(3, 12)) for _ in range(3)))
     params = params or SolverParams(
         vertical_support_min=data.draw(st.sampled_from(THRESHOLDS)),
@@ -91,11 +96,8 @@ def drive(data, check, params=None) -> None:
     state = FlatState(pallet, params)
     check(state, params, units)
     for _ in range(data.draw(st.integers(1, 14))):
-        if state.boxes:
-            state._sibling_memo(*units[0])
         if state.boxes and data.draw(st.integers(0, 3)) == 0:
             state.pop()
-            assert all(k <= len(state.boxes) for k in state._memos)
         else:
             # A box at a candidate position (as the search places them) or
             # anywhere free; support is not required for a push.
@@ -153,16 +155,18 @@ def scratch_live(state: FlatState) -> dict:
 def assert_live_map_sound(state: FlatState, params: SolverParams, units) -> None:
     # Each live point's rays admit every box that fits there; each dropped
     # candidate lies inside or under a placed box, so no box fits there.
-    # scored ticks once per call, and once per live point under the ceiling
-    # whose rays admit one of the unit's pairs.
+    # ranked ticks once per call, once per live point under the ceiling
+    # whose rays admit one of the unit's pairs, and, under no cut, once per
+    # pair scored, before its fits().
     live = state._live
     assert set(live) <= set(candidates(state))
     w, d, h = units[0]
     ticks = []
-    state.scored(w, d, h, lambda: ticks.append(1))
+    scored = state.pairs_scored
+    state.ranked(w, d, h, 10**6, lambda: ticks.append(1))
     admitted = [pt for pt, (ex, ey, _) in live.items() if pt[2] + h <= state.pallet.max_height
                 and (w <= ex and d <= ey or d <= ex and w <= ey)]
-    assert len(ticks) == 1 + len(admitted)
+    assert len(ticks) == 1 + len(admitted) + state.pairs_scored - scored
     for pos in candidates(state):
         if pos not in live:
             assert any(inside_or_under(pos, box) for box in state.boxes)
@@ -185,7 +189,7 @@ def test_support_bound_admits_every_pair_that_fits():
     # footprint with the footprints below its z reach num/den of it. Boxes
     # go onto candidates, about half of them no taller than the gap, so
     # boxes stack on boxes, two footprints below a z overlap and the sum
-    # exceeds their union; there too, scored must answer as scored_candidates.
+    # exceeds their union; there too, ranked must answer as the reference.
     nonzero = [t for t in THRESHOLDS if t > 0]
     overcounted = 0
 
@@ -205,10 +209,8 @@ def test_support_bound_admits_every_pair_that_fits():
                              for bx, by, bx2, by2 in below
                              if x < bx2 and bx < x + dw and y < by2 and by < y + dd]
                     overcounted += total > rect_union_area(rects)
-        ref = reference_state(state)
         for w, d, h in units:
-            expected = scored_candidates(ref, TransportUnit("u", Dims(w, d, h), 0), params)
-            assert sorted(state.scored(w, d, h, lambda: None)) == sorted(expected)
+            assert_ranks_as_reference(state, params, w, d, h)
 
     @settings(max_examples=150)
     @given(st.data())
@@ -247,28 +249,55 @@ def test_support_bound_is_not_exact():
     assert (0, 0, 3) in state._live and not state.fits(0, 0, 3, 8, 1, 1)
     assert not check_placement(reference_state(state), (0, 0, 3), Dims(8, 1, 1),
                                params).feasible
-    assert state.scored(8, 1, 1, lambda: None) == []
+    assert state.ranked(8, 1, 1, 10**6, lambda: None) == []
 
 
 def test_scored_checks_the_clock_inside_its_loop():
     # 300 unit cubes in a row on the floor: 600 live points, on their tops
-    # and in front of them, most of which pass the rays of a 2x2x1 unit. A
-    # clock that runs out after the call's own tick stops the loop at the
-    # first point it admits.
+    # and in front of them, most of which pass the rays of a 2x2x1 unit.
+    # ranked reads the clock once per call, then once per admitted point
+    # before it scores that point's pairs, then once before each fits().
     state = FlatState(Pallet(300, 4, 10), SolverParams())
     for x in range(300):
         state.push(x, 0, 0, 1, 1, 1)
     assert len(state._live) == 600
-    ticks = []
+    log = []
+    state.score = lambda *pair: log.append("score") or FlatState.score(state, *pair)
+    state.fits = lambda *pair: log.append("fits") or FlatState.fits(state, *pair)
+    kept = state.ranked(2, 2, 1, 4, lambda: log.append("tick"))
+    assert len(kept) == 4
+    first_fits = log.index("fits")
+    scoring, checking = log[:first_fits - 1], log[first_fits - 1:]
+    # Step 1: no more than one point's two scores between two reads.
+    assert scoring[0] == "tick" and "fits" not in scoring
+    scores_between_reads = "".join(e[0] for e in scoring).split("t")  # runs of "s"
+    assert max(map(len, scores_between_reads)) <= 2
+    assert scoring.count("tick") > 100
+    # Step 2: a read before each fits(), and no other work.
+    assert checking == ["tick", "fits"] * (len(checking) // 2)
+    assert len(checking) // 2 == len(kept)  # it stops at the cut
 
-    def tick():
-        ticks.append(1)
-        if len(ticks) > 1:
-            raise _Deadline
+    def deadline_after(n):
+        ticks = []
 
+        def tick():
+            ticks.append(1)
+            if len(ticks) > n:
+                raise _Deadline
+
+        return tick
+
+    # A clock that runs out after the call's own read stops the loop at the
+    # first point it admits, before any score.
+    log.clear()
     with pytest.raises(_Deadline):
-        state.scored(2, 2, 1, tick)
-    assert len(ticks) == 2
+        state.ranked(2, 2, 1, 4, deadline_after(1))
+    assert log == []
+    # One that runs out after the first fits() stops the second step there.
+    log.clear()
+    with pytest.raises(_Deadline):
+        state.ranked(2, 2, 1, 4, deadline_after(scoring.count("tick") + 1))
+    assert log.count("fits") == 1
 
 
 def assert_maps_match_scratch(state: FlatState, params: SolverParams, units) -> None:
@@ -470,45 +499,3 @@ def test_indexed_score_fills_colliding_sets_in_index_order(monkeypatch):
     assert state.fits(*pos, 4, 1, 1)
     assert state.score(*pos, 4, 1, 1) == evaluate(reference_state(state), pos, Dims(4, 1, 1),
                                                   params)
-
-
-def test_sibling_memo_lives_as_long_as_its_prefix():
-    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
-    state.push(0, 0, 0, 2, 2, 2)
-    state.push(2, 0, 0, 2, 2, 2)
-    memo = state._sibling_memo(1, 1, 1)
-    memo[0] = 1.0
-    assert state._sibling_memo(1, 1, 1) is memo
-    assert state._sibling_memo(1, 2, 1) == {}  # one memo per unit's dims
-    state.pop()
-    state.push(0, 2, 0, 2, 2, 2)  # a sibling: the same first box
-    assert state._sibling_memo(1, 1, 1) is memo
-    state.push(4, 0, 0, 2, 2, 2)  # a child shares its parent's boxes
-    assert state._sibling_memo(1, 1, 1) == {}
-    state.pop()
-    state.pop()
-    state.pop()  # the first box is gone, and prefix 1's memo with it
-    state.push(0, 0, 0, 2, 2, 2)
-    state.push(2, 0, 0, 2, 2, 2)
-    assert state._sibling_memo(1, 1, 1) == {}
-
-
-def test_sibling_memo_is_not_read_under_the_last_box(monkeypatch):
-    # The pair (2, 0, 0) with a 3x3x1 unit fits beside the first box, and a
-    # sibling leaves that answer in the memo. The next sibling's last box
-    # floats above the pair's footprint, off both rays of its point: the
-    # pair does not fit there, whatever the memo holds.
-    monkeypatch.setattr(flatstate, "_INDEX_BOXES", 0)
-    params = SolverParams(vertical_support_min=0.0, p_x=0, p_y=0, p_z=0)
-    state = FlatState(Pallet(10, 10, 10), params)
-    state.push(0, 0, 0, 2, 2, 2)
-    state.push(6, 6, 0, 1, 1, 3)
-    assert (-state.score(2, 0, 0, 3, 3, 1), 0, 0, 2, False) in state.scored(3, 3, 1, lambda: None)
-    assert (0 * 11 + 2) * 2 in state._sibling_memo(3, 3, 1)  # the pair's key
-    state.pop()
-    state.push(3, 1, 5, 1, 1, 1)
-    assert state._live[(2, 0, 0)] == (8, 10, 2)
-    expected = scored_candidates(reference_state(state), TransportUnit("u", Dims(3, 3, 1), 0),
-                                 params)
-    assert all(pair[1:4] != (0, 0, 2) for pair in expected)
-    assert sorted(state.scored(3, 3, 1, lambda: None)) == sorted(expected)

@@ -29,17 +29,17 @@ PALLET = (600, 400, 600)
 # (units, seed, params, solution sha256, trace sha256)
 CASES = [
     (8, 1, {"vertical_support_min": 0.7},
-     "a9b49c9b0b9b8b907c4be6c9014f2c76a5595aac54251a7cee61545d8e9f7fbb",
+     "22d02188b0dbbe85f9e7a398c8a4abdb06c3f2489e8804b72a59b43ace203456",
      "40f41145b4e692741845b987e71ed32c8054ff4b02c5730709769e860ec96b5c"),
     (8, 2, {"vertical_support_min": 0.7, "bound_mode": "lp_relaxation"},
-     "b34d8e1a55f3057364a2a7d361d779ae78b277ff8c337354957b82e84fe49f45",
+     "339d654d5fd378c90c023c345f5ec88fdc54091dc52c716688ca16a8932ecaa1",
      "f4c711aad1052471bac198bbe5846071c4a7b4a6b5a6130fc0a1e9a758ba3669"),
     (7, 3, {"vertical_support_min": 0.5, "horizontal_support_min_x": 0.3,
             "horizontal_support_min_y": 0.3},
-     "01f9285f1b86f4e712764417106825ea84ef153454fa7994c3c4b189245d8560",
+     "35bd9f3fec5e8944fcf15231aba1fe4fb563a1a870656ab8a4f398a7812f4314",
      "8da1356286d65fc3317f1e010f81325e07cb100a2ce2d8410d87ce66bab749ee"),
     (8, 4, {"vertical_support_min": 0.8, "gap_tolerance": 10},
-     "a2711d686cc7860d32f4946b538b5704652dc80a4a04fd06bba6993161ddea6c",
+     "4fe3c3152cf73c8da184f85ce0d863613ed3a1a4449958a767cec26bc1d5470c",
      "339640ff771fbaf1256d422b7012ea9a7851bd8b22bc914b9d7806aaf1db31da"),
     (8, 5, {"vertical_support_min": 0.7, "p_x": 20, "p_y": 20, "p_z": 30},
      "fd12b2fc2ad55569912d8da8d623c6fab72716c24dfb3efbe82c730e3905ee1a",
@@ -48,7 +48,7 @@ CASES = [
      "6fb5d1959ef7b02dfe397e9f9f0a6e85f1a5c59c213f6d78b37ad5a9e7fb4c2a",
      "bd228dcbe2ddb1ed57e212238b5210bb9e80fe8613343e4ace973a95ab4e6cc2"),
     (6, 7, {"vertical_support_min": 0.0, "gap_tolerance": 5, "horizontal_support_min_x": 0.5},
-     "fc65e3e7811707fb705aaecc7f6194ecd625924b83ceb38adfcb052ec72ccd9c",
+     "9d4d8fc78b49e9833fa50eaf9576fce0e2055b9a3fcff726a654c8fdcf0d4188",
      "1f44e6649608545af1a217763fabd8a1114f328c593702f7bd2d70ca975db3b2"),
     (9, 8, {"vertical_support_min": 1.0, "bound_mode": "lp_relaxation", "p_z": 15,
             "max_branches": 2},

@@ -228,34 +228,24 @@ def _tree_digest(sol):
 
 
 @pytest.mark.parametrize("instance,params,budget,digest", [
-    # 149 of 150 units placed, 89 prunes, 7,217 candidates evaluated
+    # 149 of 150 units placed, 89 prunes, 7,465 candidates evaluated
     (_deep_instance(8), DEEP_PARAMS, 300,
-     "b24c819d1b81e9efa932f31b24e056dc8c15448507119e4901d77d4444a32241"),
+     "0dd3022df507d3fd5510062076285444ce5b758c1d4a04e4e5b58fee5467e5d2"),
     # 14 units placed, 137 prunes, 847 candidates evaluated
     (_tight_instance(27), SolverParams(vertical_support_min=1.0), 3000,
      "81cf79e2ca6b322585721bc74c33b99ff26fbb60a9e8c19e94ad1decaf2ad5b5"),
 ], ids=["anytime-deep", "tight-bound"])
 def test_deep_budgeted_tree_is_pinned(instance, params, budget, digest):
-    # The anytime-deep digest was recorded when nothing could be loaded
-    # under an overhang any more, the tight-bound one before the free rays
-    # were kept up to date across push and pop (full support leaves no
-    # overhang): the state's fast paths must leave the tree exactly as it was.
+    # The anytime-deep digest was recorded when the candidates evaluated
+    # became the pairs scored before any fits() (its placements and prunes
+    # date from when nothing could be loaded under an overhang any more), the
+    # tight-bound one before the free rays were kept up to date across push
+    # and pop (full support leaves no overhang): the state's fast paths must
+    # leave the tree exactly as it was.
     units, pallet = instance
     sol = _budgeted(units, pallet, params, budget)
     assert sol.stats.nodes_expanded == budget
     assert _tree_digest(sol) == digest
-
-
-def test_box_index_leaves_the_deep_tree_as_it_was(monkeypatch):
-    # Every state indexed, or none: the same placements, prunes and
-    # candidates evaluated.
-    digests = []
-    for threshold in (0, 10**9):
-        monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
-        sol = _budgeted(*_deep_instance(8), DEEP_PARAMS, 150)
-        assert sol.stats.nodes_expanded == 150
-        digests.append(_tree_digest(sol))
-    assert digests[0] == digests[1]
 
 
 # Parameters the benchmark never sets: a wide gap (the halo's low sides),
@@ -271,60 +261,63 @@ ODD_PARAMS = [
 ]
 
 
-@pytest.mark.parametrize("params", ODD_PARAMS, ids=["all", "x-support", "y-support"])
-def test_sibling_memo_leaves_the_deep_tree_as_it_was(monkeypatch, params):
-    # The memo (and the index) on every state with a box, or on none: the
-    # same placements, prunes and candidates evaluated.
-    digests = []
-    for threshold in (0, 10**9):
-        monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
-        sol = _budgeted(*_deep_instance(3), params, 200)
-        assert sol.stats.nodes_expanded == 200
-        digests.append(_tree_digest(sol))
-    assert digests[0] == digests[1]
+def test_box_index_leaves_the_deep_tree_as_it_was(monkeypatch):
+    # Every state indexed, or none: the same placements, prunes and
+    # candidates evaluated, on anytime-deep's shape and under the stability
+    # rules.
+    for instance, params, budget in [(_deep_instance(8), DEEP_PARAMS, 150),
+                                     *((_deep_instance(3), p, 200) for p in ODD_PARAMS)]:
+        digests = []
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
+            sol = _budgeted(*instance, params, budget)
+            assert sol.stats.nodes_expanded == budget
+            digests.append(_tree_digest(sol))
+        assert digests[0] == digests[1], params
 
 
-def test_sibling_memo_answers_rank_as_the_reference(monkeypatch):
-    # Every state with a box uses the memo; at every node its ranking of
-    # every feasible pair (no branch cap) must equal
-    # generate/check_placement/evaluate on the same placements.
+def test_ranking_stops_at_the_cut_as_the_reference(monkeypatch):
+    # Every state indexed, under the stability rules, at branch caps of 1, 4
+    # and none: at every node the pairs kept must be the reference's best,
+    # from generate/check_placement/evaluate on the same placements.
     monkeypatch.setattr(flatstate, "_INDEX_BOXES", 0)
     fast = search._Searcher._ranked_candidates
-    hits = 0
+    fits = FlatState.fits
+    asked: list[bool] = []  # fits() answers of the current node, in order
+    skipped = stopped = deep = 0
 
     def ranked(self, unit):
+        nonlocal skipped, stopped, deep
+        asked.clear()
+        scored = self.state.pairs_scored
         got = fast(self, unit)
         state = PackingState(tuple(self.placed), self.pallet)
         assert got == rank_and_cut(scored_candidates(state, unit, self.params),
                                    self.params.max_branches)
+        # fits() rejected a pair ranked above the last one kept
+        skipped += True in asked and False in asked[:len(asked) - asked[::-1].index(True)]
+        # fits() was not asked about every pair scored
+        stopped += len(asked) < self.state.pairs_scored - scored
+        deep += len(self.placed) > 16
         return got
 
-    get = dict.get
-
-    class Counted(dict):
-        def get(self, key, default=None):
-            nonlocal hits
-            value = get(self, key, default)
-            hits += value is not default
-            return value
-
-    sibling_memo = FlatState._sibling_memo
-
-    def counted_memo(self, w, d, h):
-        memo = sibling_memo(self, w, d, h)
-        if type(memo) is not Counted:
-            memo = self._memos[len(self.boxes) - 1][(w, d, h)] = Counted(memo)
-        return memo
+    def counted_fits(self, *pair):
+        answer = fits(self, *pair)
+        asked.append(answer)
+        return answer
 
     monkeypatch.setattr(search._Searcher, "_ranked_candidates", ranked)
-    monkeypatch.setattr(FlatState, "_sibling_memo", counted_memo)
+    monkeypatch.setattr(FlatState, "fits", counted_fits)
     units, pallet = _deep_instance(5)
     for params in ODD_PARAMS:
-        # 30 units: the first dive ends early, and most nodes after it are siblings.
-        _budgeted(units[:30], pallet, dataclasses.replace(params, max_branches=10**6), 200)
-    # 3,803 hits on this code: pairs that the support bound drops never
-    # reach the memo.
-    assert hits > 3000
+        for cut in (1, 4, 10**6):
+            # 30 units: the first dive ends early, and most nodes after it are siblings.
+            _budgeted(units[:30], pallet, dataclasses.replace(params, max_branches=cut), 200)
+    # Of 1,800 nodes, 736 skip a rejected pair, 445 stop before the last
+    # pair scored and 631 hold more than 16 boxes.
+    assert skipped > 500
+    assert stopped > 300
+    assert deep > 500
 
 
 def test_trace_single_unit(pallet_4x3x10):
