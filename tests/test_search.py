@@ -263,17 +263,28 @@ ODD_PARAMS = [
 
 def test_box_index_leaves_the_deep_tree_as_it_was(monkeypatch):
     # Every state indexed, or none: the same placements, prunes and
-    # candidates evaluated, on anytime-deep's shape and under the stability
-    # rules.
-    for instance, params, budget in [(_deep_instance(8), DEEP_PARAMS, 150),
-                                     *((_deep_instance(3), p, 200) for p in ODD_PARAMS)]:
-        digests = []
-        for threshold in (0, 10**9):
-            monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
-            sol = _budgeted(*instance, params, budget)
-            assert sol.stats.nodes_expanded == budget
-            digests.append(_tree_digest(sol))
-        assert digests[0] == digests[1], params
+    # candidates evaluated.
+    digests = []
+    for threshold in (0, 10**9):
+        monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
+        sol = _budgeted(*_deep_instance(8), DEEP_PARAMS, 150)
+        assert sol.stats.nodes_expanded == 150
+        digests.append(_tree_digest(sol))
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("params", ODD_PARAMS, ids=["all", "x-support", "y-support"])
+def test_sibling_memo_leaves_the_deep_tree_as_it_was(monkeypatch, params):
+    # Named for the sibling memo it once also toggled: the index on every
+    # state with a box, or on none, under the stability rules: the same
+    # placements, prunes and candidates evaluated.
+    digests = []
+    for threshold in (0, 10**9):
+        monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
+        sol = _budgeted(*_deep_instance(3), params, 200)
+        assert sol.stats.nodes_expanded == 200
+        digests.append(_tree_digest(sol))
+    assert digests[0] == digests[1]
 
 
 def test_ranking_stops_at_the_cut_as_the_reference(monkeypatch):
