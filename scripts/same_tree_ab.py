@@ -3,9 +3,11 @@
 
 Loads ``palletpack`` from two source directories into one process and
 solves the same benchmark-shaped instances with both, alternating which
-side goes first per instance. Each solve stops at a fixed node count
-(the ``max_nodes`` parameter, so both trees must know it), not on the
-clock, so both sides should search the same tree. Prints nodes/s per side
+side goes first per instance; the ``stability`` shape adds the paper's
+transport-stability rules, which no benchmark workload sets. Each solve
+stops at a fixed node count (the ``max_nodes`` parameter, so both trees
+must know it), not on the clock, so both sides should search the same
+tree. Prints nodes/s per side
 and B/A for each round, the median and interquartile range of B/A over
 the rounds, and whether placements, nodes, prunes, ``candidates_evaluated``
 and volume match instance for instance in every round, naming each of
@@ -47,6 +49,12 @@ SHAPES = {
                      {"vertical_support_min": 0.7, "gap_tolerance": 5}, 4, 300),
     "tight-bound": ((400, 300, 400), 40, (60, 200),
                     {"vertical_support_min": 1.0, "bound_mode": "exact_knapsack"}, 12, 3000),
+    # anytime-deep's shape under the paper's transport-stability rules:
+    # horizontal support and coplanar tolerances, with a gap.
+    "stability": ((1200, 800, 1500), 150, (50, 200),
+                  {"vertical_support_min": 0.7, "gap_tolerance": 5,
+                   "horizontal_support_min_x": 0.3, "horizontal_support_min_y": 0.3,
+                   "p_x": 5, "p_y": 5, "p_z": 5}, 4, 300),
 }
 
 

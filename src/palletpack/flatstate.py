@@ -35,10 +35,15 @@ Every change to the maxima and the live map goes into one undo journal of
 push left. Beyond that, a state computes only what a node asks of it.
 ``fits`` tests bounds, then vertical support (which most pairs fail), then
 the boxes above z, then horizontal support: an AND, the same in any order.
-It takes its boxes from the layers of the pair's z (Layers), found on the
-first ask at z and kept until the next push or pop. The envelope volume is
-kept per depth in a list that ``unused_volume`` extends and a pop cuts
-back, so a push below which no node asks for a bound computes none.
+Vertical support reads the footprints below the pair's z, those of the
+boxes whose tops lie in [z - gap, z]: found by a scan on the first ask at
+z, and kept across push and pop. A box whose top lies at t belongs to the
+heights t to t + gap only, so its push or pop drops just those heights,
+by a walk over them or over the heights kept, whichever is shorter; a
+huge gap then costs a push nothing. The boxes above z are found per
+``fits`` call. The envelope volume is kept per depth in a list that
+``unused_volume`` extends and a pop cuts back, so a push below which no
+node asks for a bound computes none.
 
 ``ranked`` is the one candidate loop, and it alone decides, from the
 number of boxes on the state, which fast paths the state takes. None of
@@ -47,29 +52,30 @@ point, orientation) pair of one unit to the cheap tests, in this order:
 the pallet's ceiling, the rays and the support bound, and scores each pair
 that passes them. Each test rejects only pairs that ``fits`` rejects. The
 support bound sums the areas in which the pair's footprint overlaps each
-footprint below its z (the layers' ``below``, what ``fits`` tests vertical
-support against). Where those footprints overlap each other the sum
-exceeds their union, never falls short of it, so a pair whose sum is below
-num/den of its footprint is not supported. Then it sorts the scored pairs
-by the ranking key (``scoring.Ranked``), and last it calls ``fits`` in that
-order until it has accepted ``cut`` pairs. The key is a total order and
-``score`` reads only far faces, not ``fits``, so the pairs it keeps are
-those of ``rank_and_cut`` over every pair that fits, and ``fits`` is not
-asked about the pairs ranked below the last one kept. ``ranked`` reads the
-clock (``tick``) once per call, once per point that passes the rays, just
-before that point's work that grows with the boxes (its layers, the bound,
-its scores), and once before each ``fits``, so no more than one O(n) step
-runs between two reads. From _INDEX_BOXES (16) boxes, the state indexes its
-boxes on its first ``fits`` or ``score``.
+footprint below its z (the ones ``fits`` tests vertical support against),
+for both orientations in one pass. Where those footprints overlap each
+other the sum exceeds their union, never falls short of it, so a pair
+whose sum is below num/den of its footprint is not supported. Then it
+sorts the scored pairs by the ranking key (``scoring.Ranked``), and last
+it calls ``fits`` in that order until it has accepted ``cut`` pairs. The
+key is a total order and ``score`` reads only far faces, not ``fits``, so
+the pairs it keeps are those of ``rank_and_cut`` over every pair that
+fits, and ``fits`` is not asked about the pairs ranked below the last one
+kept. ``ranked`` reads the clock (``tick``) once per call, once per point
+that passes the rays, just before that point's work that grows with the
+boxes (a scan for the footprints below it, the bound, its scores), and
+once before each ``fits``, so no more than one O(n) step runs between two
+reads. From _INDEX_BOXES (16) boxes, the state indexes its boxes on its
+first ``fits`` or ``score``.
 
-On an indexed state, ``fits`` takes its layers from bisect ranges of the
-boxes sorted by top instead of a scan; ``score`` takes its coplanar sets
-from bisect ranges of the far faces z2, x2 and y2; a push or pop drops the
-index. The answers do not change. ``fits`` gives the same answer in any
-order of those boxes, since overlap is an any-test and support areas are
-exact integers. ``score`` fills each set in ascending index order, as
-``evaluate`` does, so the sets iterate and the float terms add in the same
-order.
+On an indexed state, ``fits`` takes the boxes above z from a bisect range
+of the boxes sorted by top instead of a scan; ``score`` takes its coplanar
+sets from bisect ranges of the far faces z2, x2 and y2; a push or pop
+drops the index. The answers do not change. ``fits`` gives the same answer
+in any order of those boxes, since overlap is an any-test and support
+areas are exact integers. ``score`` fills each set in ascending index
+order, as ``evaluate`` does, so the sets iterate and the float terms add
+in the same order.
 """
 
 from __future__ import annotations
@@ -84,9 +90,7 @@ from .scoring import DISTANCE_CLAMP, Ranked
 
 Box = tuple[int, int, int, int, int, int]  # x, y, z, x2, y2, z2
 Point = tuple[int, int, int]
-# The layers of a height z: the boxes whose tops lie above z, and the
-# footprints (x, y, x2, y2) of the boxes whose tops lie within the gap below z.
-Layers = tuple[list[Box], list[tuple[int, int, int, int]]]
+Footprint = tuple[int, int, int, int]  # x, y, x2, y2
 # Far faces on one axis, ascending, and the indices of their boxes in the same order.
 Faces = tuple[list[int], list[int]]
 _ABSENT = object()  # journal value of a key its container did not hold
@@ -126,12 +130,14 @@ class FlatState:
             (0, 0, 0): (pallet.width, pallet.depth, 1)}
         self._undo: list[tuple[object, object, object]] = []  # (container, key, old)
         self._marks: list[int] = []  # journal length per push
-        # fits() layers per height z (_new_layers), cleared by push/pop
-        self._layers: dict[int, Layers] = {}
+        # Per height z asked about, the footprints of the boxes whose tops lie
+        # in [z - gap, z] (_scan_below); a push or pop drops only the heights
+        # its box's top reaches (_drop_below).
+        self._below: dict[int, list[Footprint]] = {}
         # Index of the boxes for fits() and score() (_build_index): built by the
         # first ask on a state of at least _INDEX_BOXES boxes, dropped by
-        # push/pop. It fills the layers in top order, not box order; fits()
-        # answers the same either way (any-tests, exact areas).
+        # push/pop. It gives fits() the boxes above z in top order, not box
+        # order; fits() answers the same either way (any-tests, exact areas).
         self._index: Optional[tuple[list[Box], Faces, Faces, Faces]] = None
         # Pairs that ranked() has scored, over every call so far.
         self.pairs_scored = 0
@@ -258,7 +264,7 @@ class FlatState:
         boxes.append((x, y, z, x2, y2, z2))
         self._maxima.append([mxy, mxz, myx, myz, mzx, mzy])
         self.volume += w * d * h
-        self._layers.clear()
+        self._drop_below(z2)
         self._index = None
         # A new point runs against every box.
         for pt, n in born.items():
@@ -291,7 +297,7 @@ class FlatState:
                 del c[key]
             else:
                 c[key] = old
-        self._layers.clear()
+        self._drop_below(z2)
         self._index = None
         del self._envelopes[len(self.boxes) + 1:]
 
@@ -302,8 +308,8 @@ class FlatState:
 
         A pair meets, in order: the ceiling; the rays (a box longer than a
         ray meets what the ray met); above the gap, the support bound (the
-        summed overlaps of its footprint with the ``below`` footprints of
-        its z, at least the supported area ``fits`` measures, must reach
+        summed overlaps of its footprint with the footprints below its z,
+        at least the supported area ``fits`` measures, must reach
         num/den of it). Each pair that passes is scored; the pairs are
         sorted, and ``fits`` is asked in that order until ``cut`` pairs
         are kept. No test before ``fits`` rejects a pair that ``fits``
@@ -313,7 +319,7 @@ class FlatState:
         tick()
         score = self.score
         ceiling = self.pallet.max_height - h
-        layers = self._layers
+        cache = self._below
         gap = self._gap
         num, den = self._vertical
         need = num * w * d
@@ -327,13 +333,25 @@ class FlatState:
                 continue
             tick()
             if num and z > gap:
-                below = (layers.get(z) or self._new_layers(z))[1]
-                if not below:
-                    continue
-                if flat:
-                    flat = _overlap_sum(below, x, y, x + w, y + d) * den >= need
-                if turned:
-                    turned = _overlap_sum(below, x, y, x + d, y + w) * den >= need
+                below = cache.get(z)
+                if below is None:
+                    below = self._scan_below(z)
+                # The overlaps of the flat (x..fx, y..fy) and the turned
+                # (x..tx, y..ty) footprint, summed in one pass.
+                fx, fy, tx, ty = x + w, y + d, x + d, y + w
+                flat_sum = turned_sum = 0
+                for bx, by, bx2, by2 in below:
+                    if x < bx2 and y < by2:
+                        u = bx if bx > x else x
+                        v = by if by > y else y
+                        if bx < fx and by < fy:
+                            flat_sum += (((fx if fx < bx2 else bx2) - u)
+                                         * ((fy if fy < by2 else by2) - v))
+                        if bx < tx and by < ty:
+                            turned_sum += (((tx if tx < bx2 else bx2) - u)
+                                           * ((ty if ty < by2 else by2) - v))
+                flat = flat and flat_sum * den >= need
+                turned = turned and turned_sum * den >= need
             if flat:
                 pairs.append((-score(x, y, z, w, d, h), z, y, x, False))
             if turned:
@@ -359,10 +377,12 @@ class FlatState:
         x2, y2, z2 = x + w, y + d, z + h
         if x2 > p.width or y2 > p.depth or z2 > p.max_height:
             return False
-        above, below = self._layers.get(z) or self._new_layers(z)
         gap = self._gap
         num, den = self._vertical
         if num and z > gap:
+            below = self._below.get(z)
+            if below is None:
+                below = self._scan_below(z)
             rects = [
                 (max(x, bx), max(y, by), min(x2, bx2), min(y2, by2))
                 for bx, by, bx2, by2 in below
@@ -370,6 +390,11 @@ class FlatState:
             ]
             if not _covers(rects, w * d, num, den):
                 return False
+        if len(self.boxes) >= _INDEX_BOXES:
+            by_top, (tops, _), _, _ = self._index or self._build_index()
+            above = by_top[bisect_right(tops, z):]
+        else:
+            above = [b for b in self.boxes if b[5] > z]
         # No box whose top lies above z may overlap the footprint.
         for bx, by, _, bx2, by2, _ in above:
             if x < bx2 and bx < x2 and y < by2 and by < y2:
@@ -394,25 +419,26 @@ class FlatState:
                 return False
         return True
 
-    def _new_layers(self, z: int) -> Layers:
-        """The layers of height z, kept until the next push or pop."""
+    def _scan_below(self, z: int) -> list[Footprint]:
+        """The footprints of the boxes whose tops lie in [z - gap, z], kept
+        until a push or pop of a box whose top lies there."""
+        lo = z - self._gap
+        below = self._below[z] = [(b[0], b[1], b[3], b[4]) for b in self.boxes
+                                  if lo <= b[5] <= z]
+        return below
+
+    def _drop_below(self, top: int) -> None:
+        """Drop the kept footprints of the heights a box whose top lies at
+        ``top`` belongs to, [top, top + gap]: a walk over those heights or
+        over the kept ones, whichever is shorter."""
+        cache = self._below
         gap = self._gap
-        if len(self.boxes) >= _INDEX_BOXES:
-            by_top, (tops, _), _, _ = self._index or self._build_index()
-            lo = bisect_right(tops, z)
-            above = by_top[lo:]
-            below = [(b[0], b[1], b[3], b[4]) for b in by_top[bisect_left(tops, z - gap):lo]]
+        if gap < len(cache):
+            for z in range(top, top + gap + 1):
+                cache.pop(z, None)
         else:
-            above = []
-            below = []
-            for b in self.boxes:
-                bz2 = b[5]
-                if bz2 > z:
-                    above.append(b)
-                elif z - bz2 <= gap:
-                    below.append((b[0], b[1], b[3], b[4]))
-        layers = self._layers[z] = above, below
-        return layers
+            for z in [z for z in cache if top <= z <= top + gap]:
+                del cache[z]
 
     def _build_index(self) -> tuple[list[Box], Faces, Faces, Faces]:
         """Index the state's boxes: the boxes sorted by top, and the far
@@ -508,17 +534,6 @@ class FlatState:
             for b, h in enumerate(row):
                 rise += (top - h) * wa * (ys[b + 1] - ys[b])
         return rise
-
-
-def _overlap_sum(below: list[tuple[int, int, int, int]], x: int, y: int, x2: int, y2: int
-                 ) -> int:
-    """The summed areas in which the footprint (x, y, x2, y2) overlaps each
-    of the footprints ``below``: at least the area of their union."""
-    area = 0
-    for bx, by, bx2, by2 in below:
-        if x < bx2 and bx < x2 and y < by2 and by < y2:
-            area += (min(x2, bx2) - max(x, bx)) * (min(y2, by2) - max(y, by))
-    return area
 
 
 def _covers(rects: list[tuple[int, int, int, int]], face: int, num: int, den: int) -> bool:

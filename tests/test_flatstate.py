@@ -184,6 +184,21 @@ def test_free_rays_reject_only_what_fits_rejects(data):
     drive(data, assert_live_map_sound)
 
 
+def scanned_below(state: FlatState, z: int) -> list:
+    """The footprints (x, y, x2, y2) of the boxes whose tops lie within the
+    gap below z, by a scan of every box."""
+    return [(bx, by, bx2, by2) for bx, by, _, bx2, by2, bz2 in state.boxes
+            if 0 <= z - bz2 <= state._gap]
+
+
+def overlap_sum(below: list, x: int, y: int, x2: int, y2: int) -> int:
+    """The summed areas in which the footprint (x, y, x2, y2) overlaps each
+    footprint of ``below``."""
+    return sum((min(x2, bx2) - max(x, bx)) * (min(y2, by2) - max(y, by))
+               for bx, by, bx2, by2 in below
+               if x < bx2 and bx < x2 and y < by2 and by < y2)
+
+
 def test_support_bound_admits_every_pair_that_fits():
     # Wherever fits accepts a pair above the gap, the summed overlaps of its
     # footprint with the footprints below its z reach num/den of it. Boxes
@@ -199,10 +214,10 @@ def test_support_bound_admits_every_pair_that_fits():
         for x, y, z in candidates(state):
             if z <= params.gap_tolerance:
                 continue
-            below = (state._layers.get(z) or state._new_layers(z))[1]
+            below = scanned_below(state, z)
             for w, d, h in units:
                 for dw, dd in ((w, d), (d, w)):
-                    total = flatstate._overlap_sum(below, x, y, x + dw, y + dd)
+                    total = overlap_sum(below, x, y, x + dw, y + dd)
                     if state.fits(x, y, z, dw, dd, h):
                         assert total * den >= num * dw * dd
                     rects = [(max(x, bx), max(y, by), min(x + dw, bx2), min(y + dd, by2))
@@ -244,12 +259,54 @@ def test_support_bound_is_not_exact():
     state = FlatState(Pallet(8, 1, 10), params)
     state.push(0, 0, 0, 4, 1, 2)
     state.push(0, 0, 2, 4, 1, 1)
-    below = state._new_layers(3)[1]
-    assert flatstate._overlap_sum(below, 0, 0, 8, 1) == 8
+    assert overlap_sum(scanned_below(state, 3), 0, 0, 8, 1) == 8
     assert (0, 0, 3) in state._live and not state.fits(0, 0, 3, 8, 1, 1)
     assert not check_placement(reference_state(state), (0, 0, 3), Dims(8, 1, 1),
                                params).feasible
     assert state.ranked(8, 1, 1, 10**6, lambda: None) == []
+
+
+# Up to 12 heights are cached, against the gap + 1 (at most 4) that a push
+# or pop drops: the drops walk those heights in some states and the cached
+# keys in others.
+@pytest.mark.parametrize("index_boxes", [flatstate._INDEX_BOXES, 0], ids=["default", "indexed"])
+@settings(max_examples=200)
+@given(st.data())
+def test_below_cache_matches_a_fresh_scan(index_boxes, data):
+    # Each height's footprints, kept across pushes and pops of boxes whose
+    # tops lie elsewhere, must be those a scan of the boxes finds, down to
+    # an empty pallet again.
+    pallet = Pallet(*(data.draw(st.integers(3, 12)) for _ in range(3)))
+    params = SolverParams(vertical_support_min=data.draw(st.sampled_from(THRESHOLDS[1:])),
+                          gap_tolerance=data.draw(st.integers(0, 3)))
+    state = FlatState(pallet, params)
+    side = st.integers(1, 5)
+
+    def check():
+        for z, below in state._below.items():
+            assert sorted(below) == sorted(scanned_below(state, z))
+        # Ask about more heights: fits() at each, and ranked() at the live points.
+        for z in data.draw(st.sets(st.integers(0, pallet.max_height - 1))):
+            state.fits(0, 0, z, 1, 1, 1)
+        state.ranked(*data.draw(st.tuples(side, side, side)), 10**6, lambda: None)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flatstate, "_INDEX_BOXES", index_boxes)
+        check()
+        for _ in range(data.draw(st.integers(1, 12))):
+            points = candidates(state)
+            if state.boxes and (not points or data.draw(st.integers(0, 3)) == 0):
+                state.pop()
+            else:
+                x, y, z = data.draw(st.sampled_from(points))
+                w, d, h = data.draw(st.tuples(side, side, side))
+                if not check_overlap_bounds(reference_state(state), (x, y, z), Dims(w, d, h)):
+                    continue
+                state.push(x, y, z, w, d, h)
+            check()
+        while state.boxes:
+            state.pop()
+            check()
 
 
 def test_scored_checks_the_clock_inside_its_loop():

@@ -453,6 +453,25 @@ def test_deadline_holds_on_many_units_that_mostly_skip():
     assert validate_solution(sf, instance, text) == []
 
 
+def test_deadline_holds_at_any_gap():
+    # anytime-deep's shape under a gap far above any pallet: a push or pop
+    # must not walk every height the gap spans.
+    rng = random.Random(18)
+    text = json.dumps({
+        "pallet": {"width": 1200, "depth": 800, "max_height": 1500},
+        "units": [{"id": f"u{i}", "w": rng.randint(50, 200), "d": rng.randint(50, 200),
+                   "h": rng.randint(50, 200)} for i in range(150)],
+        "params": {"time_limit_ms": 100, "vertical_support_min": 0.7, "gap_tolerance": 10**12},
+    })
+    instance = parse_instance(text)
+    start = time.monotonic()
+    sol = solve(instance.units, instance.pallet, instance.params)
+    wall = (time.monotonic() - start) * 1000
+    assert wall < 150
+    sf = build_solution_file(sol, instance.params, text)
+    assert validate_solution(sf, instance, text) == []
+
+
 def _cube_column():
     """150 10 mm cubes, all of which fit the pallet, searched one candidate
     per level; with the instance text."""
