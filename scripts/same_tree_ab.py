@@ -7,14 +7,16 @@ side goes first per instance; the ``stability`` shape adds the paper's
 transport-stability rules, which no benchmark workload sets. Each solve
 stops at a fixed node count (the ``max_nodes`` parameter, so both trees
 must know it), not on the clock, so both sides should search the same
-tree. Prints nodes/s per side
-and B/A for each round, the median and interquartile range of B/A over
-the rounds, and whether placements, nodes, prunes, ``candidates_evaluated``
+tree. Prints nodes/s and total solve seconds per side and their B/A
+for each round, the median and interquartile range of each B/A over the
+rounds, and whether placements, nodes, prunes, ``candidates_evaluated``
 and volume match instance for instance in every round, naming each of
 those fields that does not, so a change to the stats alone reads as one. For
 a change that is meant to alter the tree, it also prints on how many
 instances B loads less, the same or more volume than A, and B's total
-volume over A's.
+volume over A's. For a change that opens fewer nodes, nodes/s measures
+only the mix of the nodes left, and the B/A of solve seconds shows what
+it saves.
 ``--reps N`` runs N rounds per workload and alternates which side starts
 a round, for a change too small for one round to resolve. ``--seeds S
 [S ...]`` runs those rounds on the instances of each seed in turn and then
@@ -90,7 +92,8 @@ def texts(name, seed, budget):
 
 def solve_round(sides, texts_, first):
     """Solve every instance on both sides, side ``first`` first on even
-    instances; nodes/s per side and each side's trees."""
+    instances; nodes/s and total solve seconds per side, and each side's
+    trees."""
     nodes, secs, trees = [0, 0], [0.0, 0.0], [[], []]
     for i, text in enumerate(texts_):
         for s in ((first, 1 - first) if i % 2 == 0 else (1 - first, first)):
@@ -105,7 +108,7 @@ def solve_round(sides, texts_, first):
                 [(p.unit_id, p.position, p.rotated) for p in sol.placements],
                 st.nodes_expanded, st.nodes_pruned_by_bound, st.candidates_evaluated,
                 sol.placed_volume))
-    return [nodes[s] / secs[s] for s in (0, 1)], trees
+    return [nodes[s] / secs[s] for s in (0, 1)], secs, trees
 
 
 def summary(ratios):
@@ -165,28 +168,32 @@ def main():
     sides = [load(args.a), load(args.b)]
     for name in args.workloads:
         budget = SHAPES[name][5] if args.nodes is None else args.nodes
-        pooled, all_differ, all_volumes = [], set(), []
+        pooled, pooled_secs, all_differ, all_volumes = [], [], set(), []
         for seed in args.seeds:
             cases = texts(name, seed, budget)
-            ratios, rounds = [], []
+            ratios, sec_ratios, rounds = [], [], []
             for r in range(args.reps):
-                rate, trees = solve_round(sides, cases, r % 2)
+                rate, secs, trees = solve_round(sides, cases, r % 2)
                 ratios.append(rate[1] / rate[0])
+                sec_ratios.append(secs[1] / secs[0])
                 rounds += trees
                 print(f"{name:13} seed {seed} round {r + 1}: A {rate[0]:9,.0f} nodes/s  "
-                      f"B {rate[1]:9,.0f} nodes/s  B/A {ratios[-1]:.3f}")
+                      f"B {rate[1]:9,.0f} nodes/s  B/A {ratios[-1]:.3f}; "
+                      f"A {secs[0]:.3f} s  B {secs[1]:.3f} s  B/A {sec_ratios[-1]:.3f}")
             differ = differing(rounds)
             pairs = [(a[-1], b[-1]) for a, b in zip(rounds[0], rounds[1])]
-            print(f"{name:13} seed {seed}: {summary(ratios)} over {args.reps} round(s), "
+            print(f"{name:13} seed {seed}: nodes/s {summary(ratios)}, solve seconds "
+                  f"{summary(sec_ratios)} over {args.reps} round(s), "
                   f"trees {verdict(differ)} ({len(cases)} instances, "
                   f"{nodes(rounds[0], rounds[1])} a round); "
                   f"{volumes(pairs)}")
             pooled += ratios
+            pooled_secs += sec_ratios
             all_volumes += pairs
             all_differ.update(differ)
         if len(args.seeds) >= 2:
-            print(f"{name:13} seeds {' '.join(map(str, args.seeds))}: {summary(pooled)} over "
-                  f"{len(pooled)} rounds, trees "
+            print(f"{name:13} seeds {' '.join(map(str, args.seeds))}: nodes/s {summary(pooled)}, "
+                  f"solve seconds {summary(pooled_secs)} over {len(pooled)} rounds, trees "
                   f"{verdict(all_differ, ' on every seed')}; "
                   f"{volumes(all_volumes)}")
     return 0

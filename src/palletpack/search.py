@@ -17,14 +17,19 @@ its candidates or re-checks its parent's placements. Branching nodes are
 kept on an explicit stack, so the depth of the tree is not bounded by the
 interpreter's recursion limit.
 
-Two exact shortcuts leave every prune decision as it was. The search
-needs only whether the bound can beat the incumbent, and any feasible
-filling of the remaining volumes is a lower bound on it, so a first-fit
-fill that already beats the incumbent answers "no prune". A fill that
-skipped no unit is the bound itself in either bound mode, so the knapsack
-bound is computed only when the fill skipped a unit and still fails. The
-state ranks and cuts a unit's candidates itself (``FlatState.ranked``), and
-alone decides which of its fast paths a state of a given depth takes.
+Bounding runs in three steps, cheapest first. The rest bound comes
+first: no descendant of a node for unit ``idx`` loads more than the
+state's volume plus every volume from ``idx`` on (the knapsack bound
+without its capacity), so a node, a sibling or a root whose sum cannot
+beat the incumbent is not opened at all, and neither is any later one of
+its kind. A node that opens then asks only whether the knapsack bound can
+beat the incumbent, and any feasible filling of the remaining volumes is a
+lower bound on it, so a first-fit fill that already beats the incumbent
+answers "no prune". Past the rest bound, a fill that skipped no unit would
+beat the incumbent, so the knapsack bound is computed only when the fill
+skipped a unit and still fails. The state ranks and cuts a unit's
+candidates itself (``FlatState.ranked``), and alone decides which of its
+fast paths a state of a given depth takes.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import math
 import reprlib
 import time
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Optional, Sequence
 
 from .bounds import subset_sum_max
@@ -101,12 +106,17 @@ class _Searcher:
         _validate_instance(units)
         self.units = list(units)
         self.volumes = [volume(u.dims) for u in self.units]
+        # rest[i]: the volume of units i.. together, with rest[n] = 0
+        self.rest = list(accumulate(reversed(self.volumes), initial=0))[::-1]
         self.pallet = pallet
         self.params = params
         # Takes each event as it happens; without it, no event is built.
         self.on_event = on_event
         self.state = FlatState(pallet, params)
-        self.placed: list[Placement] = []  # the state's boxes as placements
+        # The state's boxes as (unit, position, rotated), and the placements
+        # of a prefix of them, built only when an incumbent first holds them.
+        self.placed: list[tuple[TransportUnit, tuple[int, int, int], bool]] = []
+        self.built: list[Placement] = []
         self.incumbent: tuple[Placement, ...] = ()
         self.incumbent_volume = 0
         self.nodes_expanded = 0
@@ -130,13 +140,36 @@ class _Searcher:
 
     def _push(self, unit: TransportUnit, cand: Ranked) -> None:
         _, z, y, x, rotated = cand
-        dims = oriented(unit, rotated)
-        self.state.push(x, y, z, dims.w, dims.d, dims.h)
-        self.placed.append(Placement(unit.id, (x, y, z), dims, rotated))
+        d = unit.dims
+        if rotated:
+            self.state.push(x, y, z, d.d, d.w, d.h)
+        else:
+            self.state.push(x, y, z, d.w, d.d, d.h)
+        self.placed.append((unit, (x, y, z), rotated))
 
     def _pop(self) -> None:
         self.state.pop()
         self.placed.pop()
+        if len(self.built) > len(self.placed):
+            self.built.pop()
+
+    def _take_incumbent(self) -> None:
+        """Make the state's boxes the incumbent, building the placements
+        that no earlier incumbent built."""
+        built = self.built
+        for unit, position, rotated in islice(self.placed, len(built), None):
+            built.append(Placement(unit.id, position, oriented(unit, rotated), rotated))
+        self.incumbent = tuple(built)
+        self.incumbent_volume = self.state.volume
+
+    def _cut(self, idx: int, depth: int) -> None:
+        """Count a node for unit ``idx`` that the rest bound kept closed."""
+        self.nodes_pruned += 1
+        if self.on_event is not None:
+            unit = self.units[idx]
+            self.on_event(TraceEvent("prune", unit_id=unit.id, order_index=idx,
+                                     upper_bound=self.state.volume + self.rest[idx],
+                                     incumbent_volume=self.incumbent_volume, depth=depth))
 
     def _open(self, idx: int, depth: int, skippable: bool) -> Optional[list]:
         """Expand the node for unit ``idx``, skipping forward while units
@@ -145,7 +178,13 @@ class _Searcher:
         or None when the node is done: a leaf, pruned, or out of units."""
         n = len(self.units)
         emit = self.on_event
+        rest = self.rest
         while idx < n:
+            # The rest bound: no descendant loads more than the state plus
+            # every unit from idx on, a sum that only falls as idx grows.
+            if self.state.volume + rest[idx] <= self.incumbent_volume:
+                self._cut(idx, depth)
+                return None
             self._tick()
             unit = self.units[idx]
             ranked = self._ranked_candidates(unit)
@@ -157,17 +196,15 @@ class _Searcher:
             if ranked:
                 best = ranked[0]
                 self._push(unit, best)
-                b = self.state.volume
-                if b > self.incumbent_volume:
-                    self.incumbent = tuple(self.placed)
-                    self.incumbent_volume = b
+                if self.state.volume > self.incumbent_volume:
+                    self._take_incumbent()
                     if emit is not None:
                         emit(TraceEvent("place", unit_id=unit.id, order_index=idx,
                                         position=(best[3], best[2], best[1]), rotated=best[4],
                                         purpose="incumbent", depth=depth))
-                        emit(TraceEvent("incumbent", volume=b, placements=tuple(
-                            (pl.unit_id, pl.position, pl.rotated) for pl in self.incumbent
-                        )))
+                        emit(TraceEvent("incumbent", volume=self.incumbent_volume,
+                                        placements=tuple((u.id, position, rotated)
+                                                         for u, position, rotated in self.placed)))
 
             # The node budget (never equal when unset) ends the search once
             # the node's best candidate has been offered to the incumbent,
@@ -205,23 +242,21 @@ class _Searcher:
         A first-fit fill of units ``first``.. into the unused volume is a
         feasible knapsack filling, so it never exceeds the bound in either
         mode, capped or not. Once the fill alone beats the incumbent, the
-        answer is None without computing the bound."""
+        answer is None without computing the bound. The rest bound opened
+        this node, so the units left beat the incumbent together: a fill
+        that ends here skipped a unit, and the units left sum past the
+        capacity, the LP relaxation's value."""
         loaded = self.state.volume
         need = self.incumbent_volume - loaded
         capacity = self.state.unused_volume()
         fill = 0
-        skipped = False
         for v in islice(self.volumes, first, None):
             if fill + v <= capacity:
                 fill += v
                 if fill > need:
                     return None
-            else:
-                skipped = True
-        bound = fill  # a fill that skipped no unit holds them all
-        if skipped:  # the units left sum past the capacity, the relaxation's value
-            bound = (capacity if self.params.bound_mode == "lp_relaxation"
-                     else subset_sum_max(self.volumes[first:], capacity))
+        bound = (capacity if self.params.bound_mode == "lp_relaxation"
+                 else subset_sum_max(self.volumes[first:], capacity))
         self._tick()
         return loaded + bound if bound <= need else None
 
@@ -246,6 +281,12 @@ class _Searcher:
             cand = ranked[k]
             unit = self.units[idx]
             if k > 0:  # the best candidate is already on the state
+                # The rest bound on the parent state: if sibling k cannot
+                # win, no later sibling can.
+                if self.state.volume + self.rest[idx] <= self.incumbent_volume:
+                    self._cut(idx, depth)
+                    frames.pop()
+                    continue
                 self._push(unit, cand)
             frame[3] = k + 1
             if emit is not None:
@@ -260,6 +301,9 @@ class _Searcher:
         started = time.monotonic()
         try:
             for root_idx in range(len(self.units)):
+                if self.rest[root_idx] <= self.incumbent_volume:
+                    self._cut(root_idx, 0)  # nor can any later root win
+                    break
                 self._search_from(root_idx)
         except _Deadline:
             self.timed_out = True

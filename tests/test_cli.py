@@ -251,11 +251,12 @@ def test_flag_overrides_are_echoed(instance_path, tmp_path):
 
 
 def _big_instance(tmp_path, **params):
-    """A 40-unit instance file whose search takes far more than a second."""
+    """An 80-unit instance file whose search takes far more than a second:
+    the units do not all fit, so no incumbent ends it early."""
     units = [
-        {"id": f"u{i}", "w": 37 + (i * 13) % 211, "d": 41 + (i * 29) % 173,
-         "h": 23 + (i * 7) % 131}
-        for i in range(40)
+        {"id": f"u{i}", "w": 137 + (i * 13) % 211, "d": 141 + (i * 29) % 173,
+         "h": 123 + (i * 7) % 131}
+        for i in range(80)
     ]
     inst = tmp_path / "big.json"
     inst.write_text(json.dumps({

@@ -29,31 +29,31 @@ PALLET = (600, 400, 600)
 # (units, seed, params, solution sha256, trace sha256)
 CASES = [
     (8, 1, {"vertical_support_min": 0.7},
-     "22d02188b0dbbe85f9e7a398c8a4abdb06c3f2489e8804b72a59b43ace203456",
-     "40f41145b4e692741845b987e71ed32c8054ff4b02c5730709769e860ec96b5c"),
+     "bf35479ce7993b1b0aaee09fa8d74156a6c4e150222d5ba97082b125c35c0897",
+     "8368f89c114b761686cc4d6bc84944807e8cac0d15495f406687c8f1299c0d66"),
     (8, 2, {"vertical_support_min": 0.7, "bound_mode": "lp_relaxation"},
-     "339d654d5fd378c90c023c345f5ec88fdc54091dc52c716688ca16a8932ecaa1",
-     "f4c711aad1052471bac198bbe5846071c4a7b4a6b5a6130fc0a1e9a758ba3669"),
+     "419f383abc3ddeb8b4a131bdfbc025d092aea3df8e10823d70f15e8ea6a87031",
+     "0b78b3295ba7e2907ffa5b63411c09a03458c389b4bbee2b9879e2469fd54e92"),
     (7, 3, {"vertical_support_min": 0.5, "horizontal_support_min_x": 0.3,
             "horizontal_support_min_y": 0.3},
-     "35bd9f3fec5e8944fcf15231aba1fe4fb563a1a870656ab8a4f398a7812f4314",
-     "8da1356286d65fc3317f1e010f81325e07cb100a2ce2d8410d87ce66bab749ee"),
+     "001afc96b1eff1c8f27c9999bc2a85db7eae58f10adb4416d7be2405a7318fa4",
+     "3e7981739e1a36abab7b5808d737ee7afe4f1ee57ae1b8a0db6984e0705a4c12"),
     (8, 4, {"vertical_support_min": 0.8, "gap_tolerance": 10},
-     "4fe3c3152cf73c8da184f85ce0d863613ed3a1a4449958a767cec26bc1d5470c",
-     "339640ff771fbaf1256d422b7012ea9a7851bd8b22bc914b9d7806aaf1db31da"),
+     "b92c2b1671e48d4d8e90417695c57e794dd89042100459ea19bbac205f4bfc9f",
+     "f3f891bb9286b9b61d4d1eae87dee75ef40a2060687517a81d09042592080657"),
     (8, 5, {"vertical_support_min": 0.7, "p_x": 20, "p_y": 20, "p_z": 30},
-     "fd12b2fc2ad55569912d8da8d623c6fab72716c24dfb3efbe82c730e3905ee1a",
-     "1141dfe499d88d6bf316e5d700c31ff469dd264ac2792019e54f37ec7e78dcc4"),
+     "9ddd48b9d64df9a7c2e0758940c7ea9b790717e9523d755c658cd287461a6f48",
+     "359b5c7633c6f746b7aa3535327e7f239229db3c52f00876035c158a4b5afaea"),
     (10, 6, {"vertical_support_min": 0.7, "max_branches": 1},
-     "6fb5d1959ef7b02dfe397e9f9f0a6e85f1a5c59c213f6d78b37ad5a9e7fb4c2a",
-     "bd228dcbe2ddb1ed57e212238b5210bb9e80fe8613343e4ace973a95ab4e6cc2"),
+     "1a769a93f8b1f523849fa30042a7f84642aaa9ed9322e1cfe539fe5c19796fb5",
+     "fd9cc71bd2aaad161d2ee73bbd1c8ebc518d77f3ddab9e4eaf47b7d08824a3b3"),
     (6, 7, {"vertical_support_min": 0.0, "gap_tolerance": 5, "horizontal_support_min_x": 0.5},
-     "9d4d8fc78b49e9833fa50eaf9576fce0e2055b9a3fcff726a654c8fdcf0d4188",
-     "1f44e6649608545af1a217763fabd8a1114f328c593702f7bd2d70ca975db3b2"),
+     "b4519adeae05a2cad4007dbc347dd4103c479f7f88f0fa695e934ca71c91051b",
+     "49936d2258477975a5c760ecb81361c4b68e3ae1b7502a7b90aad330504aeccb"),
     (9, 8, {"vertical_support_min": 1.0, "bound_mode": "lp_relaxation", "p_z": 15,
             "max_branches": 2},
-     "ce8801d9be1eea584b63f39c19add667fb2f5e8f36b4ece46c3678dac0e5d230",
-     "4021c18ced5d5a04cfb170c19ace5406e6bf79dbcc0c7d6672bf812a55cf9c5e"),
+     "a7488d130418bdd57d2bc265a502f9f4cac155f198906321386b783faabd6eae",
+     "eb1beee6e72cbe6dd70eb11902371a8611391b1379cca2a7be75106bcb84a076"),
 ]
 
 
@@ -116,11 +116,11 @@ CAPPED_INSTANCE = {
 # (work cap, solution sha256, trace sha256)
 CAPPED_CASES = [
     (151,
-     "f3977f44971f07f72702abdb9c7c6066c109f37c6595f71601e52fd6c008263b",
-     "cb05ba3a07012c46d56d99e7bd7209f314c68892fa593cd64d2b65fb77a8472c"),
+     "1025a04f5aa80dbc225cd2f41c801fa1e707a6040b5e88e03145a804afdb02e2",
+     "ad792c650d7b9ac43d123b461e1fe0b4e192b758f5bcc3fb9bb9b670873185f4"),
     (152,
-     "b5ca885faf9a2ede9169fbd3be402a46cbbafe4bb93179266457577b2e130ff2",
-     "0279bdb7477bfa873323b3df698a39f871c045a9bf3e197df87d08d00512bb89"),
+     "5eff7d3347e58fd774c21580db8f53a368e40e5c1e13d15b7f2d3462fefe17af",
+     "2c8be3abb75f209d97e69737dd36f43dae4aea685c0316f3997f855aedd9e7a6"),
 ]
 
 

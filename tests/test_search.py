@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import random
 import sys
 import time
@@ -20,6 +21,7 @@ from palletpack.model import (
     Dims,
     PackingState,
     Pallet,
+    Placement,
     SolverParams,
     TransportUnit,
     oriented,
@@ -35,6 +37,14 @@ P0 = SolverParams(vertical_support_min=0.0, max_branches=10**6, time_limit_ms=10
 
 def _unit(i, w, d, h):
     return TransportUnit(f"u{i}", Dims(w, d, h), i)
+
+
+def _state_of(searcher):
+    """The searcher's boxes as a PackingState of placements built afresh."""
+    return PackingState(tuple(
+        Placement(unit.id, position, oriented(unit, rotated), rotated)
+        for unit, position, rotated in searcher.placed
+    ), searcher.pallet)
 
 
 def test_single_unit_placed_at_origin(pallet_4x3x10):
@@ -192,7 +202,7 @@ def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
     def ranked(self, unit):
         nonlocal checked, screened
         got = fast(self, unit)
-        state = PackingState(tuple(self.placed), self.pallet)
+        state = _state_of(self)
         reference = rank_and_cut(scored_candidates(state, unit, self.params),
                                  self.params.max_branches)
         assert got == reference
@@ -202,9 +212,11 @@ def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
         return got
 
     monkeypatch.setattr(search._Searcher, "_ranked_candidates", ranked)
-    rng = random.Random(303)  # criterion 3's instances
+    # criterion 3's instances and more of their kind: the rest bound keeps
+    # most of their nodes closed, so 100 instances now open fewer than 500
+    rng = random.Random(303)
     nodes = 0
-    for _ in range(100):
+    for _ in range(250):
         units, pallet, params = random_solver_instance(rng, max_units=6)
         nodes += solve(units, pallet, params).stats.nodes_expanded
     assert checked == nodes > 1000
@@ -228,20 +240,21 @@ def _tree_digest(sol):
 
 
 @pytest.mark.parametrize("instance,params,budget,digest", [
-    # 149 of 150 units placed, 89 prunes, 7,465 candidates evaluated
+    # 149 of 150 units placed, 130 prunes, 6,604 candidates evaluated
     (_deep_instance(8), DEEP_PARAMS, 300,
-     "0dd3022df507d3fd5510062076285444ce5b758c1d4a04e4e5b58fee5467e5d2"),
-    # 14 units placed, 137 prunes, 847 candidates evaluated
+     "2844e1674a2992a500a8e95f4f7b5cf8c6c76ac99c474b3451c35e01211e001c"),
+    # 14 units placed, 162 prunes, 603 candidates evaluated
     (_tight_instance(27), SolverParams(vertical_support_min=1.0), 3000,
-     "81cf79e2ca6b322585721bc74c33b99ff26fbb60a9e8c19e94ad1decaf2ad5b5"),
+     "dccc09d54380b9b8f5dae91a3bea70530f0c7ad0f78bbd7cfe50e9fd9ee90a11"),
 ], ids=["anytime-deep", "tight-bound"])
 def test_deep_budgeted_tree_is_pinned(instance, params, budget, digest):
-    # The anytime-deep digest was recorded when the candidates evaluated
-    # became the pairs scored before any fits() (its placements and prunes
-    # date from when nothing could be loaded under an overhang any more), the
-    # tight-bound one before the free rays were kept up to date across push
-    # and pop (full support leaves no overhang): the state's fast paths must
-    # leave the tree exactly as it was.
+    # Both digests were re-recorded when the rest bound began to keep nodes
+    # closed, which changed their prunes and candidates evaluated but not
+    # their placements. Those of anytime-deep date from when nothing could
+    # be loaded under an overhang any more, those of tight-bound from before
+    # the free rays were kept up to date across push and pop (full support
+    # leaves no overhang): the state's fast paths must leave the tree
+    # exactly as it was.
     units, pallet = instance
     sol = _budgeted(units, pallet, params, budget)
     assert sol.stats.nodes_expanded == budget
@@ -277,11 +290,12 @@ def test_box_index_leaves_the_deep_tree_as_it_was(monkeypatch):
 def test_sibling_memo_leaves_the_deep_tree_as_it_was(monkeypatch, params):
     # Named for the sibling memo it once also toggled: the index on every
     # state with a box, or on none, under the stability rules: the same
-    # placements, prunes and candidates evaluated.
+    # placements, prunes and candidates evaluated. (Seed 4: under y-support,
+    # seed 3's complete search ends at 167 nodes.)
     digests = []
     for threshold in (0, 10**9):
         monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
-        sol = _budgeted(*_deep_instance(3), params, 200)
+        sol = _budgeted(*_deep_instance(4), params, 200)
         assert sol.stats.nodes_expanded == 200
         digests.append(_tree_digest(sol))
     assert digests[0] == digests[1]
@@ -302,7 +316,7 @@ def test_ranking_stops_at_the_cut_as_the_reference(monkeypatch):
         asked.clear()
         scored = self.state.pairs_scored
         got = fast(self, unit)
-        state = PackingState(tuple(self.placed), self.pallet)
+        state = _state_of(self)
         assert got == rank_and_cut(scored_candidates(state, unit, self.params),
                                    self.params.max_branches)
         # fits() rejected a pair ranked above the last one kept
@@ -319,16 +333,69 @@ def test_ranking_stops_at_the_cut_as_the_reference(monkeypatch):
 
     monkeypatch.setattr(search._Searcher, "_ranked_candidates", ranked)
     monkeypatch.setattr(FlatState, "fits", counted_fits)
-    units, pallet = _deep_instance(5)
+    units, _ = _deep_instance(5)
+    # 40 units on a pallet of a fifteenth of the volume: more than fits, so
+    # every search reaches its budget. (On the full pallet the first dive
+    # places all of the first 30 units under most of these rules, and the
+    # rest bound then closes every node after it.)
+    pallet = Pallet(600, 400, 400)
     for params in ODD_PARAMS:
         for cut in (1, 4, 10**6):
-            # 30 units: the first dive ends early, and most nodes after it are siblings.
-            _budgeted(units[:30], pallet, dataclasses.replace(params, max_branches=cut), 200)
-    # Of 1,800 nodes, 736 skip a rejected pair, 445 stop before the last
-    # pair scored and 631 hold more than 16 boxes.
+            _budgeted(units[:40], pallet, dataclasses.replace(params, max_branches=cut), 200)
+    # Of 1,800 nodes, 544 skip a rejected pair, 515 stop before the last
+    # pair scored and 1,363 hold more than 16 boxes.
     assert skipped > 500
     assert stopped > 300
     assert deep > 500
+
+
+class _NoRestBound(search._Searcher):
+    """The searcher with the rest bound switched off: every node, sibling
+    and root opens, and only the knapsack bound prunes."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.rest = [math.inf] * len(self.rest)
+
+
+def _exact_small_instance(rng):
+    """Six units of 300-700 mm on a 1200x800x1500 pallet at a branch cap of
+    4, shaped like the exact-small benchmark workload."""
+    units = [_unit(i, *(rng.randint(300, 700) for _ in range(3))) for i in range(6)]
+    return units, Pallet(1200, 800, 1500), SolverParams(vertical_support_min=0.7,
+                                                         max_branches=4)
+
+
+def test_rest_bound_keeps_complete_searches_as_they_were():
+    # A complete search visits the nodes it visits without the rest bound,
+    # minus subtrees that cannot beat the incumbent: the same placements.
+    rng = random.Random(1919)
+    cut = 0
+    for make in [_overhang_instance] * 60 + [_exact_small_instance] * 60:
+        units, pallet, params = make(rng)
+        sol = solve(units, pallet, params)
+        off = _NoRestBound(units, pallet, params, None).run()
+        assert sol.placements == off.placements
+        assert sol.placements == exhaustive_solve(units, pallet, params).placements
+        cut += sol.stats.nodes_expanded < off.stats.nodes_expanded
+    # 119 of the 120 searches open fewer nodes (4,300 against 5,746)
+    assert cut > 100
+
+
+@pytest.mark.parametrize("budget", [300, 3000])
+def test_rest_bound_loads_no_less_at_a_node_budget(budget):
+    # Under a node budget the search visits a prefix of the nodes it visits
+    # without the rest bound, minus subtrees that hold no new incumbent.
+    cases = [(*_deep_instance(seed), DEEP_PARAMS) for seed in (8, 100)]
+    cases += [(*_tight_instance(seed), SolverParams(vertical_support_min=1.0))
+              for seed in (27, 28, 29)]
+    if budget < 1000:  # the stability rules take 7 s at 3,000 nodes
+        cases.append((*_deep_instance(3), ODD_PARAMS[0]))
+    for units, pallet, params in cases:
+        params = dataclasses.replace(params, max_nodes=budget)
+        sol = solve(units, pallet, params)
+        off = _NoRestBound(units, pallet, params, None).run()
+        assert sol.placed_volume >= off.placed_volume
 
 
 def test_trace_single_unit(pallet_4x3x10):
@@ -351,13 +418,16 @@ def test_trace_skip_when_second_unit_never_fits(pallet_4x3x10):
 def test_trace_prune_cuts_descent(pallet_4x3x10):
     # root pass places everything; the later root with the tiny remainder
     # cannot beat it and is bounded out
+    # (by the rest bound: the units left sum to 2, and the search ends there)
     units = [_unit(0, 4, 3, 9), _unit(1, 1, 1, 1), _unit(2, 1, 1, 1)]
     sol, trace = solve_with_trace(units, pallet_4x3x10, P0)
     oracle = exhaustive_solve(units, pallet_4x3x10, P0)
     assert sol.placed_volume == oracle.placed_volume
     prunes = [i for i, e in enumerate(trace) if e.kind == "prune"]
     assert prunes
-    for i in prunes:
+    assert trace[-1].kind == "prune" and trace[-1].order_index == 1
+    assert trace[-1].depth == 0 and trace[-1].upper_bound == 2
+    for i in prunes[:-1]:
         following = trace[i + 1]
         assert following.kind in ("expand", "backtrack")
         if following.kind == "expand":
@@ -559,15 +629,22 @@ def test_branch_cap_limits_children():
 
 class _CheckedBound(search._Searcher):
     """Checks each prune decision the searcher makes against the reference,
-    and counts which path decided it."""
+    and counts which path decided it; checks and counts each node the rest
+    bound kept closed."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.paths = {"fill": 0, "all fit": 0, "kernel": 0}
+        self.cuts = 0
+
+    def _cut(self, idx, depth):
+        # No unit from idx on may be needed to beat the incumbent.
+        assert self.state.volume + sum(self.volumes[idx:]) <= self.incumbent_volume
+        self.cuts += 1
+        super()._cut(idx, depth)
 
     def _reference(self, first):
-        state = PackingState(tuple(self.placed), self.pallet)
-        return node_upper_bound(state, self.units[first:], self.params.bound_mode)
+        return node_upper_bound(_state_of(self), self.units[first:], self.params.bound_mode)
 
     def _pruning_bound(self, first):
         got = super()._pruning_bound(first)
@@ -590,16 +667,19 @@ class _CheckedBound(search._Searcher):
 
 @pytest.mark.parametrize("mode", ["exact_knapsack", "lp_relaxation"])
 def test_searcher_bound_equals_the_reference_bound(mode):
-    # An instance whose first 1,000 nodes both prune and pass on the fill.
-    # Every decision must be node_upper_bound <= incumbent; the kernel path
-    # is the next test's.
+    # An instance whose first 1,000 nodes both prune and pass on the fill,
+    # and whose rest bound keeps nodes closed. Every decision must be
+    # node_upper_bound <= incumbent; the kernel path is the next test's.
+    # Past the rest bound, a node whose remaining units all fit always
+    # beats the incumbent on the fill.
     units, pallet = _tight_instance(27)
     params = SolverParams(vertical_support_min=1.0, bound_mode=mode, max_nodes=1000)
     searcher = _CheckedBound(units, pallet, params, None)
     sol = searcher.run()
     assert sol.stats.nodes_expanded == 1000
     assert sol.stats.nodes_pruned_by_bound > 0
-    assert searcher.paths["fill"] > 0 and searcher.paths["all fit"] > 0, searcher.paths
+    assert searcher.paths["fill"] > 0 and searcher.paths["all fit"] == 0, searcher.paths
+    assert searcher.cuts > 0
 
 
 @pytest.mark.parametrize("mode", ["exact_knapsack", "lp_relaxation"])
