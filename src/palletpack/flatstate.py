@@ -43,7 +43,9 @@ by a walk over them or over the heights kept, whichever is shorter; a
 huge gap then costs a push nothing. The boxes above z are found per
 ``fits`` call. The envelope volume is kept per depth in a list that
 ``unused_volume`` extends and a pop cuts back, so a push below which no
-node asks for a bound computes none.
+node asks for a bound computes none. ``columns``, the sum over boxes of
+footprint times top, is never less than that volume and costs a push one
+product.
 
 ``ranked`` is the one candidate loop, and it alone decides, from the
 number of boxes on the state, which fast paths the state takes. None of
@@ -117,6 +119,9 @@ class FlatState:
         self.pallet = pallet
         self.boxes: list[Box] = []
         self.volume = 0
+        # The sum over boxes of footprint times top: never less than the
+        # volume under the height envelope, and kept by push and pop.
+        self.columns = 0
         # Per depth k computed so far, the volume under the height envelope
         # (the top of the tallest box over each point of the floor) of the
         # first k boxes: unused_volume() extends it, pop() cuts it back.
@@ -264,6 +269,7 @@ class FlatState:
         boxes.append((x, y, z, x2, y2, z2))
         self._maxima.append([mxy, mxz, myx, myz, mzx, mzy])
         self.volume += w * d * h
+        self.columns += w * d * z2
         self._drop_below(z2)
         self._index = None
         # A new point runs against every box.
@@ -288,6 +294,7 @@ class FlatState:
         x, y, z, x2, y2, z2 = self.boxes.pop()
         self._maxima.pop()
         self.volume -= (x2 - x) * (y2 - y) * (z2 - z)
+        self.columns -= (x2 - x) * (y2 - y) * z2
         undo = self._undo
         mark = self._marks.pop()
         entries = undo[mark:]

@@ -11,7 +11,7 @@ directness; all three are only meant for desk-scale inputs.
 from __future__ import annotations
 
 from dataclasses import replace
-from math import gcd, inf
+from math import gcd
 from typing import Sequence
 
 from .model import PackingState, Pallet, Solution, SolverParams, TransportUnit
@@ -66,12 +66,8 @@ def dp_knapsack(volumes: Sequence[int], capacity: int) -> int:
 class _Unbounded(_Searcher):
     """The solver's search with no bound and no clock."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.rest = [inf] * len(self.rest)  # no node, sibling or root is cut
-
-    def _pruning_bound(self, first: int) -> None:
-        return None
+    def _closed(self, idx: int, depth: int) -> bool:
+        return False
 
     def _tick(self) -> None:
         pass
@@ -86,7 +82,7 @@ def exhaustive_solve(
 
     Same candidates, feasibility rules, orientations, picking order with
     skipping, candidate ordering and incumbent tie-break as ``solve``; it
-    differs only in never pruning on the rest or knapsack bound and never
+    differs only in never pruning on the knapsack bound and never
     stopping on ``time_limit_ms`` or ``max_nodes``.
     """
     if len(units) > MAX_UNITS:

@@ -3,8 +3,7 @@
 Units are considered strictly in picking order. At each node the selected
 unit's feasible candidates are ranked and capped; the best one greedily
 extends the incumbent, then the node either descends into its candidate
-children (best first), gets pruned when even the knapsack upper bound
-cannot beat the incumbent, or, if the unit fits nowhere, is skipped so the
+children (best first) or, if the unit fits nowhere, is skipped so the
 same state is retried with the next unit. A skipped unit stays skipped for
 the rest of its branch. Exhausted branches backtrack; at the root the
 first-placed unit itself advances through the picking order. The search is
@@ -17,17 +16,19 @@ its candidates or re-checks its parent's placements. Branching nodes are
 kept on an explicit stack, so the depth of the tree is not bounded by the
 interpreter's recursion limit.
 
-Bounding runs in three steps, cheapest first. The rest bound comes
-first: no descendant of a node for unit ``idx`` loads more than the
-state's volume plus every volume from ``idx`` on (the knapsack bound
-without its capacity), so a node, a sibling or a root whose sum cannot
-beat the incumbent is not opened at all, and neither is any later one of
-its kind. A node that opens then asks only whether the knapsack bound can
-beat the incumbent, and any feasible filling of the remaining volumes is a
-lower bound on it, so a first-fit fill that already beats the incumbent
-answers "no prune". Past the rest bound, a fill that skipped no unit would
-beat the incumbent, so the knapsack bound is computed only when the fill
-skipped a unit and still fails. The state ranks and cuts a unit's
+One rule bounds the search. Units are loaded from above, so no
+descendant of a node for unit ``idx`` loads more than the state's volume
+plus the knapsack bound: the best selection of the volumes from ``idx``
+on that fits into the unused volume above the height envelope. A node
+whose bound cannot beat the incumbent is closed before it opens; the
+same test on the parent's state before each further sibling closes the
+rest of a node, and on the empty pallet before each root ends the
+search, since a later sibling or root has no more to place.
+``_closed`` only asks whether the bound can beat the incumbent, so it
+tries the cheapest answers first: the rest bound (every volume from
+``idx`` on, the knapsack bound without its capacity), then first-fit
+fills, each a feasible filling and so a lower bound on the knapsack
+bound, and only then the bound itself. The state ranks and cuts a unit's
 candidates itself (``FlatState.ranked``), and alone decides which of its
 fast paths a state of a given depth takes.
 """
@@ -162,14 +163,50 @@ class _Searcher:
         self.incumbent = tuple(built)
         self.incumbent_volume = self.state.volume
 
-    def _cut(self, idx: int, depth: int) -> None:
-        """Count a node for unit ``idx`` that the rest bound kept closed."""
+    def _closed(self, idx: int, depth: int) -> bool:
+        """Whether a node for unit ``idx`` on the state cannot beat the
+        incumbent: its bound (``bounds.node_upper_bound``) is no more than
+        the incumbent. A closed node counts as pruned.
+
+        Cheapest test first. Past the rest bound, a first-fit fill of the
+        volumes from ``idx`` on that beats the incumbent keeps the node
+        open: first into the pallet volume less ``columns``, never above
+        the unused volume, then into the unused volume. A fill that
+        skipped no unit would beat the incumbent, so when both fail the
+        volumes sum past the capacity, the LP relaxation's value, and only
+        then does the exact mode run the kernel."""
+        state = self.state
+        need = self.incumbent_volume - state.volume
+        bound = self.rest[idx]
+        if bound > need:
+            if self._fill_beats(idx, self.pallet.volume() - state.columns, need):
+                return False
+            capacity = state.unused_volume()
+            if self._fill_beats(idx, capacity, need):
+                return False
+            bound = (capacity if self.params.bound_mode == "lp_relaxation"
+                     else subset_sum_max(self.volumes[idx:], capacity))
+            self._tick()
+            if bound > need:
+                return False
         self.nodes_pruned += 1
         if self.on_event is not None:
             unit = self.units[idx]
             self.on_event(TraceEvent("prune", unit_id=unit.id, order_index=idx,
-                                     upper_bound=self.state.volume + self.rest[idx],
+                                     upper_bound=state.volume + bound,
                                      incumbent_volume=self.incumbent_volume, depth=depth))
+        return True
+
+    def _fill_beats(self, first: int, capacity: int, need: int) -> bool:
+        """Whether a first-fit fill of the volumes from ``first`` on into
+        ``capacity`` loads more than ``need``."""
+        fill = 0
+        for v in islice(self.volumes, first, None):
+            if fill + v <= capacity:
+                fill += v
+                if fill > need:
+                    return True
+        return False
 
     def _open(self, idx: int, depth: int, skippable: bool) -> Optional[list]:
         """Expand the node for unit ``idx``, skipping forward while units
@@ -178,12 +215,10 @@ class _Searcher:
         or None when the node is done: a leaf, pruned, or out of units."""
         n = len(self.units)
         emit = self.on_event
-        rest = self.rest
         while idx < n:
-            # The rest bound: no descendant loads more than the state plus
-            # every unit from idx on, a sum that only falls as idx grows.
-            if self.state.volume + rest[idx] <= self.incumbent_volume:
-                self._cut(idx, depth)
+            # The bound only falls as idx grows, so the later units this
+            # node would skip to on the same state are closed too.
+            if self._closed(idx, depth):
                 return None
             self._tick()
             unit = self.units[idx]
@@ -208,7 +243,7 @@ class _Searcher:
 
             # The node budget (never equal when unset) ends the search once
             # the node's best candidate has been offered to the incumbent,
-            # before the node skips, branches or is pruned.
+            # before the node skips or branches.
             if self.nodes_expanded == self.params.max_nodes:
                 raise _Deadline
             if not ranked:
@@ -220,45 +255,11 @@ class _Searcher:
                 continue
 
             if idx + 1 < n:
-                ub = self._pruning_bound(idx + 1)
-                if ub is not None:
-                    self.nodes_pruned += 1
-                    if emit is not None:
-                        emit(TraceEvent("prune", unit_id=unit.id, order_index=idx,
-                                        upper_bound=ub, incumbent_volume=self.incumbent_volume,
-                                        depth=depth))
-                    self._pop()
-                    return None
                 return [idx, depth, ranked, 0]
             self._pop()
             return None
         # picking order exhausted: natural leaf, caller backtracks
         return None
-
-    def _pruning_bound(self, first: int) -> Optional[int]:
-        """The node's upper bound (bounds.node_upper_bound) if it cannot beat
-        the incumbent, else None.
-
-        A first-fit fill of units ``first``.. into the unused volume is a
-        feasible knapsack filling, so it never exceeds the bound in either
-        mode, capped or not. Once the fill alone beats the incumbent, the
-        answer is None without computing the bound. The rest bound opened
-        this node, so the units left beat the incumbent together: a fill
-        that ends here skipped a unit, and the units left sum past the
-        capacity, the LP relaxation's value."""
-        loaded = self.state.volume
-        need = self.incumbent_volume - loaded
-        capacity = self.state.unused_volume()
-        fill = 0
-        for v in islice(self.volumes, first, None):
-            if fill + v <= capacity:
-                fill += v
-                if fill > need:
-                    return None
-        bound = (capacity if self.params.bound_mode == "lp_relaxation"
-                 else subset_sum_max(self.volumes[first:], capacity))
-        self._tick()
-        return loaded + bound if bound <= need else None
 
     def _search_from(self, root_idx: int) -> None:
         """Depth-first search of the tree whose first placed unit is
@@ -281,10 +282,9 @@ class _Searcher:
             cand = ranked[k]
             unit = self.units[idx]
             if k > 0:  # the best candidate is already on the state
-                # The rest bound on the parent state: if sibling k cannot
-                # win, no later sibling can.
-                if self.state.volume + self.rest[idx] <= self.incumbent_volume:
-                    self._cut(idx, depth)
+                # The bound on the parent state: if sibling k cannot win,
+                # no later sibling can.
+                if self._closed(idx, depth):
                     frames.pop()
                     continue
                 self._push(unit, cand)
@@ -301,8 +301,7 @@ class _Searcher:
         started = time.monotonic()
         try:
             for root_idx in range(len(self.units)):
-                if self.rest[root_idx] <= self.incumbent_volume:
-                    self._cut(root_idx, 0)  # nor can any later root win
+                if self._closed(root_idx, 0):  # nor can any later root win
                     break
                 self._search_from(root_idx)
         except _Deadline:

@@ -372,9 +372,10 @@ def test_free_rays_match_a_computation_from_scratch(data):
 
 
 def journaled(state: FlatState):
-    """Everything a pop must restore: the live map and the maxima of every
-    box."""
-    return dict(state._live), [list(m) for m in state._maxima]
+    """Everything a pop must restore: the live map, the maxima of every
+    box, the volume and the columns."""
+    return (dict(state._live), [list(m) for m in state._maxima], state.volume,
+            state.columns)
 
 
 @settings(max_examples=300)
@@ -382,14 +383,17 @@ def journaled(state: FlatState):
 def test_pop_restores_the_journaled_state(data):
     # saved[k]: the state at depth k just before the push to depth k + 1.
     # The unused volume is asked for at some depths only, so pushes run past
-    # the envelope volumes computed so far and pops cut below them.
+    # the envelope volumes computed so far and pops cut below them. The
+    # columns never leave more room than the unused volume.
     saved = []
 
     def check(state, params, units):
         depth = len(state.boxes)
         assert len(state._envelopes) <= depth + 1
+        unused = unused_volume(reference_state(state))
+        assert state.pallet.volume() - state.columns <= unused
         if data.draw(st.booleans()):
-            assert state.unused_volume() == unused_volume(reference_state(state))
+            assert state.unused_volume() == unused
         if depth < len(saved):  # back from depth + 1 by a pop
             assert journaled(state) == saved[depth]
         saved[depth:] = [journaled(state)]

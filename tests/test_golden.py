@@ -104,9 +104,10 @@ def test_golden_batch_covers_skip_and_prune():
 # Twenty equal cubes and a column 3.5 cubes high. Near the root the bound
 # sees more than EXACT_ITEM_LIMIT equal volumes and a capacity that is no
 # multiple of them, so the subset-sum search runs until the work cap trips
-# and returns the relaxation value. Under a cap of 151 one such fallback
-# keeps a node that the exact bound would prune; a cap of 152 lets that
-# search finish. The pair pins the step at which the cap trips.
+# and returns the relaxation value, which keeps nodes open that the exact
+# bound closes (25 and 21 nodes, against 3 with no cap). A cap of 152 lets
+# a search finish that a cap of 151 stops one step short of, so the trees
+# differ: the pair pins the step at which the cap trips.
 CAPPED_INSTANCE = {
     "pallet": {"width": 100, "depth": 100, "max_height": 350},
     "units": [{"id": f"u{i:03d}", "w": 100, "d": 100, "h": 100} for i in range(20)],
@@ -116,11 +117,11 @@ CAPPED_INSTANCE = {
 # (work cap, solution sha256, trace sha256)
 CAPPED_CASES = [
     (151,
-     "1025a04f5aa80dbc225cd2f41c801fa1e707a6040b5e88e03145a804afdb02e2",
-     "ad792c650d7b9ac43d123b461e1fe0b4e192b758f5bcc3fb9bb9b670873185f4"),
+     "98a23b23390d974b553adc985696a091a888c91fac82e17426f94f8f62156012",
+     "33e02e1086855280be5e219f206191b41ff219863db1968f62e519b5f3a6c56c"),
     (152,
-     "5eff7d3347e58fd774c21580db8f53a368e40e5c1e13d15b7f2d3462fefe17af",
-     "2c8be3abb75f209d97e69737dd36f43dae4aea685c0316f3997f855aedd9e7a6"),
+     "75c7413ed82b23f180d430d0a69520d9e53fa3fa85ea2922868d1053f182b5df",
+     "6f62e465debe0e4e5d7a5abde494b9a45e3f22224100acd307bab52796cc5001"),
 ]
 
 
