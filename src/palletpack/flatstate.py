@@ -26,9 +26,9 @@ maxima it changes and adds the new box's; a point whose count falls to
 zero leaves, and a corner that lands on or leaves a covered point is not
 counted. The push drops the live points that now lie inside or under the
 new box and shortens the other rays against it; a point it adds runs
-against every box. A pair longer than a ray overlaps the box the ray met,
-or leaves the pallet, so ``fits`` holds only where ``w <= ex`` and
-``d <= ey``.
+against every box whose top lies above it. A pair longer than a ray
+overlaps the box the ray met, or leaves the pallet, so ``fits`` holds only
+where ``w <= ex`` and ``d <= ey``.
 
 Every change to the maxima and the live map goes into one undo journal of
 ``(container, key, old value)`` entries; a pop unwinds it to the mark its
@@ -67,17 +67,26 @@ kept. ``ranked`` reads the clock (``tick``) once per call, once per point
 that passes the rays, just before that point's work that grows with the
 boxes (a scan for the footprints below it, the bound, its scores), and
 once before each ``fits``, so no more than one O(n) step runs between two
-reads. From _INDEX_BOXES (16) boxes, the state indexes its boxes on its
-first ``fits`` or ``score``.
+reads.
 
-On an indexed state, ``fits`` takes the boxes above z from a bisect range
-of the boxes sorted by top instead of a scan; ``score`` takes its coplanar
-sets from bisect ranges of the far faces z2, x2 and y2; a push or pop
-drops the index. The answers do not change. ``fits`` gives the same answer
-in any order of those boxes, since overlap is an any-test and support
-areas are exact integers. ``score`` fills each set in ascending index
-order, as ``evaluate`` does, so the sets iterate and the float terms add
-in the same order.
+From _INDEX_BOXES (16) boxes, the state indexes its boxes on its first
+``fits`` or ``score``, and keeps the index across push and pop until a pop
+takes it below that many boxes. Per far face z2, x2 and y2, the index holds
+the faces in ascending order with their box indices alongside, and it holds
+the boxes themselves in the order of their tops. A push inserts the new box
+after its equal faces and its pop deletes it from there: it has the highest
+index, so equal faces stay in ascending index order, as a fresh sort leaves
+them. On an indexed state, ``fits`` takes the boxes above z, a push runs
+each point it adds against the boxes whose tops lie above that point, and
+a scan for the footprints below z takes the tops in [z - gap, z], each as a
+bisect range of the boxes in top order instead of a scan of every box.
+``score`` takes its coplanar sets from bisect ranges of the far faces, and
+returns 0.0 at once when no window holds a face. The answers do not change.
+``fits``, the rays and the support bound give the same answer in any order
+of the boxes: overlap and cover are any-tests, rays are minima and support
+areas are exact integers. ``score`` fills each set of two or more in
+ascending index order, as ``evaluate`` does, so the sets iterate and the
+float terms add in the same order.
 """
 
 from __future__ import annotations
@@ -97,13 +106,15 @@ Footprint = tuple[int, int, int, int]  # x, y, x2, y2
 Faces = tuple[list[int], list[int]]
 _ABSENT = object()  # journal value of a key its container did not hold
 # A state with this many boxes indexes them for fits() and score().
-# Swept on node-budgeted solves (the same tree either way) as nodes/s over
-# this threshold's (same_tree_ab.py, seeds 4-6, 2 rounds each): 8 and 12
-# ran tight-bound, whose low pallet keeps most boxes in any layer, at 0.93
-# and 0.93, and anytime-deep at 0.99 and 0.97; 24 and 32 ran tight-bound
-# at 1.00 and 1.04, and anytime-deep at 1.05 and 0.97 (quartile ranges up
-# to 0.08). At 16, no index runs anytime-deep at 0.54; exact-small never
-# reaches 16 boxes.
+# Swept with the index kept across push and pop, on node-budgeted solves
+# (the same tree either way), as nodes/s over this threshold's
+# (same_tree_ab.py, seeds 4-6, 2 rounds each, in both orientations): 8 and
+# 12 ran tight-bound, whose low pallet keeps most boxes in any layer, at
+# 0.97-0.99 and 0.96-0.97, though stability at 1.03-1.05; 24 ran
+# anytime-deep at 0.98 and 0.98 and stability at 0.95-1.00 (quartile ranges
+# up to 0.19), so each is slower than 16 on some shape. At 16, no index
+# runs anytime-deep at 0.44-0.48 and stability at 0.63-0.64; exact-small
+# never reaches 8 boxes.
 _INDEX_BOXES = 16
 
 
@@ -140,9 +151,10 @@ class FlatState:
         # its box's top reaches (_drop_below).
         self._below: dict[int, list[Footprint]] = {}
         # Index of the boxes for fits() and score() (_build_index): built by the
-        # first ask on a state of at least _INDEX_BOXES boxes, dropped by
-        # push/pop. It gives fits() the boxes above z in top order, not box
-        # order; fits() answers the same either way (any-tests, exact areas).
+        # first ask on a state of at least _INDEX_BOXES boxes, kept by push and
+        # pop, dropped by a pop below that many. It gives fits() the boxes
+        # above z in top order, not box order; fits() answers the same either
+        # way (any-tests, exact areas).
         self._index: Optional[tuple[list[Box], Faces, Faces, Faces]] = None
         # Pairs that ranked() has scored, over every call so far.
         self.pairs_scored = 0
@@ -271,12 +283,22 @@ class FlatState:
         self.volume += w * d * h
         self.columns += w * d * z2
         self._drop_below(z2)
-        self._index = None
-        # A new point runs against every box.
+        index = self._index
+        if index is not None:
+            # The new box has the highest index: inserted after its equal
+            # faces, it keeps them in ascending box order.
+            by_top, z_faces, x_faces, y_faces = index
+            by_top.insert(bisect_right(z_faces[0], z2), boxes[-1])
+            for (values, ids), v in ((z_faces, z2), (x_faces, x2), (y_faces, y2)):
+                i = bisect_right(values, v)
+                values.insert(i, v)
+                ids.insert(i, len(boxes) - 1)
+        # A new point runs against every box whose top lies above it.
         for pt, n in born.items():
             px, py, pz = pt
             ex, ey = p.width - px, p.depth - py
-            for bx, by, _, bx2, by2, bz2 in boxes:
+            for bx, by, _, bx2, by2, bz2 in (
+                    boxes if index is None else by_top[bisect_right(z_faces[0], pz):]):
                 if bz2 > pz:
                     if by <= py < by2:
                         if bx <= px < bx2:
@@ -305,7 +327,17 @@ class FlatState:
             else:
                 c[key] = old
         self._drop_below(z2)
-        self._index = None
+        index = self._index
+        if index is not None and len(self.boxes) < _INDEX_BOXES:
+            self._index = None
+        elif index is not None:
+            # The popped box has the highest index, so it is the last of its
+            # equal faces.
+            by_top, z_faces, x_faces, y_faces = index
+            del by_top[bisect_right(z_faces[0], z2) - 1]
+            for (values, ids), v in ((z_faces, z2), (x_faces, x2), (y_faces, y2)):
+                i = bisect_right(values, v) - 1
+                del values[i], ids[i]
         del self._envelopes[len(self.boxes) + 1:]
 
     def ranked(self, w: int, d: int, h: int, cut: int, tick: Callable[[], None]
@@ -430,7 +462,11 @@ class FlatState:
         """The footprints of the boxes whose tops lie in [z - gap, z], kept
         until a push or pop of a box whose top lies there."""
         lo = z - self._gap
-        below = self._below[z] = [(b[0], b[1], b[3], b[4]) for b in self.boxes
+        boxes = self.boxes
+        if self._index is not None:  # only the boxes whose tops lie in [lo, z]
+            by_top, (tops, _), _, _ = self._index
+            boxes = by_top[bisect_left(tops, lo):bisect_right(tops, z)]
+        below = self._below[z] = [(b[0], b[1], b[3], b[4]) for b in boxes
                                   if lo <= b[5] <= z]
         return below
 
@@ -469,11 +505,22 @@ class FlatState:
         top, fx, fy = z + h, x + w, y + d
         boxes = self.boxes
         if len(boxes) >= _INDEX_BOXES:
-            # Each set gets its indices in ascending order, as the scan adds them.
             _, (zs, z_ids), (xs, x_ids), (ys, y_ids) = self._index or self._build_index()
-            s_z = set(sorted(z_ids[bisect_left(zs, top - p_z):bisect_right(zs, top + p_z)]))
-            s_x = set(sorted(x_ids[bisect_left(xs, fx - p_x):bisect_right(xs, fx + p_x)]))
-            s_y = set(sorted(y_ids[bisect_left(ys, fy - p_y):bisect_right(ys, fy + p_y)]))
+            n, hz, hx, hy = len(boxes), top + p_z, fx + p_x, fy + p_y
+            lz, lx, ly = (bisect_left(zs, top - p_z), bisect_left(xs, fx - p_x),
+                          bisect_left(ys, fy - p_y))
+            # No face in any window: no term.
+            if ((lz == n or zs[lz] > hz) and (lx == n or xs[lx] > hx)
+                    and (ly == n or ys[ly] > hy)):
+                return 0.0
+            s_z = z_ids[lz:bisect_right(zs, hz, lz)]
+            s_x = x_ids[lx:bisect_right(xs, hx, lx)]
+            s_y = y_ids[ly:bisect_right(ys, hy, ly)]
+            # A set of two or more iterates in the order its indices were
+            # added in; the scan adds them in ascending order.
+            s_z = s_z if len(s_z) < 2 else set(sorted(s_z))
+            s_x = s_x if len(s_x) < 2 else set(sorted(s_x))
+            s_y = s_y if len(s_y) < 2 else set(sorted(s_y))
         else:
             s_z = set()
             s_x = set()

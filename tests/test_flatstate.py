@@ -378,6 +378,28 @@ def journaled(state: FlatState):
             state.columns)
 
 
+@settings(max_examples=150)
+@given(st.data())
+def test_kept_index_matches_a_fresh_build(data):
+    # A threshold of 1-5 boxes, which drive()'s pushes and pops cross both
+    # ways; sides of 1-5 on small pallets give many equal faces, and drive()
+    # draws p up to 2. After each step the index that push and pop kept must
+    # be the one a build from scratch gives, and exist only from the
+    # threshold on; then the reference checks ask fits() and score().
+    def check(state, params, units):
+        kept = state._index
+        if kept is not None:
+            assert kept == state._build_index()
+            state._index = kept
+        if len(state.boxes) < flatstate._INDEX_BOXES:
+            assert kept is None
+        assert_matches_reference(state, params, units)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flatstate, "_INDEX_BOXES", data.draw(st.integers(1, 5)))
+        drive(data, check)
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_pop_restores_the_journaled_state(data):

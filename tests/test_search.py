@@ -276,15 +276,16 @@ ODD_PARAMS = [
 
 
 def test_box_index_leaves_the_deep_tree_as_it_was(monkeypatch):
-    # Every state indexed, or none: the same placements, prunes and
-    # candidates evaluated.
+    # Every state indexed, none, or those from 5 boxes on (the index built
+    # mid-dive and kept by every later push): the same placements, prunes
+    # and candidates evaluated.
     digests = []
-    for threshold in (0, 10**9):
+    for threshold in (0, 5, 10**9):
         monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
         sol = _budgeted(*_deep_instance(8), DEEP_PARAMS, 150)
         assert sol.stats.nodes_expanded == 150
         digests.append(_tree_digest(sol))
-    assert digests[0] == digests[1]
+    assert digests[0] == digests[1] == digests[2]
 
 
 @pytest.mark.parametrize("params", ODD_PARAMS, ids=["all", "x-support", "y-support"])
