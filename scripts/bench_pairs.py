@@ -1,21 +1,24 @@
 #!/usr/bin/env python3
 """Benchmark two checkouts of the repository against each other in pairs.
 
-Runs the benchmark command of ``BENCHMARK.json`` (``python3 perfbench/run.py``)
-in the PARENT and the CHANGE checkout, one pair of runs per seed: each pair
-has a seed of its own, and the side that runs first alternates from pair to
-pair. Before each run it removes the checkout's ``__pycache__`` directories,
-and it runs with ``PYTHONDONTWRITEBYTECODE`` set, so every run compiles the
-sources afresh, as in a new checkout. Workload k of ``--workloads`` takes
-the seeds ``seed + k * pairs`` on.
+Runs the benchmark command of the CHANGE checkout's ``BENCHMARK.json``
+(``python3 perfbench/run.py``), at its run length and on each of its
+workloads, in the PARENT and the CHANGE checkout, one pair of runs per
+seed: each pair has a seed of its own, and the side that runs first
+alternates from pair to pair. Before each run it removes the checkout's
+``__pycache__`` directories, and it runs with ``PYTHONDONTWRITEBYTECODE``
+set, so every run compiles the sources afresh, as in a new checkout.
+Workload k takes the seeds ``seed + k * pairs`` on.
 
-It writes ``BENCH_<pr>.json``. Per workload, ``summary`` holds each side's
-median and quartiles of every end-to-end metric, on how many pairs the
-change is better and on how many worse, the median change, and the
-metric's bound and direction from ``BENCHMARK.json``; ``workloads`` keeps
-every run's numbers. ``--claim WORKLOAD METRIC`` records whether the change
-is better on at least nine pairs in ten and its median better than the
-parent's by more than the parent's interquartile range.
+It writes ``BENCH_<pr>.json`` in the working directory. Per workload,
+``summary`` holds each side's median and quartiles of every end-to-end
+metric, on how many pairs the change is better and on how many worse, the
+median change, and the metric's bound and direction from
+``BENCHMARK.json``; ``workloads`` keeps every run's numbers. ``--claim
+WORKLOAD METRIC`` records whether the change is better on at least nine
+pairs in ten and its median better than the parent's by more than the
+parent's interquartile range. The file's ``change`` line and ``notes`` list
+are left empty, to be written by hand.
 
 ``--against BENCH_k.json`` prints, per workload and metric, the change
 side's median of an earlier file against that of this run (or of the one
@@ -23,7 +26,7 @@ file given instead of two checkouts), and the relative delta.
 
 Examples (the parent commit checked out into ../parent):
     python scripts/bench_pairs.py ../parent . --pr 21 --pairs 10 --seed 2101 \\
-        --claim anytime-deep nodes_per_s --change "what the change does"
+        --claim anytime-deep nodes_per_s
     python scripts/bench_pairs.py BENCH_21.json --against BENCH_19.json
 """
 
@@ -32,7 +35,6 @@ import json
 import math
 import os
 import platform
-import shlex
 import shutil
 import statistics
 import subprocess
@@ -115,12 +117,11 @@ def bench(args):
     """Run the pairs, write the BENCH file and return its document."""
     parent, change = Path(args.sides[0]).resolve(), Path(args.sides[1]).resolve()
     config = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    command = shlex.split(args.command) if args.command else config["command"]
-    seconds = args.seconds or config["run_seconds"]
-    workloads = args.workloads or [w["name"] for w in config["workloads"]]
+    command, seconds = config["command"], config["run_seconds"]
+    workloads = [w["name"] for w in config["workloads"]]
     if args.claim and (args.claim[0] not in workloads or args.claim[1] not in
                        [m["name"] for m in config["end_to_end"]]):
-        raise SystemExit(f"--claim {' '.join(args.claim)}: no such workload run or metric")
+        raise SystemExit(f"--claim {' '.join(args.claim)}: no such workload or metric")
     summary, runs_of = {}, {}
     for k, workload in enumerate(workloads):
         pairs = []
@@ -141,7 +142,7 @@ def bench(args):
                 for m in ("nodes_per_s", "solve_s") if m in pairs[-1]["parent"]), flush=True)
         summary[workload] = summarize(pairs, config["end_to_end"])
         runs_of[workload] = {"pairs": pairs}
-    doc = {"change": args.change or ""}
+    doc = {"change": ""}
     if args.claim:
         workload, metric = args.claim
         doc["claim"] = {"metric": metric, "workload": workload,
@@ -152,8 +153,8 @@ def bench(args):
                   "which side runs first per pair; one seed per pair",
         "seeds": {w: f"{args.seed + k * args.pairs}-{args.seed + (k + 1) * args.pairs - 1}"
                   for k, w in enumerate(workloads)},
-    }, summary=summary, workloads=runs_of, notes=args.note)
-    out = Path(args.out or f"BENCH_{args.pr}.json")
+    }, summary=summary, workloads=runs_of, notes=[])
+    out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return doc
@@ -177,15 +178,9 @@ def main(argv=None):
     ap.add_argument("sides", nargs="+", metavar="PATH",
                     help="two checkouts to benchmark, or one BENCH file with --against")
     ap.add_argument("--pr", type=int, help="the change's number: writes BENCH_<pr>.json")
-    ap.add_argument("--out", help="write this file instead of BENCH_<pr>.json")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="the first pair's seed")
-    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
-    ap.add_argument("--workloads", nargs="+", help="default: BENCHMARK.json's")
-    ap.add_argument("--command", help="benchmark command (default: BENCHMARK.json's)")
-    ap.add_argument("--change", help="one line on what the change does")
     ap.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"))
-    ap.add_argument("--note", action="append", default=[], help="a note; may repeat")
     ap.add_argument("--against", type=Path, help="an earlier BENCH file to print deltas against")
     args = ap.parse_args(argv)
     if len(args.sides) == 1:
@@ -193,8 +188,8 @@ def main(argv=None):
             ap.error("one BENCH file is compared only with --against")
         doc = json.loads(Path(args.sides[0]).read_text(encoding="utf-8"))
     elif len(args.sides) == 2:
-        if args.pr is None and args.out is None:
-            ap.error("a run needs --pr or --out")
+        if args.pr is None:
+            ap.error("a run needs --pr")
         if args.pairs < 1:
             ap.error("--pairs must be at least 1")
         doc = bench(args)

@@ -31,8 +31,7 @@ print(json.dumps({"correct": True, "attempted": 7, "failed": 0, "metrics": {
 '''
 
 BENCHMARK = {
-    "command": ["python3", "perfbench/run.py"],
-    "run_seconds": 35,
+    "run_seconds": 2,
     "workloads": [{"name": "deep"}, {"name": "small"}],
     "end_to_end": [
         {"name": "nodes_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
@@ -44,18 +43,18 @@ BENCHMARK = {
 def test_pairs_alternate_on_fresh_seeds_and_summarize(tmp_path, monkeypatch, capsys):
     stub = tmp_path / "stub.py"
     stub.write_text(STUB)
+    config = {"command": [sys.executable, str(stub)], **BENCHMARK}
     for side in ("parent", "change"):
         (tmp_path / side / "src" / "__pycache__").mkdir(parents=True)
         (tmp_path / side / "side.txt").write_text(side)
-        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(config))
     log = tmp_path / "log.jsonl"
     monkeypatch.setenv("STUB_LOG", str(log))
-    out = tmp_path / "BENCH_99.json"
+    monkeypatch.chdir(tmp_path)
     assert bench_pairs.main([
-        str(tmp_path / "parent"), str(tmp_path / "change"), "--out", str(out),
-        "--pairs", "4", "--seed", "10", "--seconds", "2",
-        "--command", f"{sys.executable} {stub}", "--claim", "deep", "nodes_per_s",
-        "--change", "a stub", "--note", "n1"]) == 0
+        "parent", "change", "--pr", "99", "--pairs", "4", "--seed", "10",
+        "--claim", "deep", "nodes_per_s"]) == 0
+    out = tmp_path / "BENCH_99.json"
 
     runs = [json.loads(line) for line in log.read_text().splitlines()]
     # Two workloads of four pairs; the first side alternates, each pair has
@@ -71,7 +70,7 @@ def test_pairs_alternate_on_fresh_seeds_and_summarize(tmp_path, monkeypatch, cap
     doc = json.loads(out.read_text())
     assert list(doc) == ["change", "claim", "machine", "benchmark", "summary", "workloads",
                          "notes"]
-    assert doc["change"] == "a stub" and doc["notes"] == ["n1"]
+    assert doc["change"] == "" and doc["notes"] == []
     assert doc["benchmark"]["seeds"] == {"deep": "10-13", "small": "14-17"}
     deep = doc["summary"]["deep"]
     assert deep["pairs"] == 4

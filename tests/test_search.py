@@ -276,16 +276,20 @@ ODD_PARAMS = [
 
 
 def test_box_index_leaves_the_deep_tree_as_it_was(monkeypatch):
-    # Every state indexed, none, or those from 5 boxes on (the index built
-    # mid-dive and kept by every later push): the same placements, prunes
-    # and candidates evaluated.
-    digests = []
-    for threshold in (0, 5, 10**9):
-        monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
-        sol = _budgeted(*_deep_instance(8), DEEP_PARAMS, 150)
-        assert sol.stats.nodes_expanded == 150
-        digests.append(_tree_digest(sol))
-    assert digests[0] == digests[1] == digests[2]
+    # Every state indexed, none, or those from a crossing threshold on: the
+    # same placements, prunes and candidates evaluated. The 150-node dive
+    # pops no box, so its index, built at 5 boxes, is kept by every later
+    # push. The 300-node search pops 169 boxes, from states of 127-149:
+    # at 128, seven pops drop the index, and the next ask at 128 boxes
+    # builds it again.
+    for budget, crossing in ((150, 5), (300, 128)):
+        digests = []
+        for threshold in (0, crossing, 10**9):
+            monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
+            sol = _budgeted(*_deep_instance(8), DEEP_PARAMS, budget)
+            assert sol.stats.nodes_expanded == budget
+            digests.append(_tree_digest(sol))
+        assert digests[0] == digests[1] == digests[2]
 
 
 @pytest.mark.parametrize("params", ODD_PARAMS, ids=["all", "x-support", "y-support"])
