@@ -20,14 +20,25 @@ pairs in ten and its median better than the parent's by more than the
 parent's interquartile range. The file's ``change`` line and ``notes`` list
 are left empty, to be written by hand.
 
+Each metric's summary also holds a no-regression ``verdict``: "worse past
+bound" where the change's median is worse than the parent's by more than
+the metric's bound (a share of the parent's median), else "unresolved"
+where the parent's interquartile range is wider than that bound, so that
+the runs cannot tell a loss of the bound from noise, else "within bound".
+Per workload, ``failed_verdict`` says whether the change failed a larger
+share of the runs it attempted than the parent. Both are printed at the
+end of a run.
+
 ``--against BENCH_k.json`` prints, per workload and metric, the change
 side's median of an earlier file against that of this run (or of the one
-file given instead of two checkouts), and the relative delta.
+file given instead of two checkouts), and the relative delta. One file
+given alone prints its verdicts, taken afresh from its summary and runs.
 
 Examples (the parent commit checked out into ../parent):
     python scripts/bench_pairs.py ../parent . --pr 21 --pairs 10 --seed 2101 \\
         --claim anytime-deep nodes_per_s
     python scripts/bench_pairs.py BENCH_21.json --against BENCH_19.json
+    python scripts/bench_pairs.py BENCH_21.json
 """
 
 import argparse
@@ -79,6 +90,32 @@ def quartiles(values):
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
+def verdict(entry):
+    """The no-regression verdict of one metric's summary ``entry``."""
+    base, change = entry["parent"]["median"], entry["change"]["median"]
+    sign = 1 if entry["better"] == "higher" else -1
+    if not base:  # no relative change to take
+        return "within bound" if change == base else "unresolved"
+    if sign * (base - change) / abs(base) > entry["bound"]:
+        return "worse past bound"
+    if (entry["parent"]["q3"] - entry["parent"]["q1"]) / abs(base) > entry["bound"]:
+        return "unresolved"
+    return "within bound"
+
+
+def judge(entry, pairs):
+    """Set the verdict of each metric in one workload's summary ``entry``,
+    and its ``failed_verdict``: whether the change failed a larger share
+    of its attempted runs in ``pairs``."""
+    share = {s: sum(p["failed"][s] for p in pairs)
+             / max(1, sum(p["attempted"][s] for p in pairs)) for s in SIDES}
+    entry["failed_verdict"] = ("change fails a larger share" if share["change"] > share["parent"]
+                               else "no larger share failed")
+    for stats in entry.values():
+        if isinstance(stats, dict) and "better" in stats:
+            stats["verdict"] = verdict(stats)
+
+
 def summarize(pairs, end_to_end):
     """The ``summary`` entry of one workload from its ``pairs``."""
     out = {"pairs": len(pairs)}
@@ -98,6 +135,7 @@ def summarize(pairs, end_to_end):
             "bound": metric["bound"],
             "better": metric["better"],
         }
+    judge(out, pairs)
     return out
 
 
@@ -157,7 +195,27 @@ def bench(args):
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
+    print_verdicts(doc)
     return doc
+
+
+def print_verdicts(doc):
+    """Per workload and metric, the no-regression verdict, then failures."""
+    for workload, entry in doc["summary"].items():
+        for metric, stats in entry.items():
+            if isinstance(stats, dict) and "better" in stats:
+                parent = stats["parent"]
+                iqr = (parent["q3"] - parent["q1"]) / parent["median"] if parent["median"] else 0
+                change = stats["median_change"]
+                print(f"{workload:13} {metric:13} {stats['verdict']:16} median change "
+                      f"{'n/a' if change is None else f'{change:+.1%}'}, parent IQR "
+                      f"{iqr:.1%}, bound {stats['bound']:.0%}")
+        failed = entry["failed_total"]
+        print(f"{workload:13} {'failed':13} {entry['failed_verdict']} "
+              f"(parent {failed['parent']}, change {failed['change']})")
+    if "claim" in doc:
+        print(f"claim {doc['claim']['workload']} {doc['claim']['metric']}: "
+              f"{doc['claim']['result']}")
 
 
 def print_against(doc, old):
@@ -176,7 +234,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("sides", nargs="+", metavar="PATH",
-                    help="two checkouts to benchmark, or one BENCH file with --against")
+                    help="two checkouts to benchmark, or one BENCH file")
     ap.add_argument("--pr", type=int, help="the change's number: writes BENCH_<pr>.json")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="the first pair's seed")
@@ -184,9 +242,11 @@ def main(argv=None):
     ap.add_argument("--against", type=Path, help="an earlier BENCH file to print deltas against")
     args = ap.parse_args(argv)
     if len(args.sides) == 1:
-        if args.against is None:
-            ap.error("one BENCH file is compared only with --against")
         doc = json.loads(Path(args.sides[0]).read_text(encoding="utf-8"))
+        if args.against is None:
+            for workload, entry in doc["summary"].items():
+                judge(entry, doc["workloads"][workload]["pairs"])
+            print_verdicts(doc)
     elif len(args.sides) == 2:
         if args.pr is None:
             ap.error("a run needs --pr")
@@ -194,7 +254,7 @@ def main(argv=None):
             ap.error("--pairs must be at least 1")
         doc = bench(args)
     else:
-        ap.error("give two checkouts, or one BENCH file with --against")
+        ap.error("give two checkouts, or one BENCH file")
     if args.against is not None:
         print_against(doc, json.loads(args.against.read_text(encoding="utf-8")))
     return 0

@@ -51,23 +51,39 @@ product.
 number of boxes on the state, which fast paths the state takes. None of
 them changes an answer. It works in three steps. First it puts each (live
 point, orientation) pair of one unit to the cheap tests, in this order:
-the pallet's ceiling, the rays and the support bound, and scores each pair
-that passes them. Each test rejects only pairs that ``fits`` rejects. The
-support bound sums the areas in which the pair's footprint overlaps each
-footprint below its z (the ones ``fits`` tests vertical support against),
-for both orientations in one pass. Where those footprints overlap each
-other the sum exceeds their union, never falls short of it, so a pair
-whose sum is below num/den of its footprint is not supported. Then it
-sorts the scored pairs by the ranking key (``scoring.Ranked``), and last
-it calls ``fits`` in that order until it has accepted ``cut`` pairs. The
-key is a total order and ``score`` reads only far faces, not ``fits``, so
-the pairs it keeps are those of ``rank_and_cut`` over every pair that
-fits, and ``fits`` is not asked about the pairs ranked below the last one
-kept. ``ranked`` reads the clock (``tick``) once per call, once per point
-that passes the rays, just before that point's work that grows with the
-boxes (a scan for the footprints below it, the bound, its scores), and
-once before each ``fits``, so no more than one O(n) step runs between two
-reads.
+the pallet's ceiling, the rays (a point whose rays are shorter than the
+unit's short side takes neither pair), and above the gap the support cap
+and the support bound, and scores each pair that passes them. Each test
+rejects only pairs that ``fits`` rejects. The support bound sums the areas
+in which the pair's footprint overlaps each footprint below its z (the
+ones ``fits`` tests vertical support against), for both orientations in
+one pass. Where those footprints overlap each other the sum exceeds their
+union, never falls short of it, so a pair whose sum is below num/den of
+its footprint is not supported. Then it sorts the scored pairs by the
+ranking key (``scoring.Ranked``), and last it calls ``fits`` in that order
+until it has accepted ``cut`` pairs. The key is a total order and
+``score`` reads only far faces, not ``fits``, so the pairs it keeps are
+those of ``rank_and_cut`` over every pair that fits, and ``fits`` is not
+asked about the pairs ranked below the last one kept.
+
+The support cap S of a live point (x, y, z) is that same sum taken over
+its rays' rectangle [x, x + ex) x [y, y + ey). A pair passes the rays only
+if its footprint lies inside that rectangle, so S is never less than the
+pair's sum, and S * den < num * w * d rejects both orientations of a w×d
+unit, and only pairs that the support bound rejects: the same pairs are
+scored. S depends on the unit only through that comparison, so it is kept
+for the next unit asked about at that point. From _CAP_BOXES (8) boxes,
+``ranked`` keeps S in the entry of z that holds the footprints below it,
+one slot per (x, y) with the rays S was taken for; a slot of other rays is
+a miss, and is overwritten. A miss takes S in a pass of its own, and a
+pair's sums only when S does not reject. The entry of z is dropped with
+its caps by every push or pop that changes its footprints, so a kept cap
+needs no other rule to stay exact. ``ranked`` reads the clock (``tick``)
+once per call, once per point that passes the rays and that no kept cap
+rejects, just before that point's work that grows with the boxes (a scan
+for the footprints below it, its cap on a miss, the bound, its scores),
+and once before each ``fits``. So no more than one O(n) step runs between
+two reads; a kept cap's reject is O(1), and reads none.
 
 From _INDEX_BOXES (16) boxes, the state indexes its boxes on its first
 ``fits`` or ``score``, and keeps the index across push and pop until a pop
@@ -104,6 +120,10 @@ Point = tuple[int, int, int]
 Footprint = tuple[int, int, int, int]  # x, y, x2, y2
 # Far faces on one axis, ascending, and the indices of their boxes in the same order.
 Faces = tuple[list[int], list[int]]
+# The footprints below one height, and (None until ranked() keeps one) per
+# live point (x, y) there its rays (ex, ey) and support cap: the summed
+# overlaps of those footprints with the rays' rectangle.
+Below = tuple[list[Footprint], Optional[dict[tuple[int, int], tuple[int, int, int]]]]
 _ABSENT = object()  # journal value of a key its container did not hold
 # A state with this many boxes indexes them for fits() and score().
 # Swept with the index kept across push and pop, on node-budgeted solves
@@ -116,6 +136,15 @@ _ABSENT = object()  # journal value of a key its container did not hold
 # runs anytime-deep at 0.44-0.48 and stability at 0.63-0.64; exact-small
 # never reaches 8 boxes.
 _INDEX_BOXES = 16
+# From this many boxes, ranked() keeps support caps. Fewer boxes keep an
+# entry of the footprints below a height for a push or two, so caps miss
+# about as often as they reject: exact-small reads 0.87 misses a call to
+# 0.35 rejects. Swept on node-budgeted solves of same_tree_ab.py's
+# instances (seeds 4-5, interleaved per instance, CPU time), as nodes/s over
+# a loop with neither caps nor the short-side ray test: 0, 4, 8 and 12 ran
+# exact-small at 0.970, 0.982, 0.996 and 0.994, and tight-bound at 1.144,
+# 1.159, 1.142 and 1.110.
+_CAP_BOXES = 8
 
 
 def _ratio(value: float) -> tuple[int, int]:
@@ -147,9 +176,10 @@ class FlatState:
         self._undo: list[tuple[object, object, object]] = []  # (container, key, old)
         self._marks: list[int] = []  # journal length per push
         # Per height z asked about, the footprints of the boxes whose tops lie
-        # in [z - gap, z] (_scan_below); a push or pop drops only the heights
-        # its box's top reaches (_drop_below).
-        self._below: dict[int, list[Footprint]] = {}
+        # in [z - gap, z] (_scan_below) and the support caps of the live
+        # points at z; a push or pop drops only the heights its box's top
+        # reaches (_drop_below).
+        self._below: dict[int, Below] = {}
         # Index of the boxes for fits() and score() (_build_index): built by the
         # first ask on a state of at least _INDEX_BOXES boxes, kept by push and
         # pop, dropped by a pop below that many. It gives fits() the boxes
@@ -346,15 +376,19 @@ class FlatState:
         ``scoring.rank_and_cut`` over ``scoring.scored_candidates``.
 
         A pair meets, in order: the ceiling; the rays (a box longer than a
-        ray meets what the ray met); above the gap, the support bound (the
-        summed overlaps of its footprint with the footprints below its z,
-        at least the supported area ``fits`` measures, must reach
-        num/den of it). Each pair that passes is scored; the pairs are
-        sorted, and ``fits`` is asked in that order until ``cut`` pairs
-        are kept. No test before ``fits`` rejects a pair that ``fits``
-        accepts. ``tick`` is called once per call, once per point that
-        passes the rays, before the work that grows with the number of
-        boxes, and once before each ``fits``."""
+        ray meets what the ray met); above the gap, the point's support cap
+        (the summed overlaps of its rays' rectangle with the footprints
+        below its z, never less than the pair's own sum: kept from an
+        earlier call, or taken now from _CAP_BOXES boxes on) and the
+        support bound (the summed overlaps of its footprint with those
+        footprints, at least the supported area ``fits`` measures): each
+        must reach num/den of its footprint. Each pair that passes is
+        scored; the pairs are sorted, and ``fits`` is asked in that order
+        until ``cut`` pairs are kept. No test before ``fits`` rejects a
+        pair that ``fits`` accepts. ``tick`` is called once per call; once
+        per point that passes the rays and that no kept cap rejects,
+        before its work that grows with the number of boxes (a cap on a
+        miss, the sums, the scores); and once before each ``fits``."""
         tick()
         score = self.score
         ceiling = self.pallet.max_height - h
@@ -363,18 +397,41 @@ class FlatState:
         num, den = self._vertical
         need = num * w * d
         pairs: list[Ranked] = []
+        capped = len(self.boxes) >= _CAP_BOXES
+        short = w if w < d else d
         for (x, y, z), (ex, ey, _) in self._live.items():
-            if z > ceiling:
+            if z > ceiling or ex < short or ey < short:
                 continue
             flat = w <= ex and d <= ey
             turned = d <= ex and w <= ey
             if not (flat or turned):
                 continue
-            tick()
             if num and z > gap:
-                below = cache.get(z)
-                if below is None:
-                    below = self._scan_below(z)
+                entry = cache.get(z)
+                cap = entry[1].get((x, y)) if capped and entry and entry[1] else None
+                if cap is not None and cap[0] == ex and cap[1] == ey:
+                    if cap[2] * den < need:  # neither pair is supported
+                        continue
+                    tick()
+                    below = entry[0]
+                else:
+                    tick()
+                    below, caps = entry or self._scan_below(z)
+                    if capped:
+                        # The support cap: the overlaps of the rays'
+                        # rectangle (x..rx, y..ry), which holds both pairs.
+                        rx, ry = x + ex, y + ey
+                        cap = 0
+                        for bx, by, bx2, by2 in below:
+                            if x < bx2 and y < by2 and bx < rx and by < ry:
+                                cap += (((rx if rx < bx2 else bx2) - (bx if bx > x else x))
+                                        * ((ry if ry < by2 else by2) - (by if by > y else y)))
+                        if caps is None:
+                            caps = {}
+                            cache[z] = below, caps
+                        caps[x, y] = ex, ey, cap
+                        if cap * den < need:
+                            continue
                 # The overlaps of the flat (x..fx, y..fy) and the turned
                 # (x..tx, y..ty) footprint, summed in one pass.
                 fx, fy, tx, ty = x + w, y + d, x + d, y + w
@@ -391,6 +448,8 @@ class FlatState:
                                            * ((ty if ty < by2 else by2) - v))
                 flat = flat and flat_sum * den >= need
                 turned = turned and turned_sum * den >= need
+            else:
+                tick()
             if flat:
                 pairs.append((-score(x, y, z, w, d, h), z, y, x, False))
             if turned:
@@ -419,9 +478,7 @@ class FlatState:
         gap = self._gap
         num, den = self._vertical
         if num and z > gap:
-            below = self._below.get(z)
-            if below is None:
-                below = self._scan_below(z)
+            below = (self._below.get(z) or self._scan_below(z))[0]
             rects = [
                 (max(x, bx), max(y, by), min(x2, bx2), min(y2, by2))
                 for bx, by, bx2, by2 in below
@@ -458,22 +515,22 @@ class FlatState:
                 return False
         return True
 
-    def _scan_below(self, z: int) -> list[Footprint]:
-        """The footprints of the boxes whose tops lie in [z - gap, z], kept
-        until a push or pop of a box whose top lies there."""
+    def _scan_below(self, z: int) -> Below:
+        """The footprints of the boxes whose tops lie in [z - gap, z], with
+        no caps yet, kept until a push or pop of a box whose top lies there."""
         lo = z - self._gap
         boxes = self.boxes
         if self._index is not None:  # only the boxes whose tops lie in [lo, z]
             by_top, (tops, _), _, _ = self._index
             boxes = by_top[bisect_left(tops, lo):bisect_right(tops, z)]
-        below = self._below[z] = [(b[0], b[1], b[3], b[4]) for b in boxes
-                                  if lo <= b[5] <= z]
-        return below
+        entry = self._below[z] = [(b[0], b[1], b[3], b[4]) for b in boxes
+                                  if lo <= b[5] <= z], None
+        return entry
 
     def _drop_below(self, top: int) -> None:
-        """Drop the kept footprints of the heights a box whose top lies at
-        ``top`` belongs to, [top, top + gap]: a walk over those heights or
-        over the kept ones, whichever is shorter."""
+        """Drop the kept footprints and caps of the heights a box whose top
+        lies at ``top`` belongs to, [top, top + gap]: a walk over those
+        heights or over the kept ones, whichever is shorter."""
         cache = self._below
         gap = self._gap
         if gap < len(cache):

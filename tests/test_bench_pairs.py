@@ -11,9 +11,11 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 # Answers as perfbench/run.py does, in its last line: the change side runs
-# 10% more nodes per second and as many seconds as the parent, and every
-# run logs its side, seed, and whether a __pycache__ or bytecode writing
-# was left on.
+# 10% more nodes per second and as many seconds as the parent, takes half
+# again as long to set up, reaches a utilization that swings with the seed
+# on both sides alike, and fails one run on workload "small"; every run
+# logs its side, seed, and whether a __pycache__ or bytecode writing was
+# left on.
 STUB = '''
 import json, os, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
@@ -24,10 +26,13 @@ with open(os.environ["STUB_LOG"], "a") as log:
                           os.path.exists("src/__pycache__"),
                           bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))]) + "\\n")
 rate = 100.0 + seed * (1.1 if side == "change" else 1.0)
+failed = int(side == "change" and args["--workload"] == "small" and seed == 14)
 print("human-readable lines first")
-print(json.dumps({"correct": True, "attempted": 7, "failed": 0, "metrics": {
+print(json.dumps({"correct": True, "attempted": 7, "failed": failed, "metrics": {
     "nodes_per_s": {"value": rate, "unit": "1/s"},
-    "solve_s": {"value": 0.5, "unit": "s"}}}))
+    "solve_s": {"value": 0.5, "unit": "s"},
+    "setup_s": {"value": 0.2 * (1.5 if side == "change" else 1.0), "unit": "s"},
+    "utilization": {"value": 0.9 if seed % 2 else 0.3, "unit": "fraction"}}}))
 '''
 
 BENCHMARK = {
@@ -36,6 +41,8 @@ BENCHMARK = {
     "end_to_end": [
         {"name": "nodes_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
         {"name": "solve_s", "unit": "s", "better": "lower", "bound": 0.15},
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "utilization", "unit": "fraction", "better": "higher", "bound": 0.25},
     ],
 }
 
@@ -84,6 +91,19 @@ def test_pairs_alternate_on_fresh_seeds_and_summarize(tmp_path, monkeypatch, cap
     assert (deep["nodes_per_s"]["bound"], deep["nodes_per_s"]["better"]) == (0.25, "higher")
     assert deep["solve_s"]["change_better_pairs"] == deep["solve_s"]["change_worse_pairs"] == 0
     assert doc["claim"]["result"].startswith("not met")  # better by 1.15, IQR 1.5
+    # The no-regression verdicts: setup_s is 50% worse against a 25% bound;
+    # utilization's parent quartiles (0.3, 0.9) span 100% of its median.
+    assert {m: deep[m]["verdict"] for m in ("nodes_per_s", "solve_s", "setup_s",
+                                            "utilization")} == {
+        "nodes_per_s": "within bound", "solve_s": "within bound",
+        "setup_s": "worse past bound", "utilization": "unresolved"}
+    assert deep["failed_verdict"] == "no larger share failed"
+    small = doc["summary"]["small"]
+    assert small["failed_total"] == {"parent": 0, "change": 1}
+    assert small["failed_verdict"] == "change fails a larger share"
+    printed = capsys.readouterr().out.splitlines()
+    assert "deep          setup_s       worse past bound" in "\n".join(printed)
+    assert printed[-1].startswith("claim deep nodes_per_s: not met")
     pair = doc["workloads"]["deep"]["pairs"][1]
     assert pair["seed"] == 11 and pair["first"] == "change"
     assert pair["correct"] == {"parent": True, "change": True}
@@ -99,3 +119,13 @@ def test_pairs_alternate_on_fresh_seeds_and_summarize(tmp_path, monkeypatch, cap
     assert len(lines) == 1
     assert lines[0].split()[:2] == ["deep", "nodes_per_s"]
     assert lines[0].endswith("+12.7%")
+
+    # One file alone prints its verdicts, taken afresh from its summary.
+    doc["summary"]["deep"]["setup_s"]["verdict"] = "stale"
+    out.write_text(json.dumps(doc))
+    assert bench_pairs.main([str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:5] == ["deep", "nodes_per_s", "within", "bound", "median"]
+    assert [line.split()[:3] for line in lines if "setup_s" in line] == [
+        ["deep", "setup_s", "worse"], ["small", "setup_s", "worse"]]
+    assert "small         failed        change fails a larger share (parent 0, change 1)" in lines

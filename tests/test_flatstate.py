@@ -152,21 +152,55 @@ def scratch_live(state: FlatState) -> dict:
     return live
 
 
+def kept_cap(state: FlatState, pt) -> "int | None":
+    """The support cap kept for the live point ``pt`` under its current
+    rays, or None."""
+    entry = state._below.get(pt[2])
+    slot = entry[1].get(pt[:2]) if entry and entry[1] else None
+    return slot[2] if slot and slot[:2] == state._live[pt][:2] else None
+
+
+def expected_reads(state: FlatState, w, d, h) -> int:
+    """The clock reads of a ranked() call for a w×d×h unit before its
+    fits(): one per call, then one per live point under the ceiling whose
+    rays admit one of the unit's pairs, unless a kept cap rejects both; a
+    state of fewer than _CAP_BOXES boxes reads no cap."""
+    num, den = state._vertical
+    if len(state.boxes) < flatstate._CAP_BOXES:
+        num = 0
+    reads = 1
+    for pt, (ex, ey, _) in state._live.items():
+        if pt[2] + h > state.pallet.max_height or not (
+                w <= ex and d <= ey or d <= ex and w <= ey):
+            continue
+        cap = kept_cap(state, pt) if num and pt[2] > state._gap else None
+        reads += cap is None or cap * den >= num * w * d
+    return reads
+
+
 def assert_live_map_sound(state: FlatState, params: SolverParams, units) -> None:
     # Each live point's rays admit every box that fits there; each dropped
     # candidate lies inside or under a placed box, so no box fits there.
-    # ranked ticks once per call, once per live point under the ceiling
-    # whose rays admit one of the unit's pairs, and, under no cut, once per
-    # pair scored, before its fits().
+    # ranked reads the clock as expected_reads counts, then, under no cut,
+    # once per pair scored, before its fits(). A second call on the same
+    # state finds a cap at every point above the gap that the first
+    # admitted, and answers the same.
     live = state._live
     assert set(live) <= set(candidates(state))
     w, d, h = units[0]
-    ticks = []
-    scored = state.pairs_scored
-    state.ranked(w, d, h, 10**6, lambda: ticks.append(1))
-    admitted = [pt for pt, (ex, ey, _) in live.items() if pt[2] + h <= state.pallet.max_height
-                and (w <= ex and d <= ey or d <= ex and w <= ey)]
-    assert len(ticks) == 1 + len(admitted) + state.pairs_scored - scored
+    answers = []
+    for _ in range(2):
+        ticks = []
+        scored = state.pairs_scored
+        reads = expected_reads(state, w, d, h)
+        answers.append(state.ranked(w, d, h, 10**6, lambda: ticks.append(1)))
+        assert len(ticks) == reads + state.pairs_scored - scored
+    assert answers[0] == answers[1]
+    capped = state._vertical[0] and len(state.boxes) >= flatstate._CAP_BOXES
+    for pt, (ex, ey, _) in live.items():
+        if (capped and pt[2] > state._gap and pt[2] + h <= state.pallet.max_height
+                and (w <= ex and d <= ey or d <= ex and w <= ey)):
+            assert kept_cap(state, pt) is not None
     for pos in candidates(state):
         if pos not in live:
             assert any(inside_or_under(pos, box) for box in state.boxes)
@@ -178,10 +212,15 @@ def assert_live_map_sound(state: FlatState, params: SolverParams, units) -> None
                     assert dw <= ex and dd <= ey
 
 
-@settings(max_examples=150)
+@settings(max_examples=300)
 @given(st.data())
 def test_free_rays_reject_only_what_fits_rejects(data):
-    drive(data, assert_live_map_sound)
+    # Support caps are kept on every state, or from the default _CAP_BOXES,
+    # which drive() reaches on some states only.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flatstate, "_CAP_BOXES",
+                   data.draw(st.sampled_from([0, flatstate._CAP_BOXES])))
+        drive(data, assert_live_map_sound)
 
 
 def scanned_below(state: FlatState, z: int) -> list:
@@ -209,23 +248,29 @@ def test_support_bound_admits_every_pair_that_fits():
     overcounted = 0
 
     def check(state, params, units):
+        # The support cap that ranked keeps at a live point is never less
+        # than the sum of a pair that passes its rays.
         nonlocal overcounted
         num, den = state._vertical
+        for w, d, h in units:
+            assert_ranks_as_reference(state, params, w, d, h)
         for x, y, z in candidates(state):
             if z <= params.gap_tolerance:
                 continue
             below = scanned_below(state, z)
+            ex, ey, _ = state._live.get((x, y, z), (0, 0, 0))
+            cap = kept_cap(state, (x, y, z)) if ex else None
             for w, d, h in units:
                 for dw, dd in ((w, d), (d, w)):
                     total = overlap_sum(below, x, y, x + dw, y + dd)
                     if state.fits(x, y, z, dw, dd, h):
                         assert total * den >= num * dw * dd
+                    if cap is not None and dw <= ex and dd <= ey:
+                        assert cap >= total
                     rects = [(max(x, bx), max(y, by), min(x + dw, bx2), min(y + dd, by2))
                              for bx, by, bx2, by2 in below
                              if x < bx2 and bx < x + dw and y < by2 and by < y + dd]
                     overcounted += total > rect_union_area(rects)
-        for w, d, h in units:
-            assert_ranks_as_reference(state, params, w, d, h)
 
     @settings(max_examples=150)
     @given(st.data())
@@ -246,7 +291,9 @@ def test_support_bound_admits_every_pair_that_fits():
                 state.push(x, y, z, w, d, h)
                 check(state, params, units)
 
-    run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flatstate, "_CAP_BOXES", 0)  # caps on every state
+        run()
     assert overcounted > 0
 
 
@@ -283,8 +330,12 @@ def test_below_cache_matches_a_fresh_scan(index_boxes, data):
     side = st.integers(1, 5)
 
     def check():
-        for z, below in state._below.items():
+        # Each kept support cap is the summed overlaps of the height's
+        # footprints with the rectangle of the rays it was kept for.
+        for z, (below, caps) in state._below.items():
             assert sorted(below) == sorted(scanned_below(state, z))
+            for (x, y), (ex, ey, cap) in (caps or {}).items():
+                assert cap == overlap_sum(scanned_below(state, z), x, y, x + ex, y + ey)
         # Ask about more heights: fits() at each, and ranked() at the live points.
         for z in data.draw(st.sets(st.integers(0, pallet.max_height - 1))):
             state.fits(0, 0, z, 1, 1, 1)
@@ -292,6 +343,7 @@ def test_below_cache_matches_a_fresh_scan(index_boxes, data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flatstate, "_INDEX_BOXES", index_boxes)
+        mp.setattr(flatstate, "_CAP_BOXES", 0)  # caps on every state
         check()
         for _ in range(data.draw(st.integers(1, 12))):
             points = candidates(state)
@@ -313,26 +365,37 @@ def test_scored_checks_the_clock_inside_its_loop():
     # 300 unit cubes in a row on the floor: 600 live points, on their tops
     # and in front of them, most of which pass the rays of a 2x2x1 unit.
     # ranked reads the clock once per call, then once per admitted point
-    # before it scores that point's pairs, then once before each fits().
+    # that no kept cap rejects, before its support cap (on a miss), sums
+    # and scores, then once before each fits().
     state = FlatState(Pallet(300, 4, 10), SolverParams())
     for x in range(300):
         state.push(x, 0, 0, 1, 1, 1)
-    assert len(state._live) == 600
+    assert len(state._live) == 600 and not state._below
     log = []
     state.score = lambda *pair: log.append("score") or FlatState.score(state, *pair)
     state.fits = lambda *pair: log.append("fits") or FlatState.fits(state, *pair)
+    reads = expected_reads(state, 2, 2, 1)
     kept = state.ranked(2, 2, 1, 4, lambda: log.append("tick"))
     assert len(kept) == 4
     first_fits = log.index("fits")
     scoring, checking = log[:first_fits - 1], log[first_fits - 1:]
-    # Step 1: no more than one point's two scores between two reads.
+    # Step 1: no more than one point's two scores between two reads. No cap
+    # is kept yet, so every admitted point reads: the 598 that a 2x2 pair's
+    # rays admit.
     assert scoring[0] == "tick" and "fits" not in scoring
     scores_between_reads = "".join(e[0] for e in scoring).split("t")  # runs of "s"
     assert max(map(len, scores_between_reads)) <= 2
-    assert scoring.count("tick") > 100
+    assert scoring.count("tick") == reads == 1 + 598
     # Step 2: a read before each fits(), and no other work.
     assert checking == ["tick", "fits"] * (len(checking) // 2)
     assert len(checking) // 2 == len(kept)  # it stops at the cut
+    # Again, on the caps the first call kept: the tops at x = 297 and 298
+    # have 3 and 2 unit squares below their rays, under 0.8 of 4, and read
+    # no clock; the answer is the same.
+    log.clear()
+    assert expected_reads(state, 2, 2, 1) == reads - 2
+    assert state.ranked(2, 2, 1, 4, lambda: log.append("tick")) == kept
+    assert log[:log.index("fits") - 1].count("tick") == reads - 2
 
     def deadline_after(n):
         ticks = []
@@ -353,7 +416,7 @@ def test_scored_checks_the_clock_inside_its_loop():
     # One that runs out after the first fits() stops the second step there.
     log.clear()
     with pytest.raises(_Deadline):
-        state.ranked(2, 2, 1, 4, deadline_after(scoring.count("tick") + 1))
+        state.ranked(2, 2, 1, 4, deadline_after(expected_reads(state, 2, 2, 1) + 1))
     assert log.count("fits") == 1
 
 

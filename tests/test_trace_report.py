@@ -32,14 +32,36 @@ def test_reports_nodes_per_depth_and_each_incumbents_node(tmp_path, capsys):
     capsys.readouterr()
     assert trace_report.main([str(trace)]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert lines[0] == ["nodes", "7,", "skips", "1,", "prunes", "8,", "incumbents", "5"]
+    assert lines[0] == ["nodes", "7,", "empty", "1,", "skips", "1,", "prunes", "8,",
+                        "incumbents", "5"]
     assert (stats["nodes_expanded"], stats["nodes_pruned_by_bound"]) == (7, 8)
-    # depth, nodes, skips, prunes
-    assert lines[1] == ["depth", "nodes", "skips", "prunes"]
-    assert lines[2:6] == [["0", "3", "0", "2"], ["1", "1", "0", "5"], ["2", "2", "1", "1"],
-                          ["3", "1", "0", "0"]]
+    # depth, nodes, of them those that ranked nothing (c's), skips, prunes
+    assert lines[1] == ["depth", "nodes", "empty", "skips", "prunes"]
+    assert lines[2:6] == [["0", "3", "0", "0", "2"], ["1", "1", "0", "0", "5"],
+                          ["2", "2", "1", "1", "1"], ["3", "1", "0", "0", "0"]]
+    # skips in a row, openings that made them: the dive opens a, b, c (which
+    # skips to d on the same state) and e; roots b and c open once each.
+    assert lines[6] == ["chain", "openings"]
+    assert lines[7:9] == [["0", "5"], ["1", "1"]]
     # incumbent, the node that found it, its volume: the dive's four, then root c's
-    assert lines[6] == ["incumbent", "node", "volume"]
-    assert lines[7:] == [["1", "1", "9"], ["2", "2", "13"], ["3", "4", "17"], ["4", "5", "21"],
-                         ["5", "7", "32"]]
+    assert lines[9] == ["incumbent", "node", "volume"]
+    assert lines[10:] == [["1", "1", "9"], ["2", "2", "13"], ["3", "4", "17"], ["4", "5", "21"],
+                          ["5", "7", "32"]]
     assert json.loads(solution.read_text())["placed_volume"] == 32
+
+
+def test_a_chain_ends_where_an_opening_is_pruned_or_places():
+    # Two units skipped on one state, then a prune closes that opening; the
+    # next expand opens a state afresh even though the last event was a
+    # prune, and an opening that places ends its chain at 0.
+    def ev(kind, depth=1, **fields):
+        return json.dumps({"kind": kind, "depth": depth, **fields})
+
+    lines = [ev("expand", candidates=0), ev("skip"), ev("expand", candidates=0), ev("skip"),
+             ev("prune"), ev("expand", candidates=3), ev("place"),
+             ev("expand", 2, candidates=0), ev("skip", 2), ev("expand", 2, candidates=1)]
+    per_depth, chains, incumbents = trace_report.report(lines)
+    assert chains == {2: 1, 0: 1, 1: 1}
+    assert (per_depth[1]["expand"], per_depth[1]["empty"], per_depth[1]["skip"]) == (3, 2, 2)
+    assert (per_depth[2]["expand"], per_depth[2]["empty"]) == (2, 1)
+    assert incumbents == []
