@@ -7,11 +7,13 @@ side goes first per instance; the ``stability`` shape adds the paper's
 transport-stability rules, which no benchmark workload sets. Each solve
 stops at a fixed node count (the ``max_nodes`` parameter, so both trees
 must know it), not on the clock, so both sides should search the same
-tree. Prints nodes/s and total solve seconds per side and their B/A
-for each round, the median and interquartile range of each B/A over the
-rounds, and whether placements, nodes, prunes, ``candidates_evaluated``
-and volume match instance for instance in every round, naming each of
-those fields that does not, so a change to the stats alone reads as one. For
+tree. Prints nodes/s and total solve seconds per side, in CPU time
+(``time.process_time``: other processes on the machine do not inflate it
+as they do wall time), and their B/A for each round, the median and
+interquartile range of each B/A over the rounds, and whether placements,
+nodes, prunes, ``candidates_evaluated`` and volume match instance for
+instance in every round, naming each of those fields that does not, so a
+change to the stats alone reads as one. For
 a change that is meant to alter the tree, it also prints on how many
 instances B loads less, the same or more volume than A, and B's total
 volume over A's. For a change that opens fewer nodes, nodes/s measures
@@ -99,9 +101,9 @@ def solve_round(sides, texts_, first):
         for s in ((first, 1 - first) if i % 2 == 0 else (1 - first, first)):
             files, search = sides[s]
             inst = files.parse_instance(text)
-            started = time.perf_counter()
+            started = time.process_time()
             sol = search.solve(inst.units, inst.pallet, inst.params)
-            secs[s] += time.perf_counter() - started
+            secs[s] += time.process_time() - started
             st = sol.stats
             nodes[s] += st.nodes_expanded
             trees[s].append((

@@ -9,9 +9,9 @@ of Crainic, Perboli & Tadei, INFORMS J. Computing 20(3), 2008).
 
 Every answer is the same as the reference functions give on the
 equivalent ``PackingState``: the live map's points as those of
-``generate``'s that lie inside or under no box, ``fits`` as
-``feasibility.check_placement(...).feasible``, ``score`` as
-``scoring.evaluate``, float for float, and ``ranked`` as
+``generate``'s that lie inside or under no box and that some unit can
+take, ``fits`` as ``feasibility.check_placement(...).feasible``, ``score``
+as ``scoring.evaluate``, float for float, and ``ranked`` as
 ``scoring.rank_and_cut`` over ``scoring.scored_candidates``. Those
 functions stay the reference that the replay checker and the oracle use.
 
@@ -19,16 +19,24 @@ Units are loaded from above: no placed box whose top lies above a pair's
 z may overlap its footprint. So a point inside or under a box takes no
 pair, and stays so for as long as that box does. The state keeps only the
 live points, in one map across push and pop: per extreme point that lies
-inside or under no box, how far a ray runs from it along +x and along +y
-before it meets a box whose top lies above the point, or a pallet side,
-and how many box corners project onto it. A push moves the corners whose
-maxima it changes and adds the new box's; a point whose count falls to
-zero leaves, and a corner that lands on or leaves a covered point is not
-counted. The push drops the live points that now lie inside or under the
-new box and shortens the other rays against it; a point it adds runs
-against every box whose top lies above it. A pair longer than a ray
-overlaps the box the ray met, or leaves the pallet, so ``fits`` holds only
-where ``w <= ex`` and ``d <= ey``.
+inside or under no box and that some unit can take, how far a ray runs
+from it along +x and along +y before it meets a box whose top lies above
+the point, or a pallet side, how many box corners project onto it, and
+its support cap. The state is built with the shortest short side and the
+lowest height among the units: a point with a ray shorter than that side,
+or above the pallet height less that height, takes none of them. A push
+moves the corners whose maxima it changes and adds the new box's; a point
+whose count falls to zero leaves, and a corner that lands on or leaves a
+point with no entry is not counted. The push drops the live points that
+now lie inside or under the new box or whose rays it shortens below that
+side, and shortens the other rays against it; a point it adds runs
+against every box whose top lies above it, and is added only if some unit
+can take it. Rays only shorten while boxes are added and a point's z
+never changes, so a dropped point takes no unit until the pop that
+unwinds its drop; a corner that lands on it meanwhile makes it a new
+point, which is dropped again. A pair longer than a ray overlaps the box
+the ray met, or leaves the pallet, so ``fits`` holds only where
+``w <= ex`` and ``d <= ey``.
 
 Every change to the maxima and the live map goes into one undo journal of
 ``(container, key, old value)`` entries; a pop unwinds it to the mark its
@@ -47,10 +55,9 @@ node asks for a bound computes none. ``columns``, the sum over boxes of
 footprint times top, is never less than that volume and costs a push one
 product.
 
-``ranked`` is the one candidate loop, and it alone decides, from the
-number of boxes on the state, which fast paths the state takes. None of
-them changes an answer. It works in three steps. First it puts each (live
-point, orientation) pair of one unit to the cheap tests, in this order:
+``ranked`` is the one candidate loop, and none of its fast paths changes
+an answer. It works in three steps. First it puts each (live point,
+orientation) pair of one unit to the cheap tests, in this order:
 the pallet's ceiling, the rays (a point whose rays are shorter than the
 unit's short side takes neither pair), and above the gap the support cap
 and the support bound, and scores each pair that passes them. Each test
@@ -71,19 +78,20 @@ its rays' rectangle [x, x + ex) x [y, y + ey). A pair passes the rays only
 if its footprint lies inside that rectangle, so S is never less than the
 pair's sum, and S * den < num * w * d rejects both orientations of a w×d
 unit, and only pairs that the support bound rejects: the same pairs are
-scored. S depends on the unit only through that comparison, so it is kept
-for the next unit asked about at that point. From _CAP_BOXES (8) boxes,
-``ranked`` keeps S in the entry of z that holds the footprints below it,
-one slot per (x, y) with the rays S was taken for; a slot of other rays is
-a miss, and is overwritten. A miss takes S in a pass of its own, and a
-pair's sums only when S does not reject. The entry of z is dropped with
-its caps by every push or pop that changes its footprints, so a kept cap
-needs no other rule to stay exact. ``ranked`` reads the clock (``tick``)
-once per call, once per point that passes the rays and that no kept cap
-rejects, just before that point's work that grows with the boxes (a scan
-for the footprints below it, its cap on a miss, the bound, its scores),
-and once before each ``fits``. So no more than one O(n) step runs between
-two reads; a kept cap's reject is O(1), and reads none.
+scored. S depends on the unit only through that comparison, so ``ranked``
+keeps it in the point's live entry (None until it is taken) for the next
+unit asked about there, and writes it through the journal: the pop of the
+state's last box unwinds it. S stays exact while the point's rays and the
+footprints below z stay the same. A push that shortens a ray writes the
+entry anew with no cap, and a push whose box's top lies at t clears the
+caps at the heights [t, t + gap], whose footprints gain the box; the
+pop restores both. A point with no cap takes S in a pass of its own, and
+a pair's sums only when S does not reject. ``ranked`` reads the clock
+(``tick``) once per call, once per point that passes the rays and that no
+kept cap rejects, just before that point's work that grows with the boxes
+(a scan for the footprints below it, its cap if none is kept, the bound,
+its scores), and once before each ``fits``. So no more than one O(n) step
+runs between two reads; a kept cap's reject is O(1), and reads none.
 
 From _INDEX_BOXES (16) boxes, the state indexes its boxes on its first
 ``fits`` or ``score``, and keeps the index across push and pop until a pop
@@ -120,10 +128,10 @@ Point = tuple[int, int, int]
 Footprint = tuple[int, int, int, int]  # x, y, x2, y2
 # Far faces on one axis, ascending, and the indices of their boxes in the same order.
 Faces = tuple[list[int], list[int]]
-# The footprints below one height, and (None until ranked() keeps one) per
-# live point (x, y) there its rays (ex, ey) and support cap: the summed
-# overlaps of those footprints with the rays' rectangle.
-Below = tuple[list[Footprint], Optional[dict[tuple[int, int], tuple[int, int, int]]]]
+# A live point's rays (ex, ey), how many box corners project onto it, and
+# its support cap (None until ranked() takes it): the summed overlaps of the
+# footprints below its z with the rays' rectangle.
+Live = tuple[int, int, int, Optional[int]]
 _ABSENT = object()  # journal value of a key its container did not hold
 # A state with this many boxes indexes them for fits() and score().
 # Swept with the index kept across push and pop, on node-budgeted solves
@@ -136,15 +144,6 @@ _ABSENT = object()  # journal value of a key its container did not hold
 # runs anytime-deep at 0.44-0.48 and stability at 0.63-0.64; exact-small
 # never reaches 8 boxes.
 _INDEX_BOXES = 16
-# From this many boxes, ranked() keeps support caps. Fewer boxes keep an
-# entry of the footprints below a height for a push or two, so caps miss
-# about as often as they reject: exact-small reads 0.87 misses a call to
-# 0.35 rejects. Swept on node-budgeted solves of same_tree_ab.py's
-# instances (seeds 4-5, interleaved per instance, CPU time), as nodes/s over
-# a loop with neither caps nor the short-side ray test: 0, 4, 8 and 12 ran
-# exact-small at 0.970, 0.982, 0.996 and 0.994, and tight-bound at 1.144,
-# 1.159, 1.142 and 1.110.
-_CAP_BOXES = 8
 
 
 def _ratio(value: float) -> tuple[int, int]:
@@ -155,7 +154,11 @@ def _ratio(value: float) -> tuple[int, int]:
 class FlatState:
     """Boxes on the pallet in loading order, with their extreme points."""
 
-    def __init__(self, pallet: Pallet, params: SolverParams):
+    def __init__(self, pallet: Pallet, params: SolverParams, smallest: tuple[int, int]):
+        """``smallest``: the shortest short side (min of w and d) and the
+        lowest height among the units that will be asked about; a point
+        whose rays are shorter than that side, or that lies above the
+        pallet height less that height, takes none of them."""
         self.pallet = pallet
         self.boxes: list[Box] = []
         self.volume = 0
@@ -169,17 +172,18 @@ class FlatState:
         # Per box, the maxima of the projections xy, xz, yx, yz, zx, zy
         # (extreme_points.KINDS): the coordinate each corner slides back to.
         self._maxima: list[list[int]] = []
-        # Per extreme point inside or under no box, its runs (ex, ey) and how
-        # many box corners project onto it; on an empty pallet, the origin once.
-        self._live: dict[Point, tuple[int, int, int]] = {
-            (0, 0, 0): (pallet.width, pallet.depth, 1)}
+        # Per extreme point inside or under no box that some unit can take,
+        # its runs (ex, ey), how many box corners project onto it and its
+        # support cap; on an empty pallet, the origin once.
+        self._live: dict[Point, Live] = {(0, 0, 0): (pallet.width, pallet.depth, 1, None)}
+        self._short, low = smallest
+        self._top = pallet.max_height - low  # no unit fits on a point above it
         self._undo: list[tuple[object, object, object]] = []  # (container, key, old)
         self._marks: list[int] = []  # journal length per push
         # Per height z asked about, the footprints of the boxes whose tops lie
-        # in [z - gap, z] (_scan_below) and the support caps of the live
-        # points at z; a push or pop drops only the heights its box's top
-        # reaches (_drop_below).
-        self._below: dict[int, Below] = {}
+        # in [z - gap, z] (_scan_below); a push or pop drops only the heights
+        # its box's top reaches (_drop_below).
+        self._below: dict[int, list[Footprint]] = {}
         # Index of the boxes for fits() and score() (_build_index): built by the
         # first ask on a state of at least _INDEX_BOXES boxes, kept by push and
         # pop, dropped by a pop below that many. It gives fits() the boxes
@@ -269,10 +273,11 @@ class FlatState:
         # A corner counts where it lands on or leaves a live point; landings
         # go first, so a point that one corner leaves and another lands on
         # keeps its entry. A point with corners but no entry lies inside or
-        # under a box, and stays so until that box's pop, which first unwinds
-        # every later change. So a point with no entry that no box covers
-        # after this push had no corner before it: it is born with the
-        # corners that land on it.
+        # under a box, or no unit fits there (a ray only shortens while boxes
+        # are added), and stays so until the pop that unwinds its drop, which
+        # first unwinds every later change. So a point with no entry that
+        # this push leaves uncovered and some unit can take had no corner
+        # before it: it is born with the corners that land on it.
         live = self._live
         born: dict[Point, int] = {}
         for pt in came:
@@ -281,30 +286,40 @@ class FlatState:
                 born[pt] = born.get(pt, 0) + 1
             else:
                 undo.append((live, pt, entry))
-                live[pt] = (entry[0], entry[1], entry[2] + 1)
+                live[pt] = (entry[0], entry[1], entry[2] + 1, entry[3])
         for pt in left:
             entry = live.get(pt)
             if entry is not None:
                 undo.append((live, pt, entry))
                 if entry[2] > 1:
-                    live[pt] = (entry[0], entry[1], entry[2] - 1)
+                    live[pt] = (entry[0], entry[1], entry[2] - 1, entry[3])
                 else:
                     del live[pt]
         # A live point under the new box's top dies inside or under it, or
-        # its rays stop at it.
+        # its rays stop at it: it is dropped once a ray is shorter than every
+        # unit's short side, and a shorter ray takes no cap. The footprints
+        # below the heights [z2, z2 + gap] gain the new box's, so the caps
+        # there are cleared.
         dead = []
-        for pt, ray in live.items():
+        short, gap = self._short, self._gap
+        for pt, entry in live.items():
             px, py, pz = pt
             if pz < z2:
                 if y <= py < y2:
-                    if x <= px < x2:
+                    if x <= px < x2 or px < x and x - px < short:
                         dead.append(pt)
-                    elif px < x and x - px < ray[0]:
-                        undo.append((live, pt, ray))
-                        live[pt] = (x - px, ray[1], ray[2])
-                elif x <= px < x2 and py < y and y - py < ray[1]:
-                    undo.append((live, pt, ray))
-                    live[pt] = (ray[0], y - py, ray[2])
+                    elif px < x and x - px < entry[0]:
+                        undo.append((live, pt, entry))
+                        live[pt] = (x - px, entry[1], entry[2], None)
+                elif x <= px < x2 and py < y and y - py < entry[1]:
+                    if y - py < short:
+                        dead.append(pt)
+                    else:
+                        undo.append((live, pt, entry))
+                        live[pt] = (entry[0], y - py, entry[2], None)
+            elif pz <= z2 + gap and entry[3] is not None:
+                undo.append((live, pt, entry))
+                live[pt] = (entry[0], entry[1], entry[2], None)
         for pt in dead:
             undo.append((live, pt, live.pop(pt)))
         boxes = self.boxes
@@ -326,6 +341,8 @@ class FlatState:
         # A new point runs against every box whose top lies above it.
         for pt, n in born.items():
             px, py, pz = pt
+            if pz > self._top:
+                continue
             ex, ey = p.width - px, p.depth - py
             for bx, by, _, bx2, by2, bz2 in (
                     boxes if index is None else by_top[bisect_right(z_faces[0], pz):]):
@@ -338,8 +355,9 @@ class FlatState:
                     elif bx <= px < bx2 and py < by and by - py < ey:
                         ey = by - py
             else:
-                undo.append((live, pt, _ABSENT))
-                live[pt] = (ex, ey, n)
+                if ex >= short and ey >= short:
+                    undo.append((live, pt, _ABSENT))
+                    live[pt] = (ex, ey, n, None)
 
     def pop(self) -> None:
         """Remove the last pushed box and restore the state before it."""
@@ -378,17 +396,17 @@ class FlatState:
         A pair meets, in order: the ceiling; the rays (a box longer than a
         ray meets what the ray met); above the gap, the point's support cap
         (the summed overlaps of its rays' rectangle with the footprints
-        below its z, never less than the pair's own sum: kept from an
-        earlier call, or taken now from _CAP_BOXES boxes on) and the
-        support bound (the summed overlaps of its footprint with those
-        footprints, at least the supported area ``fits`` measures): each
-        must reach num/den of its footprint. Each pair that passes is
-        scored; the pairs are sorted, and ``fits`` is asked in that order
-        until ``cut`` pairs are kept. No test before ``fits`` rejects a
-        pair that ``fits`` accepts. ``tick`` is called once per call; once
-        per point that passes the rays and that no kept cap rejects,
-        before its work that grows with the number of boxes (a cap on a
-        miss, the sums, the scores); and once before each ``fits``."""
+        below its z, never less than the pair's own sum: kept in the
+        point's entry by an earlier call, or taken now) and the support
+        bound (the summed overlaps of its footprint with those footprints,
+        at least the supported area ``fits`` measures): each must reach
+        num/den of its footprint. Each pair that passes is scored; the
+        pairs are sorted, and ``fits`` is asked in that order until ``cut``
+        pairs are kept. No test before ``fits`` rejects a pair that
+        ``fits`` accepts. ``tick`` is called once per call; once per point
+        that passes the rays and that no kept cap rejects, before its work
+        that grows with the number of boxes (a cap not yet taken, the sums,
+        the scores); and once before each ``fits``."""
         tick()
         score = self.score
         ceiling = self.pallet.max_height - h
@@ -397,9 +415,9 @@ class FlatState:
         num, den = self._vertical
         need = num * w * d
         pairs: list[Ranked] = []
-        capped = len(self.boxes) >= _CAP_BOXES
+        live, undo = self._live, self._undo
         short = w if w < d else d
-        for (x, y, z), (ex, ey, _) in self._live.items():
+        for (x, y, z), (ex, ey, n, cap) in live.items():
             if z > ceiling or ex < short or ey < short:
                 continue
             flat = w <= ex and d <= ey
@@ -407,31 +425,27 @@ class FlatState:
             if not (flat or turned):
                 continue
             if num and z > gap:
-                entry = cache.get(z)
-                cap = entry[1].get((x, y)) if capped and entry and entry[1] else None
-                if cap is not None and cap[0] == ex and cap[1] == ey:
-                    if cap[2] * den < need:  # neither pair is supported
+                if cap is not None and cap * den < need:
+                    continue  # neither pair is supported
+                tick()
+                below = cache.get(z)
+                if below is None:
+                    below = self._scan_below(z)
+                if cap is None:
+                    # The support cap: the overlaps of the rays' rectangle
+                    # (x..rx, y..ry), which holds both pairs; kept until the
+                    # pop of the state's last box, a push that adds a
+                    # footprint below z, or one that shortens a ray.
+                    rx, ry = x + ex, y + ey
+                    cap = 0
+                    for bx, by, bx2, by2 in below:
+                        if x < bx2 and y < by2 and bx < rx and by < ry:
+                            cap += (((rx if rx < bx2 else bx2) - (bx if bx > x else x))
+                                    * ((ry if ry < by2 else by2) - (by if by > y else y)))
+                    undo.append((live, (x, y, z), (ex, ey, n, None)))
+                    live[x, y, z] = ex, ey, n, cap
+                    if cap * den < need:
                         continue
-                    tick()
-                    below = entry[0]
-                else:
-                    tick()
-                    below, caps = entry or self._scan_below(z)
-                    if capped:
-                        # The support cap: the overlaps of the rays'
-                        # rectangle (x..rx, y..ry), which holds both pairs.
-                        rx, ry = x + ex, y + ey
-                        cap = 0
-                        for bx, by, bx2, by2 in below:
-                            if x < bx2 and y < by2 and bx < rx and by < ry:
-                                cap += (((rx if rx < bx2 else bx2) - (bx if bx > x else x))
-                                        * ((ry if ry < by2 else by2) - (by if by > y else y)))
-                        if caps is None:
-                            caps = {}
-                            cache[z] = below, caps
-                        caps[x, y] = ex, ey, cap
-                        if cap * den < need:
-                            continue
                 # The overlaps of the flat (x..fx, y..fy) and the turned
                 # (x..tx, y..ty) footprint, summed in one pass.
                 fx, fy, tx, ty = x + w, y + d, x + d, y + w
@@ -478,7 +492,9 @@ class FlatState:
         gap = self._gap
         num, den = self._vertical
         if num and z > gap:
-            below = (self._below.get(z) or self._scan_below(z))[0]
+            below = self._below.get(z)
+            if below is None:
+                below = self._scan_below(z)
             rects = [
                 (max(x, bx), max(y, by), min(x2, bx2), min(y2, by2))
                 for bx, by, bx2, by2 in below
@@ -515,22 +531,21 @@ class FlatState:
                 return False
         return True
 
-    def _scan_below(self, z: int) -> Below:
-        """The footprints of the boxes whose tops lie in [z - gap, z], with
-        no caps yet, kept until a push or pop of a box whose top lies there."""
+    def _scan_below(self, z: int) -> list[Footprint]:
+        """The footprints of the boxes whose tops lie in [z - gap, z], kept
+        until a push or pop of a box whose top lies there."""
         lo = z - self._gap
         boxes = self.boxes
         if self._index is not None:  # only the boxes whose tops lie in [lo, z]
             by_top, (tops, _), _, _ = self._index
             boxes = by_top[bisect_left(tops, lo):bisect_right(tops, z)]
-        entry = self._below[z] = [(b[0], b[1], b[3], b[4]) for b in boxes
-                                  if lo <= b[5] <= z], None
-        return entry
+        below = self._below[z] = [(b[0], b[1], b[3], b[4]) for b in boxes if lo <= b[5] <= z]
+        return below
 
     def _drop_below(self, top: int) -> None:
-        """Drop the kept footprints and caps of the heights a box whose top
-        lies at ``top`` belongs to, [top, top + gap]: a walk over those
-        heights or over the kept ones, whichever is shorter."""
+        """Drop the kept footprints of the heights a box whose top lies at
+        ``top`` belongs to, [top, top + gap]: a walk over those heights or
+        over the kept ones, whichever is shorter."""
         cache = self._below
         gap = self._gap
         if gap < len(cache):

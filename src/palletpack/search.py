@@ -113,7 +113,9 @@ class _Searcher:
         self.params = params
         # Takes each event as it happens; without it, no event is built.
         self.on_event = on_event
-        self.state = FlatState(pallet, params)
+        # The state drops the points that no unit can take: see FlatState.
+        self.state = FlatState(pallet, params, (min(min(u.dims.w, u.dims.d) for u in units),
+                                                min(u.dims.h for u in units)))
         # The state's boxes as (unit, position, rotated), and the placements
         # of a prefix of them, built only when an incumbent first holds them.
         self.placed: list[tuple[TransportUnit, tuple[int, int, int], bool]] = []

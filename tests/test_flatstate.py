@@ -93,7 +93,7 @@ def drive(data, check, params=None) -> None:
     )
     side = st.integers(1, 5)
     units = data.draw(st.lists(st.tuples(side, side, side), min_size=1, max_size=3))
-    state = FlatState(pallet, params)
+    state = FlatState(pallet, params, (0, 0))
     check(state, params, units)
     for _ in range(data.draw(st.integers(1, 14))):
         if state.boxes and data.draw(st.integers(0, 3)) == 0:
@@ -131,7 +131,8 @@ def inside_or_under(pos, box) -> bool:
 
 def scratch_live(state: FlatState) -> dict:
     """The live map computed from scratch: every candidate against every
-    box whose top lies above it, with the corners counted from the maxima."""
+    box whose top lies above it, with the corners counted from the maxima,
+    and no support cap taken."""
     p = state.pallet
     counts = corner_counts(state)
     live = {}
@@ -148,32 +149,21 @@ def scratch_live(state: FlatState) -> dict:
             elif bx <= x < bx2 and y < by and by - y < ey:
                 ey = by - y
         else:
-            live[(x, y, z)] = (ex, ey, counts[(x, y, z)])
+            live[(x, y, z)] = (ex, ey, counts[(x, y, z)], None)
     return live
-
-
-def kept_cap(state: FlatState, pt) -> "int | None":
-    """The support cap kept for the live point ``pt`` under its current
-    rays, or None."""
-    entry = state._below.get(pt[2])
-    slot = entry[1].get(pt[:2]) if entry and entry[1] else None
-    return slot[2] if slot and slot[:2] == state._live[pt][:2] else None
 
 
 def expected_reads(state: FlatState, w, d, h) -> int:
     """The clock reads of a ranked() call for a w×d×h unit before its
     fits(): one per call, then one per live point under the ceiling whose
-    rays admit one of the unit's pairs, unless a kept cap rejects both; a
-    state of fewer than _CAP_BOXES boxes reads no cap."""
+    rays admit one of the unit's pairs, unless a kept cap rejects both."""
     num, den = state._vertical
-    if len(state.boxes) < flatstate._CAP_BOXES:
-        num = 0
     reads = 1
-    for pt, (ex, ey, _) in state._live.items():
+    for pt, (ex, ey, _, cap) in state._live.items():
         if pt[2] + h > state.pallet.max_height or not (
                 w <= ex and d <= ey or d <= ex and w <= ey):
             continue
-        cap = kept_cap(state, pt) if num and pt[2] > state._gap else None
+        cap = cap if num and pt[2] > state._gap else None
         reads += cap is None or cap * den >= num * w * d
     return reads
 
@@ -196,16 +186,16 @@ def assert_live_map_sound(state: FlatState, params: SolverParams, units) -> None
         answers.append(state.ranked(w, d, h, 10**6, lambda: ticks.append(1)))
         assert len(ticks) == reads + state.pairs_scored - scored
     assert answers[0] == answers[1]
-    capped = state._vertical[0] and len(state.boxes) >= flatstate._CAP_BOXES
-    for pt, (ex, ey, _) in live.items():
+    capped = state._vertical[0]
+    for pt, (ex, ey, _, cap) in live.items():
         if (capped and pt[2] > state._gap and pt[2] + h <= state.pallet.max_height
                 and (w <= ex and d <= ey or d <= ex and w <= ey)):
-            assert kept_cap(state, pt) is not None
+            assert cap is not None
     for pos in candidates(state):
         if pos not in live:
             assert any(inside_or_under(pos, box) for box in state.boxes)
             continue
-        ex, ey, _ = live[pos]
+        ex, ey, _, _ = live[pos]
         for w, d, h in units:
             for dw, dd in ((w, d), (d, w)):
                 if state.fits(*pos, dw, dd, h):
@@ -215,12 +205,7 @@ def assert_live_map_sound(state: FlatState, params: SolverParams, units) -> None
 @settings(max_examples=300)
 @given(st.data())
 def test_free_rays_reject_only_what_fits_rejects(data):
-    # Support caps are kept on every state, or from the default _CAP_BOXES,
-    # which drive() reaches on some states only.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flatstate, "_CAP_BOXES",
-                   data.draw(st.sampled_from([0, flatstate._CAP_BOXES])))
-        drive(data, assert_live_map_sound)
+    drive(data, assert_live_map_sound)
 
 
 def scanned_below(state: FlatState, z: int) -> list:
@@ -258,8 +243,7 @@ def test_support_bound_admits_every_pair_that_fits():
             if z <= params.gap_tolerance:
                 continue
             below = scanned_below(state, z)
-            ex, ey, _ = state._live.get((x, y, z), (0, 0, 0))
-            cap = kept_cap(state, (x, y, z)) if ex else None
+            ex, ey, _, cap = state._live.get((x, y, z), (0, 0, 0, None))
             for w, d, h in units:
                 for dw, dd in ((w, d), (d, w)):
                     total = overlap_sum(below, x, y, x + dw, y + dd)
@@ -278,7 +262,8 @@ def test_support_bound_admits_every_pair_that_fits():
         gap = data.draw(st.integers(2, 3))
         params = SolverParams(vertical_support_min=data.draw(st.sampled_from(nonzero)),
                               gap_tolerance=gap)
-        state = FlatState(Pallet(*(data.draw(st.integers(3, 12)) for _ in range(3))), params)
+        state = FlatState(Pallet(*(data.draw(st.integers(3, 12)) for _ in range(3))), params,
+                          (0, 0))
         side = st.integers(1, 5)
         units = data.draw(st.lists(st.tuples(side, side, side), min_size=1, max_size=3))
         for _ in range(data.draw(st.integers(1, 10))):
@@ -291,9 +276,7 @@ def test_support_bound_admits_every_pair_that_fits():
                 state.push(x, y, z, w, d, h)
                 check(state, params, units)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flatstate, "_CAP_BOXES", 0)  # caps on every state
-        run()
+    run()
     assert overcounted > 0
 
 
@@ -303,7 +286,7 @@ def test_support_bound_is_not_exact():
     # their overlaps sum to its area while their union covers half of it.
     # The bound admits the pair; fits rejects it.
     params = SolverParams(vertical_support_min=1.0, gap_tolerance=1)
-    state = FlatState(Pallet(8, 1, 10), params)
+    state = FlatState(Pallet(8, 1, 10), params, (0, 0))
     state.push(0, 0, 0, 4, 1, 2)
     state.push(0, 0, 2, 4, 1, 1)
     assert overlap_sum(scanned_below(state, 3), 0, 0, 8, 1) == 8
@@ -321,20 +304,22 @@ def test_support_bound_is_not_exact():
 @given(st.data())
 def test_below_cache_matches_a_fresh_scan(index_boxes, data):
     # Each height's footprints, kept across pushes and pops of boxes whose
-    # tops lie elsewhere, must be those a scan of the boxes finds, down to
-    # an empty pallet again.
+    # tops lie elsewhere, must be those a scan of the boxes finds, and so
+    # must the footprints under each support cap kept in a live entry across
+    # pushes and pops, down to an empty pallet again.
     pallet = Pallet(*(data.draw(st.integers(3, 12)) for _ in range(3)))
     params = SolverParams(vertical_support_min=data.draw(st.sampled_from(THRESHOLDS[1:])),
                           gap_tolerance=data.draw(st.integers(0, 3)))
-    state = FlatState(pallet, params)
+    state = FlatState(pallet, params, (0, 0))
     side = st.integers(1, 5)
 
     def check():
-        # Each kept support cap is the summed overlaps of the height's
-        # footprints with the rectangle of the rays it was kept for.
-        for z, (below, caps) in state._below.items():
+        # Each kept support cap is the summed overlaps of the footprints
+        # below its point's height with the rectangle of the point's rays.
+        for z, below in state._below.items():
             assert sorted(below) == sorted(scanned_below(state, z))
-            for (x, y), (ex, ey, cap) in (caps or {}).items():
+        for (x, y, z), (ex, ey, _, cap) in state._live.items():
+            if cap is not None:
                 assert cap == overlap_sum(scanned_below(state, z), x, y, x + ex, y + ey)
         # Ask about more heights: fits() at each, and ranked() at the live points.
         for z in data.draw(st.sets(st.integers(0, pallet.max_height - 1))):
@@ -343,7 +328,6 @@ def test_below_cache_matches_a_fresh_scan(index_boxes, data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flatstate, "_INDEX_BOXES", index_boxes)
-        mp.setattr(flatstate, "_CAP_BOXES", 0)  # caps on every state
         check()
         for _ in range(data.draw(st.integers(1, 12))):
             points = candidates(state)
@@ -365,9 +349,9 @@ def test_scored_checks_the_clock_inside_its_loop():
     # 300 unit cubes in a row on the floor: 600 live points, on their tops
     # and in front of them, most of which pass the rays of a 2x2x1 unit.
     # ranked reads the clock once per call, then once per admitted point
-    # that no kept cap rejects, before its support cap (on a miss), sums
-    # and scores, then once before each fits().
-    state = FlatState(Pallet(300, 4, 10), SolverParams())
+    # that no kept cap rejects, before its support cap (if none is kept),
+    # sums and scores, then once before each fits().
+    state = FlatState(Pallet(300, 4, 10), SolverParams(), (0, 0))
     for x in range(300):
         state.push(x, 0, 0, 1, 1, 1)
     assert len(state._live) == 600 and not state._below
@@ -434,9 +418,52 @@ def test_free_rays_match_a_computation_from_scratch(data):
     drive(data, assert_maps_match_scratch)
 
 
+def synced(twin: FlatState, state: FlatState) -> None:
+    """Pop ``twin`` back to the boxes it shares with ``state``, then push
+    the rest of ``state``'s boxes onto it."""
+    while twin.boxes != state.boxes[:len(twin.boxes)]:
+        twin.pop()
+    for x, y, z, x2, y2, z2 in state.boxes[len(twin.boxes):]:
+        twin.push(x, y, z, x2 - x, y2 - y, z2 - z)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_dropping_points_no_unit_can_take_changes_no_ranking(data):
+    # A twin built with the units' shortest short side and lowest height,
+    # taken through the same pushes and pops as a state that drops no
+    # point: it keeps a subset of the state's entries with the same rays
+    # and corner counts, drops only points whose rays are shorter than that
+    # side or that lie above the pallet height less that height, and ranks
+    # every unit as the state does, scoring as many pairs.
+    twin = None
+
+    def check(state, params, units):
+        nonlocal twin
+        short = min(min(w, d) for w, d, _ in units)
+        low = min(h for _, _, h in units)
+        if twin is None:
+            twin = FlatState(state.pallet, params, (short, low))
+        synced(twin, state)
+        assert twin._live.keys() <= state._live.keys()
+        for pt, (ex, ey, n, _) in state._live.items():
+            if pt in twin._live:
+                assert twin._live[pt][:3] == (ex, ey, n)
+            else:
+                assert ex < short or ey < short or pt[2] > state.pallet.max_height - low
+        for w, d, h in units:
+            for cut in (1, 10**6):
+                scored = state.pairs_scored, twin.pairs_scored
+                assert (twin.ranked(w, d, h, cut, lambda: None)
+                        == state.ranked(w, d, h, cut, lambda: None))
+                assert twin.pairs_scored - scored[1] == state.pairs_scored - scored[0]
+
+    drive(data, check)
+
+
 def journaled(state: FlatState):
-    """Everything a pop must restore: the live map, the maxima of every
-    box, the volume and the columns."""
+    """Everything a pop must restore: the live map with its support caps,
+    the maxima of every box, the volume and the columns."""
     return (dict(state._live), [list(m) for m in state._maxima], state.volume,
             state.columns)
 
@@ -469,7 +496,10 @@ def test_pop_restores_the_journaled_state(data):
     # saved[k]: the state at depth k just before the push to depth k + 1.
     # The unused volume is asked for at some depths only, so pushes run past
     # the envelope volumes computed so far and pops cut below them. The
-    # columns never leave more room than the unused volume.
+    # columns never leave more room than the unused volume. A unit drawn at
+    # each step is ranked before the state is saved, so the caps it keeps
+    # must come back with the pop of every deeper box, and those a deeper
+    # state keeps for another unit must go with it.
     saved = []
 
     def check(state, params, units):
@@ -481,6 +511,7 @@ def test_pop_restores_the_journaled_state(data):
             assert state.unused_volume() == unused
         if depth < len(saved):  # back from depth + 1 by a pop
             assert journaled(state) == saved[depth]
+        state.ranked(*data.draw(st.sampled_from(units)), 10**6, lambda: None)
         saved[depth:] = [journaled(state)]
 
     drive(data, check)
@@ -520,28 +551,28 @@ def test_layers_answer_every_height_at_one_z(index_boxes, data):
 
 
 def test_free_rays_stop_at_the_first_box_and_skip_covered_points():
-    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
+    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0), (0, 0))
     state.push(0, 0, 0, 4, 10, 2)  # a slab along y
     state.push(4, 0, 0, 3, 3, 3)  # beside it, touching at x = 4
     assert (4, 0, 0) in candidates(state)  # the slab's corner ...
     assert (4, 0, 0) not in state._live  # ... is the second box's own corner
-    assert state._live[(4, 3, 0)] == (6, 7, 2)  # in front of the second box
-    assert state._live[(0, 0, 2)] == (4, 10, 2)  # on the slab, runs into the box's side
+    assert state._live[(4, 3, 0)] == (6, 7, 2, None)  # in front of the second box
+    assert state._live[(0, 0, 2)] == (4, 10, 2, None)  # on the slab, runs into the box's side
 
 
 def test_a_point_under_an_overhang_is_dropped_and_blocks_no_ray_below_its_top():
-    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
+    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0), (0, 0))
     state.push(0, 0, 0, 2, 2, 2)
     state.push(0, 0, 2, 6, 2, 1)  # a bridge over x = 2..6
     assert (2, 0, 0) in candidates(state)  # the first box's corner ...
     assert (2, 0, 0) not in state._live  # ... now lies under the bridge
     assert not state.fits(2, 0, 0, 1, 1, 1)  # nothing goes under the bridge
-    assert state._live[(0, 2, 0)] == (10, 8, 3)
+    assert state._live[(0, 2, 0)] == (10, 8, 3, None)
     # A ray at the bridge's top runs over it; one below stops at a box
     # whose top lies above the point, however high its bottom.
-    assert state._live[(0, 0, 3)] == (10, 10, 2)
+    assert state._live[(0, 0, 3)] == (10, 10, 2, None)
     state.push(7, 0, 5, 2, 2, 2)  # floating at x = 7..9, from z = 5
-    assert state._live[(0, 0, 3)] == (7, 10, 2)
+    assert state._live[(0, 0, 3)] == (7, 10, 2, None)
     assert state.fits(0, 0, 3, 7, 2, 1) and not state.fits(0, 0, 3, 8, 2, 1)
 
 
@@ -549,22 +580,22 @@ def test_a_candidate_that_comes_back_is_run_against_the_boxes_pushed_meanwhile()
     # (3, 0, 0), a corner of the first box, stops being a candidate when the
     # second box goes down across its +y ray, and comes back as a corner of
     # the third box. Its ray must stop at the second box.
-    state = FlatState(Pallet(6, 11, 11), SolverParams(vertical_support_min=0.0))
+    state = FlatState(Pallet(6, 11, 11), SolverParams(vertical_support_min=0.0), (0, 0))
     present = []
     for box in [(1, 0, 3, 2, 5, 5), (1, 5, 0, 5, 3, 2), (1, 0, 0, 2, 4, 2)]:
         state.push(*box)
         present.append((3, 0, 0) in candidates(state))
         assert state._live == scratch_live(state)
     assert present == [True, False, True]
-    assert state._live[(3, 0, 0)] == (3, 5, 2)
+    assert state._live[(3, 0, 0)] == (3, 5, 2, None)
 
 
 
 def test_a_corner_that_lands_on_a_covered_point_leaves_no_entry():
-    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
+    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0), (0, 0))
     state.push(0, 0, 0, 2, 2, 2)
     before = state._live[(2, 0, 0)]
-    assert before == (8, 10, 2)  # two of the box's corners project onto it
+    assert before == (8, 10, 2, None)  # two of the box's corners project onto it
     state.push(2, 0, 0, 2, 2, 3)  # a box on that point
     assert (2, 0, 0) not in state._live
     counted = corner_counts(state)[(2, 0, 0)]
@@ -590,7 +621,7 @@ BASE = {"vertical_support_min": 0.0, "horizontal_support_min_x": 0.0,
 @pytest.mark.parametrize("threshold,feasible", [(0.7, True), (0.71, False), (0.69, True)])
 def test_support_exactly_on_threshold(field, gap, boxes, pos, dims, threshold, feasible):
     params = SolverParams(**{**BASE, field: threshold}, gap_tolerance=gap)
-    state = FlatState(Pallet(12, 12, 12), params)
+    state = FlatState(Pallet(12, 12, 12), params, (0, 0))
     for box in boxes:
         state.push(*box)
     ref = reference_state(state)
@@ -599,7 +630,7 @@ def test_support_exactly_on_threshold(field, gap, boxes, pos, dims, threshold, f
 
 
 def test_pop_restores_candidates_after_deep_pushes():
-    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0))
+    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0), (0, 0))
     seen = []
     for x in range(0, 10, 2):
         seen.append((corner_counts(state), dict(state._live)))
@@ -616,7 +647,7 @@ def test_score_sums_in_reference_set_order():
     # from the same terms added in index order.
     rng = random.Random(0)
     params = SolverParams(vertical_support_min=0.0)
-    state = FlatState(Pallet(40, 40, 8), params)
+    state = FlatState(Pallet(40, 40, 8), params, (0, 0))
     while len(state.boxes) < 30:
         x, y, z = rng.choice(candidates(state))
         w, d, h = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 4)
@@ -633,7 +664,7 @@ def test_indexed_score_fills_colliding_sets_in_index_order(monkeypatch):
     # score's last bit differs.
     monkeypatch.setattr(flatstate, "_INDEX_BOXES", 0)
     params = SolverParams(vertical_support_min=0.0, p_x=2, p_y=2, p_z=2)
-    state = FlatState(Pallet(24, 24, 8), params)
+    state = FlatState(Pallet(24, 24, 8), params, (0, 0))
     for x, y, z, x2, y2, z2 in [
         (0, 0, 0, 3, 6, 3), (0, 6, 0, 6, 12, 2), (0, 6, 2, 6, 9, 4), (6, 6, 0, 10, 13, 1),
         (0, 0, 4, 1, 7, 7), (10, 0, 0, 15, 3, 1), (6, 3, 2, 9, 6, 5), (9, 3, 1, 11, 6, 5),
