@@ -15,28 +15,28 @@ as ``scoring.evaluate``, float for float, and ``ranked`` as
 ``scoring.rank_and_cut`` over ``scoring.scored_candidates``. Those
 functions stay the reference that the replay checker and the oracle use.
 
-Units are loaded from above: no placed box whose top lies above a pair's
-z may overlap its footprint. So a point inside or under a box takes no
-pair, and stays so for as long as that box does. The state keeps only the
-live points, in one map across push and pop: per extreme point that lies
-inside or under no box and that some unit can take, how far a ray runs
-from it along +x and along +y before it meets a box whose top lies above
-the point, or a pallet side, how many box corners project onto it, and
-its support cap. The state is built with the shortest short side and the
-lowest height among the units: a point with a ray shorter than that side,
-or above the pallet height less that height, takes none of them. A push
-moves the corners whose maxima it changes and adds the new box's; a point
-whose count falls to zero leaves, and a corner that lands on or leaves a
-point with no entry is not counted. The push drops the live points that
-now lie inside or under the new box or whose rays it shortens below that
-side, and shortens the other rays against it; a point it adds runs
-against every box whose top lies above it, and is added only if some unit
-can take it. Rays only shorten while boxes are added and a point's z
-never changes, so a dropped point takes no unit until the pop that
-unwinds its drop; a corner that lands on it meanwhile makes it a new
-point, which is dropped again. A pair longer than a ray overlaps the box
-the ray met, or leaves the pallet, so ``fits`` holds only where
-``w <= ex`` and ``d <= ey``.
+Units are loaded from above: no placed box whose top lies above a pair's z
+may overlap its footprint. So a point inside or under a box takes no pair,
+and stays so for as long as that box does. The state keeps only the live
+points, in one map across push and pop: per extreme point that lies inside
+or under no box and that some unit can take, how far a ray runs from it
+along +x and along +y before it meets a box whose top lies above the
+point, or a pallet side, how many box corners project onto it, and its
+support cap. The state is built with the units' dims, and takes their
+shortest short side and lowest height: a point with a ray shorter than
+that side, or above the pallet height less that height, takes none of
+them. A push moves the corners whose maxima it changes and adds the new
+box's; a point whose count falls to zero leaves, and a corner that lands
+on or leaves a point with no entry is not counted. The push drops the live
+points that now lie inside or under the new box or whose rays it shortens
+below that side, and shortens the other rays against it; a point it adds
+runs against every box whose top lies above it, and is added only if some
+unit can take it. Rays only shorten while boxes are added and a point's z
+never changes, so a dropped point takes no unit until the pop that unwinds
+its drop; a corner that lands on it meanwhile makes it a new point, which
+is dropped again. A pair longer than a ray overlaps the box the ray met,
+or leaves the pallet, so ``fits`` holds only where ``w <= ex`` and
+``d <= ey``.
 
 Every change to the maxima and the live map goes into one undo journal of
 ``(container, key, old value)`` entries; a pop unwinds it to the mark its
@@ -58,8 +58,7 @@ product.
 ``ranked`` is the one candidate loop, and none of its fast paths changes
 an answer. It works in three steps. First it puts each (live point,
 orientation) pair of one unit to the cheap tests, in this order:
-the pallet's ceiling, the rays (a point whose rays are shorter than the
-unit's short side takes neither pair), and above the gap the support cap
+the pallet's ceiling, the rays, and above the gap the support cap
 and the support bound, and scores each pair that passes them. Each test
 rejects only pairs that ``fits`` rejects. The support bound sums the areas
 in which the pair's footprint overlaps each footprint below its z (the
@@ -93,11 +92,12 @@ kept cap rejects, just before that point's work that grows with the boxes
 its scores), and once before each ``fits``. So no more than one O(n) step
 runs between two reads; a kept cap's reject is O(1), and reads none.
 
-From _INDEX_BOXES (16) boxes, the state indexes its boxes on its first
-``fits`` or ``score``, and keeps the index across push and pop until a pop
-takes it below that many boxes. Per far face z2, x2 and y2, the index holds
-the faces in ascending order with their box indices alongside, and it holds
-the boxes themselves in the order of their tops. A push inserts the new box
+The state picks its fast paths once, from the number of units it is built
+with: with at least _INDEX_UNITS (16), it indexes its boxes from the first
+push, and every push and pop keeps the index; with fewer, it has no index
+and scans its boxes. Per far face z2, x2 and y2, the index holds the faces
+in ascending order with their box indices alongside, and it holds the
+boxes themselves in the order of their tops. A push inserts the new box
 after its equal faces and its pop deletes it from there: it has the highest
 index, so equal faces stay in ascending index order, as a fresh sort leaves
 them. On an indexed state, ``fits`` takes the boxes above z, a push runs
@@ -117,10 +117,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .feasibility import rect_union_area, support_threshold
-from .model import Pallet, SolverParams
+from .model import Dims, Pallet, SolverParams
 from .scoring import DISTANCE_CLAMP, Ranked
 
 Box = tuple[int, int, int, int, int, int]  # x, y, z, x2, y2, z2
@@ -133,17 +133,15 @@ Faces = tuple[list[int], list[int]]
 # footprints below its z with the rays' rectangle.
 Live = tuple[int, int, int, Optional[int]]
 _ABSENT = object()  # journal value of a key its container did not hold
-# A state with this many boxes indexes them for fits() and score().
-# Swept with the index kept across push and pop, on node-budgeted solves
-# (the same tree either way), as nodes/s over this threshold's
-# (same_tree_ab.py, seeds 4-6, 2 rounds each, in both orientations): 8 and
-# 12 ran tight-bound, whose low pallet keeps most boxes in any layer, at
-# 0.97-0.99 and 0.96-0.97, though stability at 1.03-1.05; 24 ran
-# anytime-deep at 0.98 and 0.98 and stability at 0.95-1.00 (quartile ranges
-# up to 0.19), so each is slower than 16 on some shape. At 16, no index
-# runs anytime-deep at 0.44-0.48 and stability at 0.63-0.64; exact-small
-# never reaches 8 boxes.
-_INDEX_BOXES = 16
+# A state built with this many units indexes its boxes for fits() and
+# score() from its first push; one built with fewer never does. Benchmark
+# instances have 6, 40 or 150 units, so any threshold from 7 to 40 picks
+# the same paths. Measured as nodes/s against no index on node-budgeted
+# solves (same_tree_ab.py, seeds 4-6, 2 rounds each, in both orientations;
+# the same tree either way): the index runs anytime-deep at 2.3-2.5x,
+# stability at 1.6x and tight-bound at 0.996-1.001, and exact-small, which
+# never has more than 6 boxes, at 0.964-0.967.
+_INDEX_UNITS = 16
 
 
 def _ratio(value: float) -> tuple[int, int]:
@@ -154,11 +152,12 @@ def _ratio(value: float) -> tuple[int, int]:
 class FlatState:
     """Boxes on the pallet in loading order, with their extreme points."""
 
-    def __init__(self, pallet: Pallet, params: SolverParams, smallest: tuple[int, int]):
-        """``smallest``: the shortest short side (min of w and d) and the
-        lowest height among the units that will be asked about; a point
-        whose rays are shorter than that side, or that lies above the
-        pallet height less that height, takes none of them."""
+    def __init__(self, pallet: Pallet, params: SolverParams, units: Sequence[Dims]):
+        """``units``: the dims of the units that will be asked about. A
+        point whose rays are shorter than their shortest short side (min of
+        w and d), or that lies above the pallet height less their lowest
+        height, takes none of them; with at least ``_INDEX_UNITS`` of them,
+        the state indexes its boxes from the first push, and else never."""
         self.pallet = pallet
         self.boxes: list[Box] = []
         self.volume = 0
@@ -176,20 +175,21 @@ class FlatState:
         # its runs (ex, ey), how many box corners project onto it and its
         # support cap; on an empty pallet, the origin once.
         self._live: dict[Point, Live] = {(0, 0, 0): (pallet.width, pallet.depth, 1, None)}
-        self._short, low = smallest
-        self._top = pallet.max_height - low  # no unit fits on a point above it
+        self._short = min(min(u.w, u.d) for u in units)
+        self._top = pallet.max_height - min(u.h for u in units)  # no unit fits above it
         self._undo: list[tuple[object, object, object]] = []  # (container, key, old)
         self._marks: list[int] = []  # journal length per push
         # Per height z asked about, the footprints of the boxes whose tops lie
         # in [z - gap, z] (_scan_below); a push or pop drops only the heights
         # its box's top reaches (_drop_below).
         self._below: dict[int, list[Footprint]] = {}
-        # Index of the boxes for fits() and score() (_build_index): built by the
-        # first ask on a state of at least _INDEX_BOXES boxes, kept by push and
-        # pop, dropped by a pop below that many. It gives fits() the boxes
-        # above z in top order, not box order; fits() answers the same either
-        # way (any-tests, exact areas).
-        self._index: Optional[tuple[list[Box], Faces, Faces, Faces]] = None
+        # Index of the boxes for fits() and score(), kept by every push and
+        # pop: the boxes in the order of their tops, and the far faces z2, x2
+        # and y2, each ascending with their box indices. It gives fits() the
+        # boxes above z in top order, not box order; fits() answers the same
+        # either way (any-tests, exact areas).
+        self._index: Optional[tuple[list[Box], Faces, Faces, Faces]] = (
+            ([], ([], []), ([], []), ([], [])) if len(units) >= _INDEX_UNITS else None)
         # Pairs that ranked() has scored, over every call so far.
         self.pairs_scored = 0
         self._gap = params.gap_tolerance
@@ -332,12 +332,18 @@ class FlatState:
         if index is not None:
             # The new box has the highest index: inserted after its equal
             # faces, it keeps them in ascending box order.
-            by_top, z_faces, x_faces, y_faces = index
-            by_top.insert(bisect_right(z_faces[0], z2), boxes[-1])
-            for (values, ids), v in ((z_faces, z2), (x_faces, x2), (y_faces, y2)):
-                i = bisect_right(values, v)
-                values.insert(i, v)
-                ids.insert(i, len(boxes) - 1)
+            by_top, (zs, z_ids), (xs, x_ids), (ys, y_ids) = index
+            k = len(boxes) - 1
+            i = bisect_right(zs, z2)
+            by_top.insert(i, boxes[k])
+            zs.insert(i, z2)
+            z_ids.insert(i, k)
+            i = bisect_right(xs, x2)
+            xs.insert(i, x2)
+            x_ids.insert(i, k)
+            i = bisect_right(ys, y2)
+            ys.insert(i, y2)
+            y_ids.insert(i, k)
         # A new point runs against every box whose top lies above it.
         for pt, n in born.items():
             px, py, pz = pt
@@ -345,7 +351,7 @@ class FlatState:
                 continue
             ex, ey = p.width - px, p.depth - py
             for bx, by, _, bx2, by2, bz2 in (
-                    boxes if index is None else by_top[bisect_right(z_faces[0], pz):]):
+                    boxes if index is None else by_top[bisect_right(zs, pz):]):
                 if bz2 > pz:
                     if by <= py < by2:
                         if bx <= px < bx2:
@@ -376,16 +382,16 @@ class FlatState:
                 c[key] = old
         self._drop_below(z2)
         index = self._index
-        if index is not None and len(self.boxes) < _INDEX_BOXES:
-            self._index = None
-        elif index is not None:
+        if index is not None:
             # The popped box has the highest index, so it is the last of its
             # equal faces.
-            by_top, z_faces, x_faces, y_faces = index
-            del by_top[bisect_right(z_faces[0], z2) - 1]
-            for (values, ids), v in ((z_faces, z2), (x_faces, x2), (y_faces, y2)):
-                i = bisect_right(values, v) - 1
-                del values[i], ids[i]
+            by_top, (zs, z_ids), (xs, x_ids), (ys, y_ids) = index
+            i = bisect_right(zs, z2) - 1
+            del by_top[i], zs[i], z_ids[i]
+            i = bisect_right(xs, x2) - 1
+            del xs[i], x_ids[i]
+            i = bisect_right(ys, y2) - 1
+            del ys[i], y_ids[i]
         del self._envelopes[len(self.boxes) + 1:]
 
     def ranked(self, w: int, d: int, h: int, cut: int, tick: Callable[[], None]
@@ -416,9 +422,8 @@ class FlatState:
         need = num * w * d
         pairs: list[Ranked] = []
         live, undo = self._live, self._undo
-        short = w if w < d else d
         for (x, y, z), (ex, ey, n, cap) in live.items():
-            if z > ceiling or ex < short or ey < short:
+            if z > ceiling:
                 continue
             flat = w <= ex and d <= ey
             turned = d <= ex and w <= ey
@@ -502,8 +507,8 @@ class FlatState:
             ]
             if not _covers(rects, w * d, num, den):
                 return False
-        if len(self.boxes) >= _INDEX_BOXES:
-            by_top, (tops, _), _, _ = self._index or self._build_index()
+        if self._index is not None:
+            by_top, (tops, _), _, _ = self._index
             above = by_top[bisect_right(tops, z):]
         else:
             above = [b for b in self.boxes if b[5] > z]
@@ -555,20 +560,6 @@ class FlatState:
             for z in [z for z in cache if top <= z <= top + gap]:
                 del cache[z]
 
-    def _build_index(self) -> tuple[list[Box], Faces, Faces, Faces]:
-        """Index the state's boxes: the boxes sorted by top, and the far
-        faces z2, x2 and y2 each sorted with their box indices."""
-        boxes = self.boxes
-        faces = []
-        for axis in (5, 3, 4):
-            values = [b[axis] for b in boxes]
-            # a stable sort: boxes with equal faces stay in ascending order
-            ids = sorted(range(len(boxes)), key=values.__getitem__)
-            faces.append(([values[j] for j in ids], ids))
-        z_faces, x_faces, y_faces = faces
-        self._index = [boxes[j] for j in z_faces[1]], z_faces, x_faces, y_faces
-        return self._index
-
     def score(self, x: int, y: int, z: int, w: int, d: int, h: int) -> float:
         """Coplanarity score of a box at (x, y, z), bit-identical to
         ``scoring.evaluate``: the same index sets, filled in the same
@@ -576,8 +567,8 @@ class FlatState:
         p_x, p_y, p_z = self._p
         top, fx, fy = z + h, x + w, y + d
         boxes = self.boxes
-        if len(boxes) >= _INDEX_BOXES:
-            _, (zs, z_ids), (xs, x_ids), (ys, y_ids) = self._index or self._build_index()
+        if self._index is not None:
+            _, (zs, z_ids), (xs, x_ids), (ys, y_ids) = self._index
             n, hz, hx, hy = len(boxes), top + p_z, fx + p_x, fy + p_y
             lz, lx, ly = (bisect_left(zs, top - p_z), bisect_left(xs, fx - p_x),
                           bisect_left(ys, fy - p_y))

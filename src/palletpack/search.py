@@ -30,7 +30,7 @@ tries the cheapest answers first: the rest bound (every volume from
 fills, each a feasible filling and so a lower bound on the knapsack
 bound, and only then the bound itself. The state ranks and cuts a unit's
 candidates itself (``FlatState.ranked``), and alone decides which of its
-fast paths a state of a given depth takes.
+fast paths it takes: once per instance, from its units, not per depth.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ class _Searcher:
         self.params = params
         # Takes each event as it happens; without it, no event is built.
         self.on_event = on_event
-        # The state drops the points that no unit can take: see FlatState.
-        self.state = FlatState(pallet, params, (min(min(u.dims.w, u.dims.d) for u in units),
-                                                min(u.dims.h for u in units)))
+        # From the units' dims, the state drops the points that no unit can
+        # take and picks its fast paths: see FlatState.
+        self.state = FlatState(pallet, params, [u.dims for u in units])
         # The state's boxes as (unit, position, rotated), and the placements
         # of a prefix of them, built only when an incumbent first holds them.
         self.placed: list[tuple[TransportUnit, tuple[int, int, int], bool]] = []

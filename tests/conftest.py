@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, settings
 
+from palletpack import flatstate
 from palletpack.model import Dims, PackingState, Pallet, Placement, SolverParams, TransportUnit
 
 settings.register_profile(
@@ -37,6 +38,12 @@ def greedy_state(pallet: Pallet, raw_boxes) -> PackingState:
             continue
         kept.append(box)
     return make_state(pallet, kept)
+
+
+def set_index(mp: pytest.MonkeyPatch, indexed: bool) -> None:
+    """Every ``FlatState`` built from now on indexes its boxes from its first
+    push (``indexed``) or never, whatever its number of units."""
+    mp.setattr(flatstate, "_INDEX_UNITS", 0 if indexed else 10**9)
 
 
 @st.composite

@@ -11,7 +11,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from palletpack import flatstate
 from palletpack.extreme_points import generate
 from palletpack.feasibility import check_overlap_bounds, check_placement, rect_union_area
 from palletpack.flatstate import FlatState
@@ -19,6 +18,8 @@ from palletpack.grid import unused_volume
 from palletpack.model import Dims, PackingState, Pallet, Placement, SolverParams, TransportUnit
 from palletpack.scoring import evaluate, rank_and_cut, scored_candidates
 from palletpack.search import _Deadline
+
+from conftest import set_index
 
 THRESHOLDS = [0.0, 0.2, 0.25, 1 / 3, 0.5, 0.7, 0.75, 1.0]
 
@@ -93,7 +94,7 @@ def drive(data, check, params=None) -> None:
     )
     side = st.integers(1, 5)
     units = data.draw(st.lists(st.tuples(side, side, side), min_size=1, max_size=3))
-    state = FlatState(pallet, params, (0, 0))
+    state = FlatState(pallet, params, [Dims(1, 1, 1)])
     check(state, params, units)
     for _ in range(data.draw(st.integers(1, 14))):
         if state.boxes and data.draw(st.integers(0, 3)) == 0:
@@ -114,13 +115,13 @@ def drive(data, check, params=None) -> None:
         check(state, params, units)
 
 
-# drive() stays below _INDEX_BOXES boxes, so "indexed" indexes every state.
-@pytest.mark.parametrize("index_boxes", [flatstate._INDEX_BOXES, 0], ids=["default", "indexed"])
+# drive() builds its states with one unit: "default" indexes none of them.
+@pytest.mark.parametrize("indexed", [False, True], ids=["default", "indexed"])
 @settings(max_examples=150)
 @given(st.data())
-def test_push_pop_sequences_match_reference(index_boxes, data):
+def test_push_pop_sequences_match_reference(indexed, data):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flatstate, "_INDEX_BOXES", index_boxes)
+        set_index(mp, indexed)
         drive(data, assert_matches_reference)
 
 
@@ -263,7 +264,7 @@ def test_support_bound_admits_every_pair_that_fits():
         params = SolverParams(vertical_support_min=data.draw(st.sampled_from(nonzero)),
                               gap_tolerance=gap)
         state = FlatState(Pallet(*(data.draw(st.integers(3, 12)) for _ in range(3))), params,
-                          (0, 0))
+                          [Dims(1, 1, 1)])
         side = st.integers(1, 5)
         units = data.draw(st.lists(st.tuples(side, side, side), min_size=1, max_size=3))
         for _ in range(data.draw(st.integers(1, 10))):
@@ -286,7 +287,7 @@ def test_support_bound_is_not_exact():
     # their overlaps sum to its area while their union covers half of it.
     # The bound admits the pair; fits rejects it.
     params = SolverParams(vertical_support_min=1.0, gap_tolerance=1)
-    state = FlatState(Pallet(8, 1, 10), params, (0, 0))
+    state = FlatState(Pallet(8, 1, 10), params, [Dims(1, 1, 1)])
     state.push(0, 0, 0, 4, 1, 2)
     state.push(0, 0, 2, 4, 1, 1)
     assert overlap_sum(scanned_below(state, 3), 0, 0, 8, 1) == 8
@@ -299,10 +300,10 @@ def test_support_bound_is_not_exact():
 # Up to 12 heights are cached, against the gap + 1 (at most 4) that a push
 # or pop drops: the drops walk those heights in some states and the cached
 # keys in others.
-@pytest.mark.parametrize("index_boxes", [flatstate._INDEX_BOXES, 0], ids=["default", "indexed"])
+@pytest.mark.parametrize("indexed", [False, True], ids=["default", "indexed"])
 @settings(max_examples=200)
 @given(st.data())
-def test_below_cache_matches_a_fresh_scan(index_boxes, data):
+def test_below_cache_matches_a_fresh_scan(indexed, data):
     # Each height's footprints, kept across pushes and pops of boxes whose
     # tops lie elsewhere, must be those a scan of the boxes finds, and so
     # must the footprints under each support cap kept in a live entry across
@@ -310,7 +311,6 @@ def test_below_cache_matches_a_fresh_scan(index_boxes, data):
     pallet = Pallet(*(data.draw(st.integers(3, 12)) for _ in range(3)))
     params = SolverParams(vertical_support_min=data.draw(st.sampled_from(THRESHOLDS[1:])),
                           gap_tolerance=data.draw(st.integers(0, 3)))
-    state = FlatState(pallet, params, (0, 0))
     side = st.integers(1, 5)
 
     def check():
@@ -327,7 +327,8 @@ def test_below_cache_matches_a_fresh_scan(index_boxes, data):
         state.ranked(*data.draw(st.tuples(side, side, side)), 10**6, lambda: None)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flatstate, "_INDEX_BOXES", index_boxes)
+        set_index(mp, indexed)
+        state = FlatState(pallet, params, [Dims(1, 1, 1)])
         check()
         for _ in range(data.draw(st.integers(1, 12))):
             points = candidates(state)
@@ -351,7 +352,7 @@ def test_scored_checks_the_clock_inside_its_loop():
     # ranked reads the clock once per call, then once per admitted point
     # that no kept cap rejects, before its support cap (if none is kept),
     # sums and scores, then once before each fits().
-    state = FlatState(Pallet(300, 4, 10), SolverParams(), (0, 0))
+    state = FlatState(Pallet(300, 4, 10), SolverParams(), [Dims(1, 1, 1)])
     for x in range(300):
         state.push(x, 0, 0, 1, 1, 1)
     assert len(state._live) == 600 and not state._below
@@ -443,7 +444,7 @@ def test_dropping_points_no_unit_can_take_changes_no_ranking(data):
         short = min(min(w, d) for w, d, _ in units)
         low = min(h for _, _, h in units)
         if twin is None:
-            twin = FlatState(state.pallet, params, (short, low))
+            twin = FlatState(state.pallet, params, [Dims(*unit) for unit in units])
         synced(twin, state)
         assert twin._live.keys() <= state._live.keys()
         for pt, (ex, ey, n, _) in state._live.items():
@@ -468,25 +469,31 @@ def journaled(state: FlatState):
             state.columns)
 
 
+def fresh_index(boxes: list) -> tuple:
+    """The index of ``boxes`` sorted from scratch: the boxes by top, and the
+    far faces z2, x2 and y2 each ascending with their box indices."""
+    faces = []
+    for axis in (5, 3, 4):
+        values = [b[axis] for b in boxes]
+        # a stable sort: boxes with equal faces stay in ascending order
+        ids = sorted(range(len(boxes)), key=values.__getitem__)
+        faces.append(([values[j] for j in ids], ids))
+    return ([boxes[j] for j in faces[0][1]], *faces)
+
+
 @settings(max_examples=150)
 @given(st.data())
 def test_kept_index_matches_a_fresh_build(data):
-    # A threshold of 1-5 boxes, which drive()'s pushes and pops cross both
-    # ways; sides of 1-5 on small pallets give many equal faces, and drive()
-    # draws p up to 2. After each step the index that push and pop kept must
-    # be the one a build from scratch gives, and exist only from the
-    # threshold on; then the reference checks ask fits() and score().
+    # Sides of 1-5 on small pallets give many equal faces, and drive() draws
+    # p up to 2. After each push and pop, the index that push and pop kept
+    # from the empty pallet on must be the one a sort from scratch gives;
+    # then the reference checks ask fits() and score().
     def check(state, params, units):
-        kept = state._index
-        if kept is not None:
-            assert kept == state._build_index()
-            state._index = kept
-        if len(state.boxes) < flatstate._INDEX_BOXES:
-            assert kept is None
+        assert state._index == fresh_index(state.boxes)
         assert_matches_reference(state, params, units)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flatstate, "_INDEX_BOXES", data.draw(st.integers(1, 5)))
+        set_index(mp, True)
         drive(data, check)
 
 
@@ -530,11 +537,11 @@ def assert_heights_at_one_z_match(state: FlatState, params: SolverParams, units)
                     assert state.fits(x, y, z, w, d, h) == expected
 
 
-# drive() stays below _INDEX_BOXES boxes, so "indexed" indexes every state.
-@pytest.mark.parametrize("index_boxes", [flatstate._INDEX_BOXES, 0], ids=["default", "indexed"])
+# drive() builds its states with one unit: "default" indexes none of them.
+@pytest.mark.parametrize("indexed", [False, True], ids=["default", "indexed"])
 @settings(max_examples=150)
 @given(st.data())
-def test_layers_answer_every_height_at_one_z(index_boxes, data):
+def test_layers_answer_every_height_at_one_z(indexed, data):
     # Horizontal support and a gap on, as no benchmark workload sets them:
     # the horizontal tests take the boxes above z that start below each
     # height's top, and the support tests look across the gap.
@@ -546,12 +553,12 @@ def test_layers_answer_every_height_at_one_z(index_boxes, data):
         gap_tolerance=data.draw(st.integers(1, 3)),
     )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flatstate, "_INDEX_BOXES", index_boxes)
+        set_index(mp, indexed)
         drive(data, assert_heights_at_one_z_match, params)
 
 
 def test_free_rays_stop_at_the_first_box_and_skip_covered_points():
-    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0), (0, 0))
+    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0), [Dims(1, 1, 1)])
     state.push(0, 0, 0, 4, 10, 2)  # a slab along y
     state.push(4, 0, 0, 3, 3, 3)  # beside it, touching at x = 4
     assert (4, 0, 0) in candidates(state)  # the slab's corner ...
@@ -561,7 +568,7 @@ def test_free_rays_stop_at_the_first_box_and_skip_covered_points():
 
 
 def test_a_point_under_an_overhang_is_dropped_and_blocks_no_ray_below_its_top():
-    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0), (0, 0))
+    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0), [Dims(1, 1, 1)])
     state.push(0, 0, 0, 2, 2, 2)
     state.push(0, 0, 2, 6, 2, 1)  # a bridge over x = 2..6
     assert (2, 0, 0) in candidates(state)  # the first box's corner ...
@@ -580,7 +587,7 @@ def test_a_candidate_that_comes_back_is_run_against_the_boxes_pushed_meanwhile()
     # (3, 0, 0), a corner of the first box, stops being a candidate when the
     # second box goes down across its +y ray, and comes back as a corner of
     # the third box. Its ray must stop at the second box.
-    state = FlatState(Pallet(6, 11, 11), SolverParams(vertical_support_min=0.0), (0, 0))
+    state = FlatState(Pallet(6, 11, 11), SolverParams(vertical_support_min=0.0), [Dims(1, 1, 1)])
     present = []
     for box in [(1, 0, 3, 2, 5, 5), (1, 5, 0, 5, 3, 2), (1, 0, 0, 2, 4, 2)]:
         state.push(*box)
@@ -592,7 +599,7 @@ def test_a_candidate_that_comes_back_is_run_against_the_boxes_pushed_meanwhile()
 
 
 def test_a_corner_that_lands_on_a_covered_point_leaves_no_entry():
-    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0), (0, 0))
+    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0), [Dims(1, 1, 1)])
     state.push(0, 0, 0, 2, 2, 2)
     before = state._live[(2, 0, 0)]
     assert before == (8, 10, 2, None)  # two of the box's corners project onto it
@@ -621,7 +628,7 @@ BASE = {"vertical_support_min": 0.0, "horizontal_support_min_x": 0.0,
 @pytest.mark.parametrize("threshold,feasible", [(0.7, True), (0.71, False), (0.69, True)])
 def test_support_exactly_on_threshold(field, gap, boxes, pos, dims, threshold, feasible):
     params = SolverParams(**{**BASE, field: threshold}, gap_tolerance=gap)
-    state = FlatState(Pallet(12, 12, 12), params, (0, 0))
+    state = FlatState(Pallet(12, 12, 12), params, [Dims(1, 1, 1)])
     for box in boxes:
         state.push(*box)
     ref = reference_state(state)
@@ -630,7 +637,7 @@ def test_support_exactly_on_threshold(field, gap, boxes, pos, dims, threshold, f
 
 
 def test_pop_restores_candidates_after_deep_pushes():
-    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0), (0, 0))
+    state = FlatState(Pallet(10, 10, 10), SolverParams(vertical_support_min=0.0), [Dims(1, 1, 1)])
     seen = []
     for x in range(0, 10, 2):
         seen.append((corner_counts(state), dict(state._live)))
@@ -647,7 +654,7 @@ def test_score_sums_in_reference_set_order():
     # from the same terms added in index order.
     rng = random.Random(0)
     params = SolverParams(vertical_support_min=0.0)
-    state = FlatState(Pallet(40, 40, 8), params, (0, 0))
+    state = FlatState(Pallet(40, 40, 8), params, [Dims(1, 1, 1)])
     while len(state.boxes) < 30:
         x, y, z = rng.choice(candidates(state))
         w, d, h = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 4)
@@ -662,9 +669,9 @@ def test_indexed_score_fills_colliding_sets_in_index_order(monkeypatch):
     # of an 8-slot set table, so a set filled in face order (0, 8, 1, 2)
     # iterates in another order than one filled in index order, and the
     # score's last bit differs.
-    monkeypatch.setattr(flatstate, "_INDEX_BOXES", 0)
+    set_index(monkeypatch, True)
     params = SolverParams(vertical_support_min=0.0, p_x=2, p_y=2, p_z=2)
-    state = FlatState(Pallet(24, 24, 8), params, (0, 0))
+    state = FlatState(Pallet(24, 24, 8), params, [Dims(1, 1, 1)])
     for x, y, z, x2, y2, z2 in [
         (0, 0, 0, 3, 6, 3), (0, 6, 0, 6, 12, 2), (0, 6, 2, 6, 9, 4), (6, 6, 0, 10, 13, 1),
         (0, 0, 4, 1, 7, 7), (10, 0, 0, 15, 3, 1), (6, 3, 2, 9, 6, 5), (9, 3, 1, 11, 6, 5),

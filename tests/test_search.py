@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from palletpack import flatstate, model, search
+from palletpack import model, search
 from palletpack.bounds import node_upper_bound
 from palletpack.extreme_points import generate
 from palletpack.feasibility import check_placement
@@ -31,7 +31,7 @@ from palletpack.oracle import MAX_UNITS, exhaustive_solve
 from palletpack.scoring import rank_and_cut, scored_candidates
 from palletpack.search import solve, solve_with_trace
 
-from conftest import random_solver_instance
+from conftest import random_solver_instance, set_index
 
 P0 = SolverParams(vertical_support_min=0.0, max_branches=10**6, time_limit_ms=10**9)
 
@@ -276,31 +276,45 @@ ODD_PARAMS = [
 
 
 def test_box_index_leaves_the_deep_tree_as_it_was(monkeypatch):
-    # Every state indexed, none, or those from a crossing threshold on: the
-    # same placements, prunes and candidates evaluated. The 150-node dive
-    # pops no box, so its index, built at 5 boxes, is kept by every later
-    # push. The 300-node search pops 169 boxes, from states of 127-149:
-    # at 128, seven pops drop the index, and the next ask at 128 boxes
-    # builds it again.
-    for budget, crossing in ((150, 5), (300, 128)):
+    # Boxes indexed from the first push or never: the same placements,
+    # prunes and candidates evaluated. The 150-node dive pops no box, so
+    # every push inserts into the index; the 300-node search pops 169 boxes,
+    # from states of 127-149, each deleted from it.
+    for budget in (150, 300):
         digests = []
-        for threshold in (0, crossing, 10**9):
-            monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
+        for indexed in (True, False):
+            set_index(monkeypatch, indexed)
             sol = _budgeted(*_deep_instance(8), DEEP_PARAMS, budget)
             assert sol.stats.nodes_expanded == budget
             digests.append(_tree_digest(sol))
-        assert digests[0] == digests[1] == digests[2]
+        assert digests[0] == digests[1]
+
+
+def test_an_instance_of_16_units_is_indexed_from_its_first_push(monkeypatch):
+    # The first 15 and the first 16 units of a deep instance: the state of
+    # the 15 has no index, and that of the 16 an empty one before its first
+    # push; each reaches the same tree with its boxes indexed the other way.
+    units, pallet = _deep_instance(8)
+    params = dataclasses.replace(DEEP_PARAMS, max_nodes=150)
+    for n in (15, 16):
+        searcher = search._Searcher(units[:n], pallet, params)
+        assert searcher.state._index == (
+            None if n < 16 else ([], ([], []), ([], []), ([], [])))
+        digest = _tree_digest(searcher.run())
+        with pytest.MonkeyPatch.context() as mp:
+            set_index(mp, n < 16)
+            assert _tree_digest(solve(units[:n], pallet, params)) == digest
 
 
 @pytest.mark.parametrize("params", ODD_PARAMS, ids=["all", "x-support", "y-support"])
 def test_sibling_memo_leaves_the_deep_tree_as_it_was(monkeypatch, params):
-    # Named for the sibling memo it once also toggled: the index on every
-    # state with a box, or on none, under the stability rules: the same
+    # Named for the sibling memo it once also toggled: boxes indexed from
+    # the first push, or never, under the stability rules: the same
     # placements, prunes and candidates evaluated. (Seed 4: under y-support,
     # seed 3's complete search ends at 167 nodes.)
     digests = []
-    for threshold in (0, 10**9):
-        monkeypatch.setattr(flatstate, "_INDEX_BOXES", threshold)
+    for indexed in (True, False):
+        set_index(monkeypatch, indexed)
         sol = _budgeted(*_deep_instance(4), params, 200)
         assert sol.stats.nodes_expanded == 200
         digests.append(_tree_digest(sol))
@@ -311,7 +325,7 @@ def test_ranking_stops_at_the_cut_as_the_reference(monkeypatch):
     # Every state indexed, under the stability rules, at branch caps of 1, 4
     # and none: at every node the pairs kept must be the reference's best,
     # from generate/check_placement/evaluate on the same placements.
-    monkeypatch.setattr(flatstate, "_INDEX_BOXES", 0)
+    set_index(monkeypatch, True)
     fast = search._Searcher._ranked_candidates
     fits = FlatState.fits
     asked: list[bool] = []  # fits() answers of the current node, in order
