@@ -216,7 +216,8 @@ class SearchStats:
     nodes_expanded: int = 0
     nodes_pruned_by_bound: int = 0
     # (position, orientation) pairs scored for ranking: those that passed the
-    # ceiling, the free rays and the support bound, before any fits() test.
+    # ceiling, the free rays and the support sum (the exact supported area),
+    # before any fits() test.
     candidates_evaluated: int = 0
     elapsed_ms: int = 0
     timed_out: bool = False

@@ -2,7 +2,9 @@
 
 Random push/pop sequences under random parameters; after every step the
 state must agree with ``generate``, ``check_placement``, ``evaluate`` and
-``unused_volume`` run on the equivalent ``PackingState``.
+``unused_volume`` run on the equivalent ``PackingState``. ``fits`` answers
+only for the pairs that ``ranked``'s own tests admit, so it is compared
+with ``check_placement`` together with those tests (``placeable``).
 """
 
 import random
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 
 from palletpack.extreme_points import generate
-from palletpack.feasibility import check_overlap_bounds, check_placement, rect_union_area
+from palletpack.feasibility import (check_overlap_bounds, check_placement, rect_union_area,
+                                    support_threshold, vertical_support)
 from palletpack.flatstate import FlatState
 from palletpack.grid import unused_volume
 from palletpack.model import Dims, PackingState, Pallet, Placement, SolverParams, TransportUnit
@@ -49,6 +52,36 @@ def corner_counts(state: FlatState) -> dict:
     return counted
 
 
+def overlap_sum(below: list, x: int, y: int, x2: int, y2: int) -> int:
+    """The summed areas in which the footprint (x, y, x2, y2) overlaps each
+    footprint of ``below``."""
+    return sum((min(x2, bx2) - max(x, bx)) * (min(y2, by2) - max(y, by))
+               for bx, by, bx2, by2 in below
+               if x < bx2 and bx < x2 and y < by2 and by < y2)
+
+
+def admitted(state: FlatState, x, y, z, w, d, h) -> bool:
+    """Whether ``ranked``'s own tests pass a w×d×h pair at (x, y, z): a live
+    point, the pallet's ceiling, the rays and, above the gap, the support
+    sum over the footprints the state keeps below z."""
+    entry = state._live.get((x, y, z))
+    if entry is None or z + h > state.pallet.max_height or w > entry[0] or d > entry[1]:
+        return False
+    num, den = state._vertical
+    if not num or z <= state._gap:
+        return True
+    below = state._below.get(z)
+    if below is None:
+        below = state._scan_below(z)
+    return overlap_sum(below, x, y, x + w, y + d) * den >= num * w * d
+
+
+def placeable(state: FlatState, x, y, z, w, d, h) -> bool:
+    """``ranked``'s own tests and then ``fits``: whether ``ranked`` keeps
+    the pair where the cut allows it."""
+    return admitted(state, x, y, z, w, d, h) and state.fits(x, y, z, w, d, h)
+
+
 def assert_matches_reference(state: FlatState, params: SolverParams, units) -> None:
     ref = reference_state(state)
     points = candidates(state)
@@ -61,7 +94,7 @@ def assert_matches_reference(state: FlatState, params: SolverParams, units) -> N
         for w, d, h in units:
             for dims in (Dims(w, d, h), Dims(d, w, h)):
                 expected = check_placement(ref, pos, dims, params).feasible
-                assert state.fits(*pos, dims.w, dims.d, dims.h) == expected
+                assert placeable(state, *pos, dims.w, dims.d, dims.h) == expected
                 if expected:
                     assert state.score(*pos, dims.w, dims.d, dims.h) == evaluate(
                         ref, pos, dims, params)
@@ -170,13 +203,15 @@ def expected_reads(state: FlatState, w, d, h) -> int:
 
 
 def assert_live_map_sound(state: FlatState, params: SolverParams, units) -> None:
-    # Each live point's rays admit every box that fits there; each dropped
+    # Each live point's rays admit every box that fits there, and the loop's
+    # own tests with fits() accept exactly those boxes; each dropped
     # candidate lies inside or under a placed box, so no box fits there.
     # ranked reads the clock as expected_reads counts, then, under no cut,
     # once per pair scored, before its fits(). A second call on the same
     # state finds a cap at every point above the gap that the first
     # admitted, and answers the same.
     live = state._live
+    ref = reference_state(state)
     assert set(live) <= set(candidates(state))
     w, d, h = units[0]
     answers = []
@@ -199,7 +234,9 @@ def assert_live_map_sound(state: FlatState, params: SolverParams, units) -> None
         ex, ey, _, _ = live[pos]
         for w, d, h in units:
             for dw, dd in ((w, d), (d, w)):
-                if state.fits(*pos, dw, dd, h):
+                feasible = check_placement(ref, pos, Dims(dw, dd, h), params).feasible
+                assert placeable(state, *pos, dw, dd, h) == feasible
+                if feasible:
                     assert dw <= ex and dd <= ey
 
 
@@ -216,46 +253,57 @@ def scanned_below(state: FlatState, z: int) -> list:
             if 0 <= z - bz2 <= state._gap]
 
 
-def overlap_sum(below: list, x: int, y: int, x2: int, y2: int) -> int:
-    """The summed areas in which the footprint (x, y, x2, y2) overlaps each
-    footprint of ``below``."""
-    return sum((min(x2, bx2) - max(x, bx)) * (min(y2, by2) - max(y, by))
-               for bx, by, bx2, by2 in below
-               if x < bx2 and bx < x2 and y < by2 and by < y2)
+def supported(below: list, x: int, y: int, x2: int, y2: int) -> int:
+    """The area of the footprint (x, y, x2, y2) that the union of the
+    footprints of ``below`` covers."""
+    return rect_union_area([(max(x, bx), max(y, by), min(x2, bx2), min(y2, by2))
+                            for bx, by, bx2, by2 in below
+                            if x < bx2 and bx < x2 and y < by2 and by < y2])
 
 
-def test_support_bound_admits_every_pair_that_fits():
-    # Wherever fits accepts a pair above the gap, the summed overlaps of its
-    # footprint with the footprints below its z reach num/den of it. Boxes
-    # go onto candidates, about half of them no taller than the gap, so
-    # boxes stack on boxes, two footprints below a z overlap and the sum
-    # exceeds their union; there too, ranked must answer as the reference.
+def overlapping(footprints: list) -> bool:
+    """Whether two of ``footprints`` overlap."""
+    return any(a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
+               for i, a in enumerate(footprints) for b in footprints[i + 1:])
+
+
+def test_support_sums_are_the_supported_area():
+    # Above the gap, a pair's sum over the footprints the state keeps below
+    # its z is the area that the union of the boxes' own footprints there
+    # covers, so the support bound admits a pair exactly when the reference
+    # vertical test does. Boxes go onto candidates, about half of them no
+    # taller than the gap, so boxes stack on boxes and two footprints below
+    # a z overlap; there too, ranked must answer as the reference.
     nonzero = [t for t in THRESHOLDS if t > 0]
-    overcounted = 0
+    overlapped = 0  # heights whose boxes' footprints overlap
 
     def check(state, params, units):
         # The support cap that ranked keeps at a live point is never less
         # than the sum of a pair that passes its rays.
-        nonlocal overcounted
+        nonlocal overlapped
         num, den = state._vertical
+        threshold = support_threshold(params.vertical_support_min)
+        ref = reference_state(state)
         for w, d, h in units:
             assert_ranks_as_reference(state, params, w, d, h)
         for x, y, z in candidates(state):
             if z <= params.gap_tolerance:
                 continue
-            below = scanned_below(state, z)
+            raw = scanned_below(state, z)
+            overlapped += overlapping(raw)
+            kept = state._below.get(z)
+            if kept is None:
+                kept = state._scan_below(z)
             ex, ey, _, cap = state._live.get((x, y, z), (0, 0, 0, None))
             for w, d, h in units:
                 for dw, dd in ((w, d), (d, w)):
-                    total = overlap_sum(below, x, y, x + dw, y + dd)
-                    if state.fits(x, y, z, dw, dd, h):
-                        assert total * den >= num * dw * dd
+                    total = overlap_sum(kept, x, y, x + dw, y + dd)
+                    assert total == supported(raw, x, y, x + dw, y + dd)
+                    assert (total * den >= num * dw * dd) == (
+                        vertical_support(ref, (x, y, z), Dims(dw, dd, h), params.gap_tolerance)
+                        >= threshold)
                     if cap is not None and dw <= ex and dd <= ey:
                         assert cap >= total
-                    rects = [(max(x, bx), max(y, by), min(x + dw, bx2), min(y + dd, by2))
-                             for bx, by, bx2, by2 in below
-                             if x < bx2 and bx < x + dw and y < by2 and by < y + dd]
-                    overcounted += total > rect_union_area(rects)
 
     @settings(max_examples=150)
     @given(st.data())
@@ -278,23 +326,41 @@ def test_support_bound_admits_every_pair_that_fits():
                 check(state, params, units)
 
     run()
-    assert overcounted > 0
+    assert overlapped > 0
 
 
-def test_support_bound_is_not_exact():
+def test_support_sum_is_exact_where_footprints_overlap():
     # A box one unit short stacked on a box of the same footprint: at z = 3,
-    # with a gap of 1, both tops lie below an 8x1 pair at (0, 0, 3), and
-    # their overlaps sum to its area while their union covers half of it.
-    # The bound admits the pair; fits rejects it.
+    # with a gap of 1, both tops lie below an 8x1 pair at (0, 0, 3). Their
+    # footprints' overlaps with it sum to its area, but their union covers
+    # half of it. The state keeps the short box's footprint as its parts
+    # outside the other's, none, so the pair's sum is that half: ranked
+    # drops the pair before it scores it.
     params = SolverParams(vertical_support_min=1.0, gap_tolerance=1)
     state = FlatState(Pallet(8, 1, 10), params, [Dims(1, 1, 1)])
     state.push(0, 0, 0, 4, 1, 2)
     state.push(0, 0, 2, 4, 1, 1)
     assert overlap_sum(scanned_below(state, 3), 0, 0, 8, 1) == 8
-    assert (0, 0, 3) in state._live and not state.fits(0, 0, 3, 8, 1, 1)
+    assert state._scan_below(3) == [(0, 0, 4, 1)]
+    assert (0, 0, 3) in state._live and not admitted(state, 0, 0, 3, 8, 1, 1)
     assert not check_placement(reference_state(state), (0, 0, 3), Dims(8, 1, 1),
                                params).feasible
     assert state.ranked(8, 1, 1, 10**6, lambda: None) == []
+    assert state.pairs_scored == 0
+
+
+def test_a_footprint_is_kept_as_its_parts_outside_the_one_below():
+    # A 2x2 box standing, within the gap, in the middle of a 4x4 one's top
+    # and over its -x edge: of its footprint (0..2, 1..3) the part outside
+    # (1..5, 0..4) is (0..1, 1..3). On the pieces kept, a pair's sum is the
+    # area the two footprints cover together.
+    params = SolverParams(vertical_support_min=0.5, gap_tolerance=2)
+    state = FlatState(Pallet(8, 8, 10), params, [Dims(1, 1, 1)])
+    state.push(1, 0, 0, 4, 4, 3)
+    state.push(0, 1, 3, 2, 2, 1)
+    assert sorted(state._scan_below(4)) == [(0, 1, 1, 3), (1, 0, 5, 4)]
+    assert overlap_sum(state._below[4], 0, 0, 6, 4) == supported(
+        scanned_below(state, 4), 0, 0, 6, 4) == 18
 
 
 # Up to 12 heights are cached, against the gap + 1 (at most 4) that a push
@@ -305,25 +371,30 @@ def test_support_bound_is_not_exact():
 @given(st.data())
 def test_below_cache_matches_a_fresh_scan(indexed, data):
     # Each height's footprints, kept across pushes and pops of boxes whose
-    # tops lie elsewhere, must be those a scan of the boxes finds, and so
-    # must the footprints under each support cap kept in a live entry across
-    # pushes and pops, down to an empty pallet again.
+    # tops lie elsewhere, must be pairwise disjoint pieces of those a scan
+    # of the boxes finds, covering what they cover, and each support cap kept
+    # in a live entry across pushes and pops must be the area they cover,
+    # down to an empty pallet again.
     pallet = Pallet(*(data.draw(st.integers(3, 12)) for _ in range(3)))
     params = SolverParams(vertical_support_min=data.draw(st.sampled_from(THRESHOLDS[1:])),
                           gap_tolerance=data.draw(st.integers(0, 3)))
     side = st.integers(1, 5)
 
     def check():
-        # Each kept support cap is the summed overlaps of the footprints
-        # below its point's height with the rectangle of the point's rays.
+        # Each kept support cap is the area of the rectangle of the point's
+        # rays that the footprints below its height cover.
         for z, below in state._below.items():
-            assert sorted(below) == sorted(scanned_below(state, z))
+            raw = scanned_below(state, z)
+            assert all(any(bx <= x and by <= y and x2 <= bx2 and y2 <= by2
+                           for bx, by, bx2, by2 in raw) for x, y, x2, y2 in below)
+            assert not overlapping(below)
+            assert rect_union_area(below) == rect_union_area(raw)
         for (x, y, z), (ex, ey, _, cap) in state._live.items():
             if cap is not None:
-                assert cap == overlap_sum(scanned_below(state, z), x, y, x + ex, y + ey)
-        # Ask about more heights: fits() at each, and ranked() at the live points.
+                assert cap == supported(scanned_below(state, z), x, y, x + ex, y + ey)
+        # Ask about more heights: a scan at each, and ranked() at the live points.
         for z in data.draw(st.sets(st.integers(0, pallet.max_height - 1))):
-            state.fits(0, 0, z, 1, 1, 1)
+            state._scan_below(z)
         state.ranked(*data.draw(st.tuples(side, side, side)), 10**6, lambda: None)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -525,8 +596,9 @@ def test_pop_restores_the_journaled_state(data):
 
 
 def assert_heights_at_one_z_match(state: FlatState, params: SolverParams, units) -> None:
-    # One z at a time, every height in a row: the layers kept for z must
-    # answer for each height as check_placement does.
+    # One z at a time, every height in a row: the footprints kept for z,
+    # with the loop's other tests and fits(), must answer for each height as
+    # check_placement does.
     ref = reference_state(state)
     points = candidates(state)
     for z in sorted({pt[2] for pt in points}):
@@ -534,7 +606,7 @@ def assert_heights_at_one_z_match(state: FlatState, params: SolverParams, units)
             for x, y, _ in (pt for pt in points if pt[2] == z):
                 for w, d, _ in units:
                     expected = check_placement(ref, (x, y, z), Dims(w, d, h), params).feasible
-                    assert state.fits(x, y, z, w, d, h) == expected
+                    assert placeable(state, x, y, z, w, d, h) == expected
 
 
 # drive() builds its states with one unit: "default" indexes none of them.
@@ -633,7 +705,11 @@ def test_support_exactly_on_threshold(field, gap, boxes, pos, dims, threshold, f
         state.push(*box)
     ref = reference_state(state)
     assert check_placement(ref, pos, Dims(*dims), params).feasible is feasible
-    assert state.fits(*pos, *dims) is feasible
+    # ranked's support sum decides vertical support (num 0: no test), and
+    # fits() the horizontal rules.
+    (x, y, z), (w, d, _), (num, den) = pos, dims, state._vertical
+    vertical = overlap_sum(state._scan_below(z), x, y, x + w, y + d) * den >= num * w * d
+    assert (vertical and state.fits(*pos, *dims)) is feasible
 
 
 def test_pop_restores_candidates_after_deep_pushes():

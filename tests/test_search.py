@@ -198,10 +198,10 @@ def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
     # must rank exactly as generate/check_placement/evaluate on a
     # PackingState of the same placements do.
     fast = search._Searcher._ranked_candidates
-    checked = screened = 0
+    checked = screened = cut = 0
 
     def ranked(self, unit):
-        nonlocal checked, screened
+        nonlocal checked, screened, cut
         got = fast(self, unit)
         state = _state_of(self)
         reference = rank_and_cut(scored_candidates(state, unit, self.params),
@@ -210,6 +210,13 @@ def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
         checked += 1
         # a state whose live map holds fewer points than its candidates
         screened += len(self.state._live) < len(generate(state))
+        # a state that keeps the footprints below a height where two boxes'
+        # footprints overlap, and so keeps one as its parts outside the other
+        boxes, gap = self.state.boxes, self.params.gap_tolerance
+        cut += any(a[0] < b[3] and b[0] < a[3] and a[1] < b[4] and b[1] < a[4]
+                   for z in self.state._below
+                   for i, a in enumerate(boxes) if 0 <= z - a[5] <= gap
+                   for b in boxes[i + 1:] if 0 <= z - b[5] <= gap)
         return got
 
     monkeypatch.setattr(search._Searcher, "_ranked_candidates", ranked)
@@ -221,6 +228,9 @@ def test_searcher_ranking_equals_the_reference_ranking(monkeypatch):
         units, pallet, params = random_solver_instance(rng, max_units=6)
         nodes += solve(units, pallet, params).stats.nodes_expanded
     assert checked == nodes > 1000
+    # A gap of 1 lets a unit 1 high stand within it on another: 17 of the
+    # 1,514 nodes keep such a height.
+    assert cut > 0
     # Most tight-bound and deep states have candidates inside or under a box.
     for (units, pallet), params, budget in (
         (_tight_instance(27), SolverParams(vertical_support_min=1.0), 300),
