@@ -596,7 +596,10 @@ class FlatState:
             s_y = s_y if len(s_y) < 2 else set(sorted(s_y))
         else:
             lz, hz, lx, hx, ly, hy = top - p_z, top + p_z, fx - p_x, fx + p_x, fy - p_y, fy + p_y
-            if not any(lz <= b[5] <= hz or lx <= b[3] <= hx or ly <= b[4] <= hy for b in boxes):
+            for _, _, _, bx2, by2, bz2 in boxes:
+                if lz <= bz2 <= hz or lx <= bx2 <= hx or ly <= by2 <= hy:
+                    break
+            else:
                 return 0.0  # no face in any window: no term
             s_z = set()
             s_x = set()
