@@ -270,7 +270,7 @@ def overlapping(footprints: list) -> bool:
 def test_support_sums_are_the_supported_area():
     # Above the gap, a pair's sum over the footprints the state keeps below
     # its z is the area that the union of the boxes' own footprints there
-    # covers, so the support bound admits a pair exactly when the reference
+    # covers, so the support sum admits a pair exactly when the reference
     # vertical test does. Boxes go onto candidates, about half of them no
     # taller than the gap, so boxes stack on boxes and two footprints below
     # a z overlap; there too, ranked must answer as the reference.
