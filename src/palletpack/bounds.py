@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .grid import unused_volume
-from .model import PackingState, TransportUnit, volume
-
 # Above this many items the subset-sum search is work-capped and may fall
 # back to the relaxation value; at or below it the result is always exact.
 EXACT_ITEM_LIMIT = 15
@@ -78,14 +75,3 @@ def subset_sum_max(volumes: Sequence[int], capacity: int) -> int:
                 if cur == capacity:
                     return cur
                 best = cur
-
-
-def node_upper_bound(
-    state: PackingState, remaining: Sequence[TransportUnit], mode: str = "exact_knapsack"
-) -> int:
-    """Upper bound for any completion of ``state`` using ``remaining``."""
-    vols = [volume(u.dims) for u in remaining]
-    capacity = unused_volume(state)
-    if mode == "lp_relaxation":
-        return state.placed_volume() + min(sum(vols), capacity)
-    return state.placed_volume() + subset_sum_max(vols, capacity)

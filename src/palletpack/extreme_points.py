@@ -5,6 +5,12 @@ points slid back against the nearest qualifying face of another unit (or
 the pallet side) in the negative direction of one axis. The candidate set
 deliberately does not cover every possible position; it keeps the search
 tree small while favouring tight placements.
+
+The search computes these points itself (``FlatState``'s live map), and no
+library module calls ``generate``: it is a test reference, kept in the
+package only because ``perfbench/run.py`` imports this module by name
+(ROADMAP item 2 drops that import, and the module then moves to
+``tests/reference``).
 """
 
 from __future__ import annotations

@@ -7,14 +7,17 @@ Each box also keeps the six projection maxima of its extreme points; a
 push updates every box's maxima against the new box (the insertion update
 of Crainic, Perboli & Tadei, INFORMS J. Computing 20(3), 2008).
 
-Every answer is the same as the reference functions give on the
+Every answer is the same as the plain reference functions give on the
 equivalent ``PackingState``: the live map's points as those of
-``generate``'s that lie inside or under no box and that some unit can
-take, ``score`` as ``scoring.evaluate``, float for float, and ``ranked``
-as ``scoring.rank_and_cut`` over ``scoring.scored_candidates``: its own
-tests and ``fits`` together answer as
-``feasibility.check_placement(...).feasible``. Those functions stay the
-reference that the replay checker and the oracle use.
+``extreme_points.generate`` that lie inside or under no box and that some
+unit can take, ``score`` as ``reference.ranking.evaluate``, float for
+float, and ``ranked`` as ``reference.ranking.rank_and_cut`` over
+``reference.ranking.scored_candidates``: its own tests and ``_fits``
+together answer as ``feasibility.check_placement(...).feasible``. Only
+``check_placement`` serves the library too, in the replay checker. The
+``reference`` package lives with the tests (``tests/reference``), and
+``extreme_points`` and ``grid`` stay in this package only because the
+benchmark's tracer imports them by name.
 
 Units are loaded from above: no placed box whose top lies above a pair's z
 may overlap its footprint. So a point inside or under a box takes no pair,
@@ -44,7 +47,7 @@ Every change to the maxima and the live map goes into one undo journal of
 push left. Beyond that, a state computes only what a node asks of it.
 Each placement rule is tested once. ``ranked``'s rays and ceiling keep a
 pair inside the pallet, and above the gap its support sum is the pair's
-supported area; ``fits`` tests what is left, no box above z over the
+supported area; ``_fits`` tests what is left, no box above z over the
 footprint and then horizontal support, for the pairs ``ranked`` admits.
 The support sums read the footprints below the pair's z, those of the
 boxes whose tops lie in [z - gap, z], cut into pairwise disjoint pieces:
@@ -56,7 +59,7 @@ kept before it, at most four per cut. A box whose top lies at t belongs to
 the heights t to t + gap only, so its push or pop drops just those
 heights, by a walk over them or over the heights kept, whichever is
 shorter; a huge gap then costs a push nothing. The boxes above z are
-found per ``fits`` call. The envelope volume is kept per depth in a list
+found per ``_fits`` call. The envelope volume is kept per depth in a list
 that ``unused_volume`` extends and a pop cuts back, so a push below which
 no node asks for a bound computes none. ``columns``, the sum over boxes of
 footprint times top, is never less than that volume and costs a push one
@@ -72,11 +75,11 @@ the areas in which the pair's footprint overlaps each piece kept below its
 z, for both orientations in one pass: the pieces are disjoint, so the sum
 is the supported area, and a pair whose sum is below num/den of its
 footprint is exactly one that is not supported. Then it sorts the scored
-pairs by the ranking key (``scoring.Ranked``), and last it calls ``fits``
+pairs by the ranking key (``scoring.Ranked``), and last it calls ``_fits``
 in that order until it has accepted ``cut`` pairs. The key is a total
-order and ``score`` reads only far faces, not ``fits``, so the pairs it
-keeps are those of ``rank_and_cut`` over every pair that fits, and
-``fits`` is not asked about the pairs ranked below the last one kept.
+order and ``score`` reads only far faces, not ``_fits``, so the pairs it
+keeps are the reference's ``rank_and_cut`` over every pair that fits, and
+``_fits`` is not asked about the pairs ranked below the last one kept.
 
 The support cap S of a live point (x, y, z) is that same sum taken over
 its rays' rectangle [x, x + ex) x [y, y + ey). A pair passes the rays only
@@ -95,7 +98,7 @@ a pair's sums only when S does not reject. ``ranked`` reads the clock
 (``tick``) once per call, once per point that passes the rays and that no
 kept cap rejects, just before that point's work that grows with the boxes
 (a scan for the footprints below it, its cap if none is kept, the sums,
-its scores), and once before each ``fits``. So no more than one O(n) step
+its scores), and once before each ``_fits``. So no more than one O(n) step
 runs between two reads; a kept cap's reject is O(1), and reads none.
 
 The state picks its fast paths once, from the number of units it is built
@@ -106,7 +109,7 @@ in ascending order with their box indices alongside, and it holds the
 boxes themselves in the order of their tops. A push inserts the new box
 after its equal faces and its pop deletes it from there: it has the highest
 index, so equal faces stay in ascending index order, as a fresh sort leaves
-them. On an indexed state, ``fits`` takes the boxes above z, a push runs
+them. On an indexed state, ``_fits`` takes the boxes above z, a push runs
 each point it adds against the boxes whose tops lie above that point, and
 a scan for the footprints below z takes the tops in [z - gap, z], each as a
 bisect range of the boxes in top order instead of a scan of every box.
@@ -114,12 +117,12 @@ bisect range of the boxes in top order instead of a scan of every box.
 Either way, ``score`` returns 0.0 before it builds a set when no window
 holds a face (98.6% of the scores on ``exact-small``, which scans). The
 answers do not change.
-``fits``, the rays and the support sums give the same answer in any order
+``_fits``, the rays and the support sums give the same answer in any order
 of the boxes: overlap and cover are any-tests, rays are minima, and the
 pieces kept below a height, though cut in another order, cover the same
 area, an exact integer. ``score`` fills each set of two or more in
-ascending index order, as ``evaluate`` does, so the sets iterate and the
-float terms add in the same order.
+ascending index order, as the reference ``evaluate`` does, so the sets
+iterate and the float terms add in the same order.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ Faces = tuple[list[int], list[int]]
 # rectangle that the footprints below its z cover.
 Live = tuple[int, int, int, Optional[int]]
 _ABSENT = object()  # journal value of a key its container did not hold
-# A state built with this many units indexes its boxes for fits() and
+# A state built with this many units indexes its boxes for _fits() and
 # score() from its first push; one built with fewer never does. Benchmark
 # instances have 6, 40 or 150 units, so any threshold from 7 to 40 picks
 # the same paths. Measured as nodes/s against no index on node-budgeted
@@ -192,10 +195,10 @@ class FlatState:
         # in [z - gap, z], cut into disjoint pieces (_scan_below); a push or
         # pop drops only the heights its box's top reaches (_drop_below).
         self._below: dict[int, list[Footprint]] = {}
-        # Index of the boxes for fits() and score(), kept by every push and
+        # Index of the boxes for _fits() and score(), kept by every push and
         # pop: the boxes in the order of their tops, and the far faces z2, x2
-        # and y2, each ascending with their box indices. It gives fits() the
-        # boxes above z in top order, not box order; fits() answers the same
+        # and y2, each ascending with their box indices. It gives _fits() the
+        # boxes above z in top order, not box order; _fits() answers the same
         # either way (any-tests, exact areas).
         self._index: Optional[tuple[list[Box], Faces, Faces, Faces]] = (
             ([], ([], []), ([], []), ([], [])) if len(units) >= _INDEX_UNITS else None)
@@ -405,8 +408,9 @@ class FlatState:
 
     def ranked(self, w: int, d: int, h: int, cut: int, tick: Callable[[], None]
                ) -> list[Ranked]:
-        """The ``cut`` best pairs of a w×d×h unit that fit, best first:
-        ``scoring.rank_and_cut`` over ``scoring.scored_candidates``.
+        """The ``cut`` best pairs of a w×d×h unit that fit, best first: the
+        tests' ``reference.ranking.rank_and_cut`` over
+        ``reference.ranking.scored_candidates``.
 
         A pair meets, in order: the ceiling; the rays (a box longer than a
         ray meets what the ray met, or leaves the pallet); above the gap,
@@ -416,13 +420,13 @@ class FlatState:
         support sum (the area of its footprint that they cover, summed over
         the disjoint pieces kept below z): each must reach num/den of its
         footprint. Each pair that passes is scored; the pairs are sorted,
-        and ``fits``, which tests the rules these leave, is asked in that
-        order until ``cut`` pairs are kept. No test before ``fits`` rejects
+        and ``_fits``, which tests the rules these leave, is asked in that
+        order until ``cut`` pairs are kept. No test before ``_fits`` rejects
         a pair that ``check_placement`` accepts. ``tick`` is called once
         per call; once per point that passes the rays and that no kept cap
         rejects, before its work that grows with the number of boxes (a cap
         not yet taken, the sums, the scores); and once before each
-        ``fits``."""
+        ``_fits``."""
         tick()
         score = self.score
         ceiling = self.pallet.max_height - h
@@ -485,7 +489,7 @@ class FlatState:
                 pairs.append((-score(x, y, z, d, w, h), z, y, x, True))
         self.pairs_scored += len(pairs)
         pairs.sort()
-        fits = self.fits
+        fits = self._fits
         kept: list[Ranked] = []
         for pair in pairs:
             if len(kept) == cut:
@@ -496,7 +500,7 @@ class FlatState:
                 kept.append(pair)
         return kept
 
-    def fits(self, x: int, y: int, z: int, w: int, d: int, h: int) -> bool:
+    def _fits(self, x: int, y: int, z: int, w: int, d: int, h: int) -> bool:
         """Whether a w×d×h pair at (x, y, z) that ``ranked``'s own tests
         admit (the ceiling, the rays and, above the gap, the support sum)
         meets the rules those tests leave: no box above z over its
@@ -571,9 +575,9 @@ class FlatState:
                 del cache[z]
 
     def score(self, x: int, y: int, z: int, w: int, d: int, h: int) -> float:
-        """Coplanarity score of a box at (x, y, z), bit-identical to
-        ``scoring.evaluate``: the same index sets, filled in the same
-        order, summed in the same order."""
+        """Coplanarity score of a box at (x, y, z), bit-identical to the
+        tests' ``reference.ranking.evaluate``: the same index sets, filled
+        in the same order, summed in the same order."""
         p_x, p_y, p_z = self._p
         top, fx, fy = z + h, x + w, y + d
         boxes = self.boxes

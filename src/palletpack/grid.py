@@ -9,6 +9,12 @@ units. Later units land at or above the envelope because the feasibility
 rules load from above: no placed unit whose top lies above a unit's bottom
 may overlap its footprint (``feasibility.check_overlap_bounds``). So the
 space under an overhang, which the bound does not count, takes no unit.
+
+The search keeps this volume itself (``FlatState.unused_volume``), and no
+library module calls ``unused_volume``: it is a test reference, kept in
+the package only because ``perfbench/run.py`` imports this module by name
+(ROADMAP item 2 drops that import, and the module then moves to
+``tests/reference``).
 """
 
 from __future__ import annotations

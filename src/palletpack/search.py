@@ -167,8 +167,9 @@ class _Searcher:
 
     def _closed(self, idx: int, depth: int) -> bool:
         """Whether a node for unit ``idx`` on the state cannot beat the
-        incumbent: its bound (``bounds.node_upper_bound``) is no more than
-        the incumbent. A closed node counts as pruned.
+        incumbent: its bound is no more than the incumbent. The bound is
+        the one the tests' ``reference.bounds.node_upper_bound`` computes
+        from scratch. A closed node counts as pruned.
 
         Cheapest test first. Past the rest bound, a first-fit fill of the
         volumes from ``idx`` on that beats the incumbent keeps the node

@@ -14,8 +14,8 @@ from dataclasses import replace
 from math import gcd
 from typing import Sequence
 
-from .model import PackingState, Pallet, Solution, SolverParams, TransportUnit
-from .search import _Searcher
+from palletpack.model import PackingState, Pallet, Solution, SolverParams, TransportUnit
+from palletpack.search import _Searcher
 
 MAX_VOXELS = 10**8
 MAX_DP_SUM = 10**6

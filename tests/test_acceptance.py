@@ -13,12 +13,12 @@ from palletpack.extreme_points import generate
 from palletpack.files import build_solution_file, parse_instance, solution_to_json, validate_solution
 from palletpack.grid import unused_volume
 from palletpack.model import Dims, PackingState, Pallet, SolverParams, TransportUnit
-from palletpack.oracle import dp_knapsack, exhaustive_solve, voxel_unused_volume
-from palletpack.scoring import evaluate
 from palletpack.search import solve
 from palletpack.svg import render_svg
 
 from conftest import make_state, random_loose_state, random_solver_instance, random_units
+from reference.oracle import dp_knapsack, exhaustive_solve, voxel_unused_volume
+from reference.ranking import evaluate
 
 
 def _report(num, name, ok, detail=""):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given
 
 from palletpack import bounds
-from palletpack.bounds import node_upper_bound, subset_sum_max
+from palletpack.bounds import subset_sum_max
 from palletpack.model import Dims, PackingState, TransportUnit
-from palletpack.oracle import dp_knapsack
 
 from conftest import make_state
+from reference.bounds import node_upper_bound
+from reference.oracle import dp_knapsack
 
 
 def exhaustive_best_fill(volumes, capacity):

@@ -2,7 +2,7 @@
 
 Random push/pop sequences under random parameters; after every step the
 state must agree with ``generate``, ``check_placement``, ``evaluate`` and
-``unused_volume`` run on the equivalent ``PackingState``. ``fits`` answers
+``unused_volume`` run on the equivalent ``PackingState``. ``_fits`` answers
 only for the pairs that ``ranked``'s own tests admit, so it is compared
 with ``check_placement`` together with those tests (``placeable``).
 """
@@ -19,10 +19,10 @@ from palletpack.feasibility import (check_overlap_bounds, check_placement, rect_
 from palletpack.flatstate import FlatState
 from palletpack.grid import unused_volume
 from palletpack.model import Dims, PackingState, Pallet, Placement, SolverParams, TransportUnit
-from palletpack.scoring import evaluate, rank_and_cut, scored_candidates
 from palletpack.search import _Deadline
 
 from conftest import set_index
+from reference.ranking import evaluate, rank_and_cut, scored_candidates
 
 THRESHOLDS = [0.0, 0.2, 0.25, 1 / 3, 0.5, 0.7, 0.75, 1.0]
 
@@ -77,9 +77,9 @@ def admitted(state: FlatState, x, y, z, w, d, h) -> bool:
 
 
 def placeable(state: FlatState, x, y, z, w, d, h) -> bool:
-    """``ranked``'s own tests and then ``fits``: whether ``ranked`` keeps
+    """``ranked``'s own tests and then ``_fits``: whether ``ranked`` keeps
     the pair where the cut allows it."""
-    return admitted(state, x, y, z, w, d, h) and state.fits(x, y, z, w, d, h)
+    return admitted(state, x, y, z, w, d, h) and state._fits(x, y, z, w, d, h)
 
 
 def assert_matches_reference(state: FlatState, params: SolverParams, units) -> None:
@@ -189,7 +189,7 @@ def scratch_live(state: FlatState) -> dict:
 
 def expected_reads(state: FlatState, w, d, h) -> int:
     """The clock reads of a ranked() call for a w×d×h unit before its
-    fits(): one per call, then one per live point under the ceiling whose
+    _fits(): one per call, then one per live point under the ceiling whose
     rays admit one of the unit's pairs, unless a kept cap rejects both."""
     num, den = state._vertical
     reads = 1
@@ -204,10 +204,10 @@ def expected_reads(state: FlatState, w, d, h) -> int:
 
 def assert_live_map_sound(state: FlatState, params: SolverParams, units) -> None:
     # Each live point's rays admit every box that fits there, and the loop's
-    # own tests with fits() accept exactly those boxes; each dropped
+    # own tests with _fits() accept exactly those boxes; each dropped
     # candidate lies inside or under a placed box, so no box fits there.
     # ranked reads the clock as expected_reads counts, then, under no cut,
-    # once per pair scored, before its fits(). A second call on the same
+    # once per pair scored, before its _fits(). A second call on the same
     # state finds a cap at every point above the gap that the first
     # admitted, and answers the same.
     live = state._live
@@ -422,14 +422,14 @@ def test_scored_checks_the_clock_inside_its_loop():
     # and in front of them, most of which pass the rays of a 2x2x1 unit.
     # ranked reads the clock once per call, then once per admitted point
     # that no kept cap rejects, before its support cap (if none is kept),
-    # sums and scores, then once before each fits().
+    # sums and scores, then once before each _fits().
     state = FlatState(Pallet(300, 4, 10), SolverParams(), [Dims(1, 1, 1)])
     for x in range(300):
         state.push(x, 0, 0, 1, 1, 1)
     assert len(state._live) == 600 and not state._below
     log = []
     state.score = lambda *pair: log.append("score") or FlatState.score(state, *pair)
-    state.fits = lambda *pair: log.append("fits") or FlatState.fits(state, *pair)
+    state._fits = lambda *pair: log.append("fits") or FlatState._fits(state, *pair)
     reads = expected_reads(state, 2, 2, 1)
     kept = state.ranked(2, 2, 1, 4, lambda: log.append("tick"))
     assert len(kept) == 4
@@ -442,7 +442,7 @@ def test_scored_checks_the_clock_inside_its_loop():
     scores_between_reads = "".join(e[0] for e in scoring).split("t")  # runs of "s"
     assert max(map(len, scores_between_reads)) <= 2
     assert scoring.count("tick") == reads == 1 + 598
-    # Step 2: a read before each fits(), and no other work.
+    # Step 2: a read before each _fits(), and no other work.
     assert checking == ["tick", "fits"] * (len(checking) // 2)
     assert len(checking) // 2 == len(kept)  # it stops at the cut
     # Again, on the caps the first call kept: the tops at x = 297 and 298
@@ -469,7 +469,7 @@ def test_scored_checks_the_clock_inside_its_loop():
     with pytest.raises(_Deadline):
         state.ranked(2, 2, 1, 4, deadline_after(1))
     assert log == []
-    # One that runs out after the first fits() stops the second step there.
+    # One that runs out after the first _fits() stops the second step there.
     log.clear()
     with pytest.raises(_Deadline):
         state.ranked(2, 2, 1, 4, deadline_after(expected_reads(state, 2, 2, 1) + 1))
@@ -558,7 +558,7 @@ def test_kept_index_matches_a_fresh_build(data):
     # Sides of 1-5 on small pallets give many equal faces, and drive() draws
     # p up to 2. After each push and pop, the index that push and pop kept
     # from the empty pallet on must be the one a sort from scratch gives;
-    # then the reference checks ask fits() and score().
+    # then the reference checks ask _fits() and score().
     def check(state, params, units):
         assert state._index == fresh_index(state.boxes)
         assert_matches_reference(state, params, units)
@@ -597,7 +597,7 @@ def test_pop_restores_the_journaled_state(data):
 
 def assert_heights_at_one_z_match(state: FlatState, params: SolverParams, units) -> None:
     # One z at a time, every height in a row: the footprints kept for z,
-    # with the loop's other tests and fits(), must answer for each height as
+    # with the loop's other tests and _fits(), must answer for each height as
     # check_placement does.
     ref = reference_state(state)
     points = candidates(state)
@@ -645,14 +645,14 @@ def test_a_point_under_an_overhang_is_dropped_and_blocks_no_ray_below_its_top():
     state.push(0, 0, 2, 6, 2, 1)  # a bridge over x = 2..6
     assert (2, 0, 0) in candidates(state)  # the first box's corner ...
     assert (2, 0, 0) not in state._live  # ... now lies under the bridge
-    assert not state.fits(2, 0, 0, 1, 1, 1)  # nothing goes under the bridge
+    assert not state._fits(2, 0, 0, 1, 1, 1)  # nothing goes under the bridge
     assert state._live[(0, 2, 0)] == (10, 8, 3, None)
     # A ray at the bridge's top runs over it; one below stops at a box
     # whose top lies above the point, however high its bottom.
     assert state._live[(0, 0, 3)] == (10, 10, 2, None)
     state.push(7, 0, 5, 2, 2, 2)  # floating at x = 7..9, from z = 5
     assert state._live[(0, 0, 3)] == (7, 10, 2, None)
-    assert state.fits(0, 0, 3, 7, 2, 1) and not state.fits(0, 0, 3, 8, 2, 1)
+    assert state._fits(0, 0, 3, 7, 2, 1) and not state._fits(0, 0, 3, 8, 2, 1)
 
 
 def test_a_candidate_that_comes_back_is_run_against_the_boxes_pushed_meanwhile():
@@ -706,10 +706,10 @@ def test_support_exactly_on_threshold(field, gap, boxes, pos, dims, threshold, f
     ref = reference_state(state)
     assert check_placement(ref, pos, Dims(*dims), params).feasible is feasible
     # ranked's support sum decides vertical support (num 0: no test), and
-    # fits() the horizontal rules.
+    # _fits() the horizontal rules.
     (x, y, z), (w, d, _), (num, den) = pos, dims, state._vertical
     vertical = overlap_sum(state._scan_below(z), x, y, x + w, y + d) * den >= num * w * d
-    assert (vertical and state.fits(*pos, *dims)) is feasible
+    assert (vertical and state._fits(*pos, *dims)) is feasible
 
 
 def test_pop_restores_candidates_after_deep_pushes():
@@ -756,6 +756,6 @@ def test_indexed_score_fills_colliding_sets_in_index_order(monkeypatch):
         state.push(x, y, z, x2 - x, y2 - y, z2 - z)
     assert list(set([0, 1, 2, 8])) != list(set([0, 8, 1, 2]))
     pos = (0, 12, 0)
-    assert state.fits(*pos, 4, 1, 1)
+    assert state._fits(*pos, 4, 1, 1)
     assert state.score(*pos, 4, 1, 1) == evaluate(reference_state(state), pos, Dims(4, 1, 1),
                                                   params)

@@ -4,9 +4,9 @@ from hypothesis import given
 
 from palletpack.grid import _cell_heights, build_axes, unused_volume
 from palletpack.model import PackingState, Pallet
-from palletpack.oracle import voxel_unused_volume
 
 from conftest import loose_states, make_state, random_loose_state
+from reference.oracle import voxel_unused_volume
 
 
 def test_axes_empty_pallet():

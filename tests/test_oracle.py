@@ -1,10 +1,10 @@
 import pytest
 
 from palletpack.model import Dims, PackingState, Pallet, SolverParams, TransportUnit
-from palletpack.oracle import dp_knapsack, exhaustive_solve, voxel_unused_volume
 from palletpack.search import solve
 
 from conftest import make_state
+from reference.oracle import dp_knapsack, exhaustive_solve, voxel_unused_volume
 
 P0 = SolverParams(vertical_support_min=0.0, max_branches=10**6, time_limit_ms=10**9)
 

@@ -4,9 +4,9 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from palletpack.model import Dims, PackingState, Pallet, SolverParams
-from palletpack.scoring import coplanar_sets, evaluate, rank_and_cut
 
 from conftest import loose_states, make_state
+from reference.ranking import coplanar_sets, evaluate, rank_and_cut
 
 P0 = SolverParams(vertical_support_min=0.0)
 

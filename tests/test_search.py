@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 
 from palletpack import model, search
-from palletpack.bounds import node_upper_bound
 from palletpack.extreme_points import generate
 from palletpack.feasibility import check_placement
 from palletpack.files import build_solution_file, parse_instance, validate_solution
@@ -27,11 +26,12 @@ from palletpack.model import (
     TransportUnit,
     oriented,
 )
-from palletpack.oracle import MAX_UNITS, exhaustive_solve
-from palletpack.scoring import rank_and_cut, scored_candidates
 from palletpack.search import solve, solve_with_trace
 
 from conftest import random_solver_instance, set_index
+from reference.bounds import node_upper_bound
+from reference.oracle import MAX_UNITS, exhaustive_solve
+from reference.ranking import rank_and_cut, scored_candidates
 
 P0 = SolverParams(vertical_support_min=0.0, max_branches=10**6, time_limit_ms=10**9)
 
@@ -337,8 +337,8 @@ def test_ranking_stops_at_the_cut_as_the_reference(monkeypatch):
     # from generate/check_placement/evaluate on the same placements.
     set_index(monkeypatch, True)
     fast = search._Searcher._ranked_candidates
-    fits = FlatState.fits
-    asked: list[bool] = []  # fits() answers of the current node, in order
+    fits = FlatState._fits
+    asked: list[bool] = []  # _fits() answers of the current node, in order
     skipped = stopped = deep = 0
 
     def ranked(self, unit):
@@ -349,9 +349,9 @@ def test_ranking_stops_at_the_cut_as_the_reference(monkeypatch):
         state = _state_of(self)
         assert got == rank_and_cut(scored_candidates(state, unit, self.params),
                                    self.params.max_branches)
-        # fits() rejected a pair ranked above the last one kept
+        # _fits() rejected a pair ranked above the last one kept
         skipped += True in asked and False in asked[:len(asked) - asked[::-1].index(True)]
-        # fits() was not asked about every pair scored
+        # _fits() was not asked about every pair scored
         stopped += len(asked) < self.state.pairs_scored - scored
         deep += len(self.placed) > 16
         return got
@@ -362,7 +362,7 @@ def test_ranking_stops_at_the_cut_as_the_reference(monkeypatch):
         return answer
 
     monkeypatch.setattr(search._Searcher, "_ranked_candidates", ranked)
-    monkeypatch.setattr(FlatState, "fits", counted_fits)
+    monkeypatch.setattr(FlatState, "_fits", counted_fits)
     units, _ = _deep_instance(5)
     # 40 units on a pallet of a fifteenth of the volume: more than fits, so
     # every search reaches its budget. (On the full pallet the first dive
@@ -534,6 +534,24 @@ def test_time_limit_returns_incumbent_quickly():
     assert sol.stats.timed_out
     assert wall < 1000
     assert sol.stats.elapsed_ms <= 1000
+
+
+def test_a_wall_stopped_solve_replays_under_its_node_count():
+    # A solve stopped by the clock is reproduced by a node budget of the
+    # nodes it expanded: the incumbent changes only when a node is
+    # expanded. Prunes and candidates are not compared, since the work
+    # after the last node, before the clock fires, can add to them.
+    for seed in (11, 12, 13):
+        units, pallet = _tight_instance(seed)
+        for ms in (30, 120):
+            params = SolverParams(vertical_support_min=1.0, time_limit_ms=ms)
+            walled = solve(units, pallet, params)
+            assert walled.stats.timed_out and walled.stats.nodes_expanded > 0
+            replay = solve(units, pallet, dataclasses.replace(
+                params, time_limit_ms=300_000, max_nodes=walled.stats.nodes_expanded))
+            assert replay.placements == walled.placements
+            assert replay.placed_volume == walled.placed_volume
+            assert replay.stats.nodes_expanded == walled.stats.nodes_expanded
 
 
 def test_deadline_holds_on_many_units_that_mostly_skip():
