@@ -1,10 +1,9 @@
-"""Reference ranking of feasible placements.
+"""Reference ranking of feasible placements, on a ``PackingState``.
 
-A placement scores higher when its support surfaces (top, +x face, +y
-face) are coplanar, within tolerance, with those of already placed units,
-weighted by the facing area and damped by the center distance. Favouring
-coplanar surfaces merges small support patches into large ones, which
-keeps more follow-up placements feasible.
+The coplanarity score (``palletpack.scoring`` says what it rewards) and
+the ranking by its key, computed from scratch: ``FlatState.score`` must
+equal ``evaluate`` float for float, and ``FlatState.ranked`` must equal
+``rank_and_cut`` over ``scored_candidates``.
 """
 
 from __future__ import annotations
