@@ -27,15 +27,22 @@ over every round of every seed, and whether the trees were identical on
 every seed: a difference of 1-2% needs several seeds to tell from the
 instances' own spread. ``--nodes N`` stops every solve at N nodes instead
 of the workload's own budget (exact-small has none: its trees are
-searched to completion).
+searched to completion). ``--both-orders`` loads both trees a second
+time, B first, and runs every round in that order too: an A/A of one tree
+against a copy of itself can read 2% off 1.000 in one order, so a claim
+of 1-2% needs both. B/A is always B's tree over A's; per workload it
+prints the pooled B/A of each order and the geometric mean of their
+medians, and whether the trees were identical in each order.
 
 Example (the parent commit checked out into ../parent):
     python scripts/same_tree_ab.py ../parent/src src --seeds 4 5 6 --reps 4
+    python scripts/same_tree_ab.py ../parent/src src --seeds 4 5 6 --reps 2 --both-orders
 """
 
 import argparse
 import importlib
 import json
+import math
 import os
 import random
 import statistics
@@ -44,6 +51,8 @@ import time
 
 # The fields of one solve that both sides must match, in the order solve_round keeps them.
 FIELDS = ("placements", "nodes", "prunes", "candidates_evaluated", "volume")
+# The label of each order in which the two trees are loaded.
+ORDERS = ("A loaded first", "B loaded first")
 
 # name: (pallet, units, unit side range, params, instances, node budget or None)
 SHAPES = {
@@ -162,42 +171,67 @@ def main():
                     help="rounds per workload, alternating which side starts a round")
     ap.add_argument("--nodes", type=int, default=None,
                     help="node budget of every solve, overriding the workload's own")
+    ap.add_argument("--both-orders", action="store_true",
+                    help="also run every round with the trees loaded B first")
     args = ap.parse_args()
     if args.reps < 1:
         ap.error("--reps must be at least 1")
     if args.nodes is not None and args.nodes < 1:
         ap.error("--nodes must be at least 1")
-    sides = [load(args.a), load(args.b)]
+    # Per order, the two sides as (A, B); the second order loads B first.
+    orders = [[load(args.a), load(args.b)]]
+    if args.both_orders:
+        b, a = load(args.b), load(args.a)
+        orders.append([a, b])
     for name in args.workloads:
         budget = SHAPES[name][5] if args.nodes is None else args.nodes
-        pooled, pooled_secs, all_differ, all_volumes = [], [], set(), []
+        pooled = [[] for _ in orders]
+        pooled_secs, all_differ, all_volumes = [], set(), []
+        order_differ = [set() for _ in orders]
         for seed in args.seeds:
             cases = texts(name, seed, budget)
-            ratios, sec_ratios, rounds = [], [], []
+            ratios, sec_ratios, by_order = [], [], [[] for _ in orders]
             for r in range(args.reps):
-                rate, secs, trees = solve_round(sides, cases, r % 2)
-                ratios.append(rate[1] / rate[0])
-                sec_ratios.append(secs[1] / secs[0])
-                rounds += trees
-                print(f"{name:13} seed {seed} round {r + 1}: A {rate[0]:9,.0f} nodes/s  "
-                      f"B {rate[1]:9,.0f} nodes/s  B/A {ratios[-1]:.3f}; "
-                      f"A {secs[0]:.3f} s  B {secs[1]:.3f} s  B/A {sec_ratios[-1]:.3f}")
+                for o, sides in enumerate(orders):
+                    # The side loaded first also starts the first round, as
+                    # when the script is run with A and B swapped.
+                    rate, secs, trees = solve_round(sides, cases, r % 2 if o == 0 else 1 - r % 2)
+                    ratios.append(rate[1] / rate[0])
+                    sec_ratios.append(secs[1] / secs[0])
+                    pooled[o].append(ratios[-1])
+                    by_order[o] += trees
+                    label = f" ({ORDERS[o]})" if args.both_orders else ""
+                    print(f"{name:13} seed {seed} round {r + 1}{label}: A {rate[0]:9,.0f} nodes/s  "
+                          f"B {rate[1]:9,.0f} nodes/s  B/A {ratios[-1]:.3f}; "
+                          f"A {secs[0]:.3f} s  B {secs[1]:.3f} s  B/A {sec_ratios[-1]:.3f}")
+            rounds = sum(by_order, [])
             differ = differing(rounds)
+            for o, trees in enumerate(by_order):
+                order_differ[o].update(differing(trees))
             pairs = [(a[-1], b[-1]) for a, b in zip(rounds[0], rounds[1])]
             print(f"{name:13} seed {seed}: nodes/s {summary(ratios)}, solve seconds "
-                  f"{summary(sec_ratios)} over {args.reps} round(s), "
+                  f"{summary(sec_ratios)} over {len(ratios)} round(s), "
                   f"trees {verdict(differ)} ({len(cases)} instances, "
                   f"{nodes(rounds[0], rounds[1])} a round); "
                   f"{volumes(pairs)}")
-            pooled += ratios
             pooled_secs += sec_ratios
             all_volumes += pairs
             all_differ.update(differ)
+        every = sum(pooled, [])
         if len(args.seeds) >= 2:
-            print(f"{name:13} seeds {' '.join(map(str, args.seeds))}: nodes/s {summary(pooled)}, "
-                  f"solve seconds {summary(pooled_secs)} over {len(pooled)} rounds, trees "
+            print(f"{name:13} seeds {' '.join(map(str, args.seeds))}: nodes/s {summary(every)}, "
+                  f"solve seconds {summary(pooled_secs)} over {len(every)} rounds, trees "
                   f"{verdict(all_differ, ' on every seed')}; "
                   f"{volumes(all_volumes)}")
+        if args.both_orders:
+            medians = [statistics.median(ratios) for ratios in pooled]
+            for o, ratios in enumerate(pooled):
+                print(f"{name:13} {ORDERS[o]}: nodes/s {summary(ratios)} over {len(ratios)} "
+                      f"rounds, trees {verdict(order_differ[o])}")
+            print(f"{name:13} both orders: nodes/s B/A geometric mean "
+                  f"{math.sqrt(medians[0] * medians[1]):.3f} of the medians "
+                  f"{medians[0]:.3f} and {medians[1]:.3f}, trees "
+                  f"{verdict(all_differ, ' in both orders')}")
     return 0
 
 

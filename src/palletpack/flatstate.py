@@ -22,48 +22,53 @@ benchmark's tracer imports them by name.
 Units are loaded from above: no placed box whose top lies above a pair's z
 may overlap its footprint. So a point inside or under a box takes no pair,
 and stays so for as long as that box does. The state keeps only the live
-points, in one map across push and pop: per extreme point that lies inside
-or under no box and that some unit can take, how far a ray runs from it
-along +x and along +y before it meets a box whose top lies above the
-point, or a pallet side, how many box corners project onto it, and its
-support cap. The state is built with the units' dims, and takes their
-shortest short side and lowest height: a point with a ray shorter than
-that side, or above the pallet height less that height, takes none of
-them. A push moves the corners whose maxima it changes and adds the new
-box's; a point whose count falls to zero leaves, and a corner that lands
-on or leaves a point with no entry is not counted. The push drops the live
-points that now lie inside or under the new box or whose rays it shortens
-below that side, and shortens the other rays against it; a point it adds
-runs against every box whose top lies above it, and is added only if some
-unit can take it. Rays only shorten while boxes are added and a point's z
-never changes, so a dropped point takes no unit until the pop that unwinds
-its drop; a corner that lands on it meanwhile makes it a new point, which
-is dropped again. A pair longer than a ray overlaps the box the ray met,
-or leaves the pallet, so a pair fits only where ``w <= ex`` and
+points, in one map per depth: per extreme point that lies inside or under
+no box and that some unit can take, how far a ray runs from it along +x
+and along +y before it meets a box whose top lies above the point, or a
+pallet side, how many box corners project onto it, and its support cap.
+The state is built with the units' dims, and takes their shortest short
+side and lowest height: a point with a ray shorter than that side, or
+above the pallet height less that height, takes none of them. A push moves
+the corners whose maxima it changes and adds the new box's; a point whose
+count falls to zero leaves, and a corner that lands on or leaves a point
+with no entry is not counted. The push drops the live points that now lie
+inside or under the new box or whose rays it shortens below that side, and
+shortens the other rays against it; a point it adds runs against every box
+whose top lies above it, and is added only if some unit can take it. Rays
+only shorten while boxes are added and a point's z never changes, so a
+dropped point takes no unit until the pop that brings back the map from
+before its drop; a corner that lands on it meanwhile makes it a new point,
+which is dropped again. A pair longer than a ray overlaps the box the ray
+met, or leaves the pallet, so a pair fits only where ``w <= ex`` and
 ``d <= ey``.
 
-Every change to the maxima and the live map goes into one undo journal of
-``(container, key, old value)`` entries; a pop unwinds it to the mark its
-push left. Beyond that, a state computes only what a node asks of it.
-Each placement rule is tested once. ``ranked``'s rays and ceiling keep a
-pair inside the pallet, and above the gap its support sum is the pair's
+A push saves the parent's live map, maxima, kept footprints, volume and
+columns as one frame, and then works on copies: ``dict.copy()`` of the two
+maps and a slice of the maxima, in which it replaces a box's tuple when
+one of its maxima changes and never writes into one. A pop restores the
+last frame in one assignment. The maps hold a few to a few dozen entries,
+so one C-level copy per push costs less than logging each change and
+replaying the log on the pop (copying against trailing: Schulte, ICLP
+1999). Beyond that, a state computes only what a node asks of it. Each
+placement rule is tested once. ``ranked``'s rays and ceiling keep a pair
+inside the pallet, and above the gap its support sum is the pair's
 supported area; ``_fits`` tests what is left, no box above z over the
 footprint and then horizontal support, for the pairs ``ranked`` admits.
 The support sums read the footprints below the pair's z, those of the
 boxes whose tops lie in [z - gap, z], cut into pairwise disjoint pieces:
-found by a scan on the first ask at z, and kept across push and pop. Two
-of those footprints overlap only where one box stands on the other within
-the gap, so is no taller than the gap; the scan keeps the others whole,
-and each footprint of such a short box as its parts outside the pieces
-kept before it, at most four per cut. A box whose top lies at t belongs to
-the heights t to t + gap only, so its push or pop drops just those
-heights, by a walk over them or over the heights kept, whichever is
-shorter; a huge gap then costs a push nothing. The boxes above z are
-found per ``_fits`` call. The envelope volume is kept per depth in a list
-that ``unused_volume`` extends and a pop cuts back, so a push below which
-no node asks for a bound computes none. ``columns``, the sum over boxes of
-footprint times top, is never less than that volume and costs a push one
-product.
+found by a scan on the first ask at z, and kept in the map that a push
+copies and a pop hands back whole. Two of those footprints overlap only
+where one box stands on the other within the gap, so is no taller than the
+gap; the scan keeps the others whole, and each footprint of such a short
+box as its parts outside the pieces kept before it, at most four per cut.
+A box whose top lies at t belongs to the heights t to t + gap only, so its
+push drops just those heights from its copy, by a walk over them or over
+the heights kept, whichever is shorter; a huge gap then costs a push
+nothing. The boxes above z are found per ``_fits`` call. The envelope
+volume is kept per depth in a list that ``unused_volume`` extends and a
+pop cuts back, so a push below which no node asks for a bound computes
+none. ``columns``, the sum over boxes of footprint times top, is never
+less than that volume and costs a push one product.
 
 ``ranked`` is the one candidate loop, and none of its fast paths changes
 an answer. It works in three steps. First it puts each (live point,
@@ -88,18 +93,20 @@ pair's sum, and S * den < num * w * d rejects both orientations of a w×d
 unit, and only pairs that the support sum rejects: the same pairs are
 scored. S depends on the unit only through that comparison, so ``ranked``
 keeps it in the point's live entry (None until it is taken) for the next
-unit asked about there, and writes it through the journal: the pop of the
-state's last box unwinds it. S stays exact while the point's rays and the
-footprints below z stay the same. A push that shortens a ray writes the
-entry anew with no cap, and a push whose box's top lies at t clears the
-caps at the heights [t, t + gap], whose footprints gain the box; the
-pop restores both. A point with no cap takes S in a pass of its own, and
-a pair's sums only when S does not reject. ``ranked`` reads the clock
-(``tick``) once per call, once per point that passes the rays and that no
-kept cap rejects, just before that point's work that grows with the boxes
-(a scan for the footprints below it, its cap if none is kept, the sums,
-its scores), and once before each ``_fits``. So no more than one O(n) step
-runs between two reads; a kept cap's reject is O(1), and reads none.
+unit asked about there, and writes it into the state's own copy of the
+map: the pop of the state's last box hands back the parent's map, which
+lacks it. S stays exact while the point's rays and the footprints below z
+stay the same. A push that shortens a ray writes the entry anew with no
+cap, and a push whose box's top lies at t clears the caps at the heights
+[t, t + gap], whose footprints gain the box; the pop hands back the
+entries from before both. A point with no cap takes S in a pass of its
+own, and a pair's sums only when S does not reject. ``ranked`` reads the
+clock (``tick``) once per call, once per point that passes the rays and
+that no kept cap rejects, just before that point's work that grows with
+the boxes (a scan for the footprints below it, its cap if none is kept,
+the sums, its scores), and once before each ``_fits``. So no more than one
+O(n) step runs between two reads; a kept cap's reject is O(1), and reads
+none.
 
 The state picks its fast paths once, from the number of units it is built
 with: with at least _INDEX_UNITS (16), it indexes its boxes from the first
@@ -144,7 +151,9 @@ Faces = tuple[list[int], list[int]]
 # its support cap (None until ranked() takes it): the area of the rays'
 # rectangle that the footprints below its z cover.
 Live = tuple[int, int, int, Optional[int]]
-_ABSENT = object()  # journal value of a key its container did not hold
+Maxima = tuple[int, int, int, int, int, int]  # xy, xz, yx, yz, zx, zy
+# What a pop restores: the live map, maxima, below cache, volume and columns.
+Frame = tuple[dict[Point, Live], list[Maxima], dict[int, list[Footprint]], int, int]
 # A state built with this many units indexes its boxes for _fits() and
 # score() from its first push; one built with fewer never does. Benchmark
 # instances have 6, 40 or 150 units, so any threshold from 7 to 40 picks
@@ -182,19 +191,22 @@ class FlatState:
         self._envelopes = [0]
         # Per box, the maxima of the projections xy, xz, yx, yz, zx, zy
         # (extreme_points.KINDS): the coordinate each corner slides back to.
-        self._maxima: list[list[int]] = []
+        # A push replaces a box's tuple, never writes into it.
+        self._maxima: list[Maxima] = []
         # Per extreme point inside or under no box that some unit can take,
         # its runs (ex, ey), how many box corners project onto it and its
         # support cap; on an empty pallet, the origin once.
         self._live: dict[Point, Live] = {(0, 0, 0): (pallet.width, pallet.depth, 1, None)}
         self._short = min(min(u.w, u.d) for u in units)
         self._top = pallet.max_height - min(u.h for u in units)  # no unit fits above it
-        self._undo: list[tuple[object, object, object]] = []  # (container, key, old)
-        self._marks: list[int] = []  # journal length per push
         # Per height z asked about, the footprints of the boxes whose tops lie
-        # in [z - gap, z], cut into disjoint pieces (_scan_below); a push or
-        # pop drops only the heights its box's top reaches (_drop_below).
+        # in [z - gap, z], cut into disjoint pieces (_scan_below); a push
+        # drops only the heights its box's top reaches (_drop_below).
         self._below: dict[int, list[Footprint]] = {}
+        # Per push, the parent's frame: its live map, maxima and below cache,
+        # which the push copies before it changes them, and its volume and
+        # columns. A pop restores the last frame whole.
+        self._saved: list[Frame] = []
         # Index of the boxes for _fits() and score(), kept by every push and
         # pop: the boxes in the order of their tops, and the far faces z2, x2
         # and y2, each ascending with their box indices. It gives _fits() the
@@ -215,8 +227,12 @@ class FlatState:
         """Place a w×d×h box at (x, y, z); it must lie inside the pallet and
         overlap no placed box."""
         x2, y2, z2 = x + w, y + d, z + h
-        undo = self._undo
-        self._marks.append(len(undo))
+        # The parent's frame; this push works on copies of its containers.
+        live, maxima = self._live, self._maxima
+        self._saved.append((live, maxima, self._below, self.volume, self.columns))
+        self._live = live = live.copy()
+        self._maxima = maxima = maxima[:]
+        self._below = self._below.copy()
         # The points each corner whose maximum this push changes leaves and
         # lands on (a corner moves only where its far face lies below the
         # new box's, so it stays inside the pallet); the first box takes the
@@ -224,7 +240,7 @@ class FlatState:
         left: list[Point] = [(0, 0, 0)] if not self.boxes else []
         came: list[Point] = []
         mxy = mxz = myx = myz = mzx = mzy = 0
-        for (bx, by, bz, bx2, by2, bz2), m in zip(self.boxes, self._maxima):
+        for k, ((bx, by, bz, bx2, by2, bz2), m) in enumerate(zip(self.boxes, maxima)):
             # The new box's corners slide back against this box ...
             if x2 < bx2:
                 if y >= by2 and by2 > mxy:
@@ -241,40 +257,35 @@ class FlatState:
                     mzx = bx2
                 if y >= by2 and by2 > mzy:
                     mzy = by2
-            # ... and this box's corners against the new box.
+            # ... and this box's corners against the new box. A changed
+            # maximum replaces the box's tuple, which the parent's frame holds.
             if bx2 < x2:
                 if by >= y2 and y2 > m[0]:
-                    undo.append((m, 0, m[0]))
                     left.append((bx2, m[0], bz))
                     came.append((bx2, y2, bz))
-                    m[0] = y2
+                    maxima[k] = m = (y2, *m[1:])
                 if bz >= z2 and z2 > m[1]:
-                    undo.append((m, 1, m[1]))
                     left.append((bx2, by, m[1]))
                     came.append((bx2, by, z2))
-                    m[1] = z2
+                    maxima[k] = m = (m[0], z2, *m[2:])
             if by2 < y2:
                 if bx >= x2 and x2 > m[2]:
-                    undo.append((m, 2, m[2]))
                     left.append((m[2], by2, bz))
                     came.append((x2, by2, bz))
-                    m[2] = x2
+                    maxima[k] = m = (*m[:2], x2, *m[3:])
                 if bz >= z2 and z2 > m[3]:
-                    undo.append((m, 3, m[3]))
                     left.append((bx, by2, m[3]))
                     came.append((bx, by2, z2))
-                    m[3] = z2
+                    maxima[k] = m = (*m[:3], z2, *m[4:])
             if bz2 < z2:
                 if bx >= x2 and x2 > m[4]:
-                    undo.append((m, 4, m[4]))
                     left.append((m[4], by, bz2))
                     came.append((x2, by, bz2))
-                    m[4] = x2
+                    maxima[k] = m = (*m[:4], x2, m[5])
                 if by >= y2 and y2 > m[5]:
-                    undo.append((m, 5, m[5]))
                     left.append((bx, m[5], bz2))
                     came.append((bx, y2, bz2))
-                    m[5] = y2
+                    maxima[k] = m = (*m[:5], y2)
         p = self.pallet
         if x2 < p.width:
             came += (x2, mxy, z), (x2, y, mxz)
@@ -286,23 +297,21 @@ class FlatState:
         # go first, so a point that one corner leaves and another lands on
         # keeps its entry. A point with corners but no entry lies inside or
         # under a box, or no unit fits there (a ray only shortens while boxes
-        # are added), and stays so until the pop that unwinds its drop, which
-        # first unwinds every later change. So a point with no entry that
-        # this push leaves uncovered and some unit can take had no corner
-        # before it: it is born with the corners that land on it.
-        live = self._live
+        # are added), and stays so until the pop that brings back the map
+        # from before its drop, and every later change with it. So a point
+        # with no entry that this push leaves uncovered and some unit can
+        # take had no corner before it: it is born with the corners that
+        # land on it.
         born: dict[Point, int] = {}
         for pt in came:
             entry = live.get(pt)
             if entry is None:
                 born[pt] = born.get(pt, 0) + 1
             else:
-                undo.append((live, pt, entry))
                 live[pt] = (entry[0], entry[1], entry[2] + 1, entry[3])
         for pt in left:
             entry = live.get(pt)
             if entry is not None:
-                undo.append((live, pt, entry))
                 if entry[2] > 1:
                     live[pt] = (entry[0], entry[1], entry[2] - 1, entry[3])
                 else:
@@ -321,22 +330,19 @@ class FlatState:
                     if x <= px < x2 or px < x and x - px < short:
                         dead.append(pt)
                     elif px < x and x - px < entry[0]:
-                        undo.append((live, pt, entry))
                         live[pt] = (x - px, entry[1], entry[2], None)
                 elif x <= px < x2 and py < y and y - py < entry[1]:
                     if y - py < short:
                         dead.append(pt)
                     else:
-                        undo.append((live, pt, entry))
                         live[pt] = (entry[0], y - py, entry[2], None)
             elif pz <= z2 + gap and entry[3] is not None:
-                undo.append((live, pt, entry))
                 live[pt] = (entry[0], entry[1], entry[2], None)
         for pt in dead:
-            undo.append((live, pt, live.pop(pt)))
+            del live[pt]
         boxes = self.boxes
         boxes.append((x, y, z, x2, y2, z2))
-        self._maxima.append([mxy, mxz, myx, myz, mzx, mzy])
+        maxima.append((mxy, mxz, myx, myz, mzx, mzy))
         self.volume += w * d * h
         self.columns += w * d * z2
         self._drop_below(z2)
@@ -374,25 +380,12 @@ class FlatState:
                         ey = by - py
             else:
                 if ex >= short and ey >= short:
-                    undo.append((live, pt, _ABSENT))
                     live[pt] = (ex, ey, n, None)
 
     def pop(self) -> None:
         """Remove the last pushed box and restore the state before it."""
-        x, y, z, x2, y2, z2 = self.boxes.pop()
-        self._maxima.pop()
-        self.volume -= (x2 - x) * (y2 - y) * (z2 - z)
-        self.columns -= (x2 - x) * (y2 - y) * z2
-        undo = self._undo
-        mark = self._marks.pop()
-        entries = undo[mark:]
-        del undo[mark:]
-        for c, key, old in reversed(entries):
-            if old is _ABSENT:
-                del c[key]
-            else:
-                c[key] = old
-        self._drop_below(z2)
+        _, _, _, x2, y2, z2 = self.boxes.pop()
+        self._live, self._maxima, self._below, self.volume, self.columns = self._saved.pop()
         index = self._index
         if index is not None:
             # The popped box has the highest index, so it is the last of its
@@ -435,7 +428,7 @@ class FlatState:
         num, den = self._vertical
         need = num * w * d
         pairs: list[Ranked] = []
-        live, undo = self._live, self._undo
+        live = self._live
         for (x, y, z), (ex, ey, n, cap) in live.items():
             if z > ceiling:
                 continue
@@ -461,7 +454,6 @@ class FlatState:
                         if x < bx2 and y < by2 and bx < rx and by < ry:
                             cap += (((rx if rx < bx2 else bx2) - (bx if bx > x else x))
                                     * ((ry if ry < by2 else by2) - (by if by > y else y)))
-                    undo.append((live, (x, y, z), (ex, ey, n, None)))
                     live[x, y, z] = ex, ey, n, cap
                     if cap * den < need:
                         continue
@@ -539,11 +531,12 @@ class FlatState:
 
     def _scan_below(self, z: int) -> list[Footprint]:
         """The footprints of the boxes whose tops lie in [z - gap, z], cut
-        into pairwise disjoint pieces, kept until a push or pop of a box
-        whose top lies there. Two of them overlap only where one box stands
-        on the other within the gap, so is no taller than the gap: the
-        others are kept whole, and each footprint of such a short box as
-        its parts outside the pieces kept before it."""
+        into pairwise disjoint pieces, kept until the push of a box whose
+        top lies there or the pop of the state's last box. Two of them
+        overlap only where one box stands on the other within the gap, so
+        is no taller than the gap: the others are kept whole, and each
+        footprint of such a short box as its parts outside the pieces kept
+        before it."""
         gap = self._gap
         lo = z - gap
         if self._index is not None:  # only the boxes whose tops lie in [lo, z]

@@ -110,6 +110,7 @@ class _Searcher:
         # rest[i]: the volume of units i.. together, with rest[n] = 0
         self.rest = list(accumulate(reversed(self.volumes), initial=0))[::-1]
         self.pallet = pallet
+        self.pallet_volume = pallet.volume()  # asked at every _closed
         self.params = params
         # Takes each event as it happens; without it, no event is built.
         self.on_event = on_event
@@ -182,7 +183,7 @@ class _Searcher:
         need = self.incumbent_volume - state.volume
         bound = self.rest[idx]
         if bound > need:
-            if self._fill_beats(idx, self.pallet.volume() - state.columns, need):
+            if self._fill_beats(idx, self.pallet_volume - state.columns, need):
                 return False
             capacity = state.unused_volume()
             if self._fill_beats(idx, capacity, need):
@@ -320,7 +321,7 @@ class _Searcher:
         return Solution(
             placements=self.incumbent,
             placed_volume=self.incumbent_volume,
-            utilization=self.incumbent_volume / self.pallet.volume(),
+            utilization=self.incumbent_volume / self.pallet_volume,
             stats=stats,
             pallet=self.pallet,
         )

@@ -535,8 +535,9 @@ def test_dropping_points_no_unit_can_take_changes_no_ranking(data):
 
 def journaled(state: FlatState):
     """Everything a pop must restore: the live map with its support caps,
-    the maxima of every box, the volume and the columns."""
-    return (dict(state._live), [list(m) for m in state._maxima], state.volume,
+    the maxima of every box, the footprints kept below each height, the
+    volume and the columns."""
+    return (dict(state._live), list(state._maxima), dict(state._below), state.volume,
             state.columns)
 
 
@@ -577,11 +578,13 @@ def test_pop_restores_the_journaled_state(data):
     # columns never leave more room than the unused volume. A unit drawn at
     # each step is ranked before the state is saved, so the caps it keeps
     # must come back with the pop of every deeper box, and those a deeper
-    # state keeps for another unit must go with it.
+    # state keeps for another unit must go with it. The state holds one
+    # saved frame per box, so none is left behind by a pop.
     saved = []
 
     def check(state, params, units):
         depth = len(state.boxes)
+        assert len(state._saved) == depth
         assert len(state._envelopes) <= depth + 1
         unused = unused_volume(reference_state(state))
         assert state.pallet.volume() - state.columns <= unused
