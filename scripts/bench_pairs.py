@@ -29,6 +29,13 @@ Per workload, ``failed_verdict`` says whether the change failed a larger
 share of the runs it attempted than the parent. Both are printed at the
 end of a run.
 
+Each pair also keeps, per side, the run's CPU seconds (``cpu_s``: the
+``RUSAGE_CHILDREN`` time the command used), its wall seconds (``wall_s``)
+and the 1-minute load average just before it (``load_1m``). A run with
+less than 0.9 CPU seconds per wall second waited for a CPU that another
+process held, so its timings read slow: a warning names each such side,
+as the pair finishes and again with the verdicts.
+
 ``--against BENCH_k.json`` prints, per workload and metric, the change
 side's median of an earlier file against that of this run (or of the one
 file given instead of two checkouts), and the relative delta. One file
@@ -46,13 +53,18 @@ import json
 import math
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# A single-threaded benchmark run on an idle core gets about one CPU second
+# per wall second; below this share, another process took the CPU from it.
+LOADED_RATIO = 0.9
 
 
 def machine_info():
@@ -69,18 +81,41 @@ def machine_info():
 
 def run_once(command, checkout, workload, seed, seconds):
     """One benchmark run in ``checkout``: the JSON object its last line of
-    standard output holds."""
+    standard output holds, and what the run cost: ``cpu_s``, the CPU
+    seconds (user and system) of the command and the children it waited
+    for, ``wall_s``, and ``load_1m``, the 1-minute load average just
+    before it."""
     for cache in list(checkout.rglob("__pycache__")):
         shutil.rmtree(cache)
     args = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", f"{seconds:g}", "--trace", "0"]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    load = os.getloadavg()[0]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
     done = subprocess.run(args, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(args)} in {checkout} exited {done.returncode}:\n"
                          f"{done.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    cpu = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+    return json.loads(lines[-1]), {"cpu_s": round(cpu, 3), "wall_s": round(wall, 3),
+                                   "load_1m": load}
+
+
+def load_warnings(workload, pair):
+    """A line for each side of ``pair`` whose run got less than
+    ``LOADED_RATIO`` of a CPU for its wall time: another process took the
+    CPU from it, and its timings read slow."""
+    lines = []
+    for side in SIDES:
+        cpu, wall = pair["cpu_s"][side], pair["wall_s"][side]
+        if cpu / wall < LOADED_RATIO:
+            lines.append(f"warning: {workload} seed {pair['seed']}: {side} ran at CPU/wall "
+                         f"{cpu / wall:.2f}, load {pair['load_1m'][side]:.2f} before it")
+    return lines
 
 
 def quartiles(values):
@@ -166,18 +201,22 @@ def bench(args):
         for i in range(args.pairs):
             seed = args.seed + k * args.pairs + i
             first = SIDES[i % 2]
-            runs = {}
+            runs, costs = {}, {}
             for side in (SIDES if first == "parent" else SIDES[::-1]):
-                runs[side] = run_once(command, parent if side == "parent" else change,
-                                      workload, seed, seconds)
+                runs[side], costs[side] = run_once(
+                    command, parent if side == "parent" else change, workload, seed, seconds)
             pairs.append({"seed": seed, "first": first,
                           **{key: {s: runs[s][key] for s in SIDES}
                              for key in ("attempted", "failed", "correct")},
+                          **{key: {s: costs[s][key] for s in SIDES}
+                             for key in ("cpu_s", "wall_s", "load_1m")},
                           **{s: {m: v["value"] for m, v in runs[s]["metrics"].items()}
                              for s in SIDES}})
             print(f"{workload} seed {seed} ({first} first): " + ", ".join(
                 f"{m} {pairs[-1]['parent'][m]:g} -> {pairs[-1]['change'][m]:g}"
                 for m in ("nodes_per_s", "solve_s") if m in pairs[-1]["parent"]), flush=True)
+            for line in load_warnings(workload, pairs[-1]):
+                print(line, flush=True)
         summary[workload] = summarize(pairs, config["end_to_end"])
         runs_of[workload] = {"pairs": pairs}
     doc = {"change": ""}
@@ -200,7 +239,8 @@ def bench(args):
 
 
 def print_verdicts(doc):
-    """Per workload and metric, the no-regression verdict, then failures."""
+    """Per workload and metric, the no-regression verdict, then failures
+    and the pairs run on a loaded machine."""
     for workload, entry in doc["summary"].items():
         for metric, stats in entry.items():
             if isinstance(stats, dict) and "better" in stats:
@@ -213,6 +253,10 @@ def print_verdicts(doc):
         failed = entry["failed_total"]
         print(f"{workload:13} {'failed':13} {entry['failed_verdict']} "
               f"(parent {failed['parent']}, change {failed['change']})")
+        for pair in doc["workloads"][workload]["pairs"]:
+            if "cpu_s" in pair:  # older BENCH files keep no run costs
+                for line in load_warnings(workload, pair):
+                    print(line)
     if "claim" in doc:
         print(f"claim {doc['claim']['workload']} {doc['claim']['metric']}: "
               f"{doc['claim']['result']}")

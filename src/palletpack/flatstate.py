@@ -31,12 +31,16 @@ side and lowest height: a point with a ray shorter than that side, or
 above the pallet height less that height, takes none of them. A push moves
 the corners whose maxima it changes and adds the new box's; a point whose
 count falls to zero leaves, and a corner that lands on or leaves a point
-with no entry is not counted. The push drops the live points that now lie
-inside or under the new box or whose rays it shortens below that side, and
-shortens the other rays against it; a point it adds runs against every box
-whose top lies above it, and is added only if some unit can take it. Rays
-only shorten while boxes are added and a point's z never changes, so a
-dropped point takes no unit until the pop that brings back the map from
+with no entry is not counted. A point less than that side from the
+pallet's far sides (its rays reach no further), or above that height, has
+no entry once the first box is pushed and never gets one, so a corner
+that lands there is not even looked up: the new box's corners on a pallet
+side are among them. The push drops the live points that now lie inside
+or under the new box or whose rays it shortens below that side, and
+shortens the other rays against it; a point it adds runs against every
+box whose top lies above it, and is added only if some unit can take it.
+Rays only shorten while boxes are added and a point's z never changes, so
+a dropped point takes no unit until the pop that brings back the map from
 before its drop; a corner that lands on it meanwhile makes it a new point,
 which is dropped again. A pair longer than a ray overlaps the box the ray
 met, or leaves the pallet, so a pair fits only where ``w <= ex`` and
@@ -286,13 +290,8 @@ class FlatState:
                     left.append((bx, m[5], bz2))
                     came.append((bx, y2, bz2))
                     maxima[k] = m = (*m[:5], y2)
-        p = self.pallet
-        if x2 < p.width:
-            came += (x2, mxy, z), (x2, y, mxz)
-        if y2 < p.depth:
-            came += (myx, y2, z), (x, y2, myz)
-        if z2 < p.max_height:
-            came += (mzx, y, z2), (x, mzy, z2)
+        came += ((x2, mxy, z), (x2, y, mxz), (myx, y2, z), (x, y2, myz),
+                 (mzx, y, z2), (x, mzy, z2))
         # A corner counts where it lands on or leaves a live point; landings
         # go first, so a point that one corner leaves and another lands on
         # keeps its entry. A point with corners but no entry lies inside or
@@ -301,9 +300,17 @@ class FlatState:
         # from before its drop, and every later change with it. So a point
         # with no entry that this push leaves uncovered and some unit can
         # take had no corner before it: it is born with the corners that
-        # land on it.
+        # land on it. A point less than the shortest short side from the
+        # far sides of the pallet, or above the pallet height less the
+        # lowest height (the new box's corners on a pallet side among them),
+        # has no entry and gets none: its landings are not looked up.
+        p, short, top = self.pallet, self._short, self._top
+        far_x, far_y = p.width - short, p.depth - short
         born: dict[Point, int] = {}
         for pt in came:
+            px, py, pz = pt
+            if px > far_x or py > far_y or pz > top:
+                continue
             entry = live.get(pt)
             if entry is None:
                 born[pt] = born.get(pt, 0) + 1
@@ -322,7 +329,7 @@ class FlatState:
         # below the heights [z2, z2 + gap] gain the new box's, so the caps
         # there are cleared.
         dead = []
-        short, gap = self._short, self._gap
+        gap = self._gap
         for pt, entry in live.items():
             px, py, pz = pt
             if pz < z2:
@@ -365,8 +372,6 @@ class FlatState:
         # A new point runs against every box whose top lies above it.
         for pt, n in born.items():
             px, py, pz = pt
-            if pz > self._top:
-                continue
             ex, ey = p.width - px, p.depth - py
             for bx, by, _, bx2, by2, bz2 in (
                     boxes if index is None else by_top[bisect_right(zs, pz):]):

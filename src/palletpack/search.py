@@ -28,9 +28,11 @@ search, since a later sibling or root has no more to place.
 tries the cheapest answers first: the rest bound (every volume from
 ``idx`` on, the knapsack bound without its capacity), then first-fit
 fills, each a feasible filling and so a lower bound on the knapsack
-bound, and only then the bound itself. The state ranks and cuts a unit's
-candidates itself (``FlatState.ranked``), and alone decides which of its
-fast paths it takes: once per instance, from its units, not per depth.
+bound, and only then the bound itself. Where every volume fits into the
+first fill's capacity, that fill would load the rest bound, so the sum
+decides and no fill runs. The state ranks and cuts a unit's candidates
+itself (``FlatState.ranked``), and alone decides which of its fast paths
+it takes: once per instance, from its units, not per depth.
 """
 
 from __future__ import annotations
@@ -175,15 +177,20 @@ class _Searcher:
         Cheapest test first. Past the rest bound, a first-fit fill of the
         volumes from ``idx`` on that beats the incumbent keeps the node
         open: first into the pallet volume less ``columns``, never above
-        the unused volume, then into the unused volume. A fill that
-        skipped no unit would beat the incumbent, so when both fail the
-        volumes sum past the capacity, the LP relaxation's value, and only
-        then does the exact mode run the kernel."""
+        the unused volume, then into the unused volume. Where the volumes
+        sum to no more than the first capacity, first fit takes them all
+        and loads the rest bound, so the sum decides without a fill: the
+        node stays open in that first (columns) stage, and a count of the
+        stages counts it there. A fill that skipped no unit would beat
+        the incumbent, so when both fail the volumes sum past the
+        capacity, the LP relaxation's value, and only then does the exact
+        mode run the kernel."""
         state = self.state
         need = self.incumbent_volume - state.volume
         bound = self.rest[idx]
         if bound > need:
-            if self._fill_beats(idx, self.pallet_volume - state.columns, need):
+            free = self.pallet_volume - state.columns
+            if bound <= free or self._fill_beats(idx, free, need):
                 return False
             capacity = state.unused_volume()
             if self._fill_beats(idx, capacity, need):

@@ -129,3 +129,53 @@ def test_pairs_alternate_on_fresh_seeds_and_summarize(tmp_path, monkeypatch, cap
     assert [line.split()[:3] for line in lines if "setup_s" in line] == [
         ["deep", "setup_s", "worse"], ["small", "setup_s", "worse"]]
     assert "small         failed        change fails a larger share (parent 0, change 1)" in lines
+
+
+# Spins for 0.3 CPU seconds, except on the change side of seed 21, where it
+# sleeps for 0.6 s instead: a run that waits and gets little CPU for its
+# wall time, as one does on a loaded machine.
+SLEEPER = '''
+import json, sys, time
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+if open("side.txt").read() == "change" and args["--seed"] == "21":
+    time.sleep(0.6)
+else:
+    start = time.process_time()
+    while time.process_time() - start < 0.3:
+        pass
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+    "nodes_per_s": {"value": 1.0, "unit": "1/s"}}}))
+'''
+
+
+def test_runs_keep_their_cpu_and_wall_seconds_and_warn_when_loaded(tmp_path, monkeypatch,
+                                                                   capsys):
+    stub = tmp_path / "sleeper.py"
+    stub.write_text(SLEEPER)
+    config = {"command": [sys.executable, str(stub)], "run_seconds": 1,
+              "workloads": [{"name": "deep"}], "end_to_end": BENCHMARK["end_to_end"][:1]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "side.txt").write_text(side)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["parent", "change", "--pr", "99", "--pairs", "2",
+                             "--seed", "20"]) == 0
+    pairs = json.loads((tmp_path / "BENCH_99.json").read_text())["workloads"]["deep"]["pairs"]
+    for pair in pairs:
+        for side in ("parent", "change"):
+            assert pair["load_1m"][side] >= 0
+            if pair["seed"] == 21 and side == "change":
+                assert pair["cpu_s"][side] < 0.3 and pair["wall_s"][side] >= 0.6
+            else:
+                assert pair["cpu_s"][side] >= 0.3 and pair["wall_s"][side] >= 0.3
+    # The sleeping run is named as the pair finishes and again with the
+    # verdicts. (A spinning run on a busy machine may be named as well.)
+    warned = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("warning: deep seed 21: change ran at CPU/wall 0.")]
+    assert len(warned) == 2
+    assert bench_pairs.load_warnings("deep", {
+        "seed": 5, "cpu_s": {"parent": 9.0, "change": 8.9},
+        "wall_s": {"parent": 10.0, "change": 10.0},
+        "load_1m": {"parent": 0.5, "change": 2.5}}) == [
+        "warning: deep seed 5: change ran at CPU/wall 0.89, load 2.50 before it"]

@@ -504,10 +504,11 @@ def synced(twin: FlatState, state: FlatState) -> None:
 def test_dropping_points_no_unit_can_take_changes_no_ranking(data):
     # A twin built with the units' shortest short side and lowest height,
     # taken through the same pushes and pops as a state that drops no
-    # point: it keeps a subset of the state's entries with the same rays
-    # and corner counts, drops only points whose rays are shorter than that
-    # side or that lie above the pallet height less that height, and ranks
-    # every unit as the state does, scoring as many pairs.
+    # point: it keeps exactly the state's entries whose rays reach that side
+    # and that lie no higher than the pallet height less that height (and,
+    # on an empty pallet, the origin whatever the units), with the same rays
+    # and corner counts, and ranks every unit as the state does, scoring as
+    # many pairs.
     twin = None
 
     def check(state, params, units):
@@ -517,12 +518,12 @@ def test_dropping_points_no_unit_can_take_changes_no_ranking(data):
         if twin is None:
             twin = FlatState(state.pallet, params, [Dims(*unit) for unit in units])
         synced(twin, state)
-        assert twin._live.keys() <= state._live.keys()
-        for pt, (ex, ey, n, _) in state._live.items():
-            if pt in twin._live:
-                assert twin._live[pt][:3] == (ex, ey, n)
-            else:
-                assert ex < short or ey < short or pt[2] > state.pallet.max_height - low
+        assert twin._live.keys() == {
+            pt for pt, (ex, ey, _, _) in state._live.items()
+            if ex >= short and ey >= short and pt[2] <= state.pallet.max_height - low
+        } | ({(0, 0, 0)} if not state.boxes else set())
+        for pt, entry in twin._live.items():
+            assert entry[:3] == state._live[pt][:3]
         for w, d, h in units:
             for cut in (1, 10**6):
                 scored = state.pairs_scored, twin.pairs_scored

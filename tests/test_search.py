@@ -756,6 +756,34 @@ def test_failed_fill_leaves_the_decision_to_the_bound(mode):
     assert searcher.nodes_pruned == 1
 
 
+@pytest.mark.parametrize("mode", ["exact_knapsack", "lp_relaxation"])
+def test_node_where_every_unit_fits_opens_without_a_fill(mode):
+    # Volume 6 loaded, so 4 of the pallet's 10 lie above the columns, and 3
+    # more is needed. Units of volume 2 and 2 to come: they sum to exactly
+    # the 4, first fit would take both, and the sum alone opens the node.
+    fills = []
+    for rest in ((2, 2), (3, 2)):
+        units = [_unit(i, w, 1, 1) for i, w in enumerate((6, *rest))]
+        searcher = _CheckedBound(units, Pallet(10, 1, 1),
+                                 dataclasses.replace(P0, bound_mode=mode), None)
+        fill_beats = searcher._fill_beats
+        searcher._fill_beats = lambda *args: fills.append(args) or fill_beats(*args)
+        searcher._push(units[0], (0.0, 0, 0, 0, False))
+        searcher.incumbent_volume = 9
+        closed = searcher._closed(1, 0)
+        if rest == (2, 2):
+            assert not closed and not fills
+            assert searcher.stages == {"rest": 0, "columns": 1, "fill": 0, "kernel": 0}
+        else:
+            # One more unit of volume, 5 past the 4: first fit takes the 3
+            # alone into the 4 above the columns and into the unused volume,
+            # so both fills run and fail, and the kernel (3) or the LP value
+            # (4) decides against the 3 needed.
+            assert closed == (mode == "exact_knapsack")
+            assert [args[1] for args in fills] == [4, 4]
+            assert searcher.stages == {"rest": 0, "columns": 0, "fill": 0, "kernel": 1}
+
+
 def _bound_pressed_instance(rng):
     """Up to the oracle's limit of units, each up to the pallet's size, on a
     2-5 x 2-5 x 2-4 pallet at full support: the units seldom all fit, so
